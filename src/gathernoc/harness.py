@@ -14,7 +14,7 @@ from .errors import ConfigError
 from .power import EVENT_KINDS, EnergyCoefficients
 from .stats import RunStats
 from .systolic import run_convolution
-from .workload import builtin_layer_db, load_layer, model_layers
+from .workload import builtin_layer_db, load_layer, model_layers, stream_length
 
 MODES = ("ru", "gather", "analytic")
 
@@ -52,6 +52,22 @@ class RunConfig:
             raise ConfigError("format must be csv or json")
         if not self.layers:
             raise ConfigError("at least one layer is required")
+        if "ru" in self.modes or "gather" in self.modes:
+            _check_payload_width(self.mesh, self.layers)
+
+
+def _check_payload_width(mesh: MeshConfig, layers: list[tuple[str, str]]) -> None:
+    """Reject layers whose largest accumulator (8-bit operands) does not fit
+    in a result payload, before any simulation starts."""
+    db = builtin_layer_db()
+    limit = 1 << mesh.gather_payload_bits
+    for model, name in layers:
+        length = stream_length(load_layer(model, name, db))
+        if 255 * 255 * length >= limit:
+            raise ConfigError(
+                f"{model}/{name}: results up to 255*255*{length} need more than "
+                f"gather_payload_bits = {mesh.gather_payload_bits}"
+            )
 
 
 @dataclass

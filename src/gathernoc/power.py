@@ -20,19 +20,36 @@ EVENT_KINDS = (
 
 
 class ActivityCounters:
-    """Per-router event counts, monotonically non-decreasing during a run."""
+    """Per-router event counts, monotonically non-decreasing during a run.
+
+    ``per_router[kind]`` is a flat list indexed by router id that grows to
+    cover every id recorded.  Counts folded in for replayed rounds belong to
+    no single router and are kept in ``replayed``.
+    """
 
     def __init__(self) -> None:
-        self.per_router: dict[str, dict[int, int]] = {k: {} for k in EVENT_KINDS}
+        self.per_router: dict[str, list[int]] = {k: [] for k in EVENT_KINDS}
+        self.replayed: dict[str, int] = dict.fromkeys(EVENT_KINDS, 0)
+
+    def reserve(self, routers: int) -> None:
+        """Make room for router ids below ``routers``, so that callers may
+        increment ``per_router[kind][rid]`` in place."""
+        for bucket in self.per_router.values():
+            if len(bucket) < routers:
+                bucket.extend([0] * (routers - len(bucket)))
 
     def record(self, kind: str, router: int, n: int = 1) -> None:
         if n < 0:
             raise ValueError("activity counters only move forward")
+        if router < 0:
+            raise ValueError("router ids are non-negative")
         bucket = self.per_router[kind]
-        bucket[router] = bucket.get(router, 0) + n
+        if router >= len(bucket):
+            bucket.extend([0] * (router + 1 - len(bucket)))
+        bucket[router] += n
 
     def total(self, kind: str) -> int:
-        return sum(self.per_router[kind].values())
+        return sum(self.per_router[kind]) + self.replayed[kind]
 
     def totals(self) -> dict[str, int]:
         return {k: self.total(k) for k in EVENT_KINDS}
@@ -40,15 +57,17 @@ class ActivityCounters:
     def snapshot(self) -> dict[str, int]:
         return self.totals()
 
-    def add_scaled(self, delta: dict[str, int], factor: int, router: int = -1) -> None:
+    def add_scaled(self, delta: dict[str, int], factor: int) -> None:
         """Fold ``factor`` repetitions of a per-round delta into the counters.
 
         Used when identical rounds are replayed instead of re-simulated; the
-        bulk counts are attributed to the pseudo-router id ``-1``.
+        bulk counts go to ``replayed``.
         """
         for kind, n in delta.items():
-            if n:
-                self.record(kind, router, n * factor)
+            n *= factor
+            if n < 0:
+                raise ValueError("activity counters only move forward")
+            self.replayed[kind] += n
 
     @staticmethod
     def diff(after: dict[str, int], before: dict[str, int]) -> dict[str, int]:

@@ -3,7 +3,8 @@
 Each router owns per-input-port, per-VC flit queues with credit-style
 backpressure, a wormhole ownership table per output VC, round-robin switch
 allocation state, and the PE-side gather unit that implements the
-load/upload/timeout handshake.
+load/upload/timeout handshake.  The cycle-by-cycle rules that act on this
+state live in :mod:`gathernoc.network`.
 """
 from __future__ import annotations
 
@@ -139,40 +140,25 @@ def upload_payload(flit: Flit, unit: GatherUnit, config: MeshConfig) -> bool:
     return True
 
 
-@dataclass
-class _QueueEntry:
-    flit: Flit
-    enter: int           # cycle the flit entered this input queue
-
-
 class Router:
-    """Per-node switching state; the network advances all routers in a
-    deterministic two-phase cycle."""
+    """Per-node switching state, laid out flat for the network's cycle loop.
+
+    ``queues[port * vc_count + vc]`` is the input queue of one (input port,
+    VC) pair and holds ``(enter_cycle, flit)`` pairs; ``link_owner[port *
+    vc_count + vc]`` is the wormhole owner (packet id or None) of one output
+    VC; ``rr[port]`` is the round-robin pointer of one output port over the
+    flat queue indices.
+    """
 
     def __init__(self, node: NodeId, config: MeshConfig, timeout: int) -> None:
         self.node = node
-        self.config = config
-        self.queues: dict[Port, list[deque[_QueueEntry]]] = {
-            p: [deque() for _ in range(config.vc_count)] for p in INPUT_PORTS
-        }
-        # wormhole ownership per (output port, vc): packet id or None
-        self.link_owner: dict[tuple[Port, int], int | None] = {}
+        self.queues: list[deque[tuple[int, Flit]]] = [
+            deque() for _ in range(len(INPUT_PORTS) * config.vc_count)
+        ]
+        self.link_owner: list[int | None] = [None] * (len(Port) * config.vc_count)
         # cached output port per packet id, set when the head is routed
         self.route_cache: dict[int, Port] = {}
-        # round-robin pointer per output port over (input port, vc) pairs
-        self.rr: dict[Port, int] = {}
+        self.rr: list[int] = [0] * len(Port)
         self.unit = GatherUnit(node, timeout)
         # packet ids whose head already triggered a load decision here
         self.load_checked: set[int] = set()
-
-    def occupancy(self, port: Port, vc: int) -> int:
-        return len(self.queues[port][vc])
-
-    def has_space(self, port: Port, vc: int) -> bool:
-        return self.occupancy(port, vc) < self.config.buffer_depth
-
-    def is_empty(self) -> bool:
-        return all(not q for qs in self.queues.values() for q in qs)
-
-    def pending_flits(self) -> int:
-        return sum(len(q) for qs in self.queues.values() for q in qs)

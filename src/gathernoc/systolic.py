@@ -25,6 +25,7 @@ round's results have all been committed to the buffer.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,13 +59,14 @@ def pe_mac(acc: int, operand: int, weight: int) -> int:
 
 
 def partial_conv_oracle(inputs, weights) -> int:
-    """Reference dot product, kept independent of the engine's arithmetic."""
+    """Reference dot product, kept independent of the engine's arithmetic.
+
+    Given Python ints (``ndarray.tolist()``) it computes in exact integer
+    arithmetic, not numpy's matrix product.
+    """
     if len(inputs) != len(weights):
         raise ConfigError("oracle operands must have equal length")
-    acc = 0
-    for x, w in zip(inputs, weights):
-        acc += int(x) * int(w)
-    return acc
+    return sum(map(operator.mul, inputs, weights))
 
 
 @dataclass
@@ -132,11 +134,17 @@ def weight_vector(seed: int, vec_id: int, length: int) -> np.ndarray:
     return operand_vector(seed, _WEIGHT_TAG, vec_id, length)
 
 
-def round_accumulators(schedule: RoundSchedule, seed: int) -> np.ndarray:
-    """Final accumulator of every active PE for one round (rows x cols)."""
+def round_accumulators(schedule: RoundSchedule, seed: int, operands: bool = False):
+    """Final accumulator of every active PE for one round (rows x cols).
+
+    With ``operands`` it returns ``(accumulators, inputs, weights)``: the
+    stacked operand vectors of the round's rows and columns come along, so
+    the oracle can check against them without generating them again.
+    """
     ins = np.stack([input_vector(seed, i, schedule.stream_len) for i in schedule.input_ids])
     wts = np.stack([weight_vector(seed, k, schedule.stream_len) for k in schedule.filter_ids])
-    return ins @ wts.T
+    accs = ins @ wts.T
+    return (accs, ins, wts) if operands else accs
 
 
 def last_operand_cycle(stream_len: int, row: int, col: int) -> int:
@@ -308,9 +316,9 @@ def run_convolution(
             # operand values are only materialized when this round is
             # simulated or oracle-checked; replayed rounds reuse the
             # reference round's value-independent timing
-            accs = round_accumulators(schedule, seed)
+            accs, ins, wts = round_accumulators(schedule, seed, operands=True)
         if check:
-            _check_oracle(schedule, accs, seed, oracle_mode)
+            _check_oracle(schedule, accs, ins, wts, oracle_mode)
         if not simulate:
             m0 = seen[0]
             _fold_round(stats, m0, counters)
@@ -469,20 +477,20 @@ def run_ready_row(
     return stats
 
 
-def _check_oracle(schedule: RoundSchedule, accs: np.ndarray, seed: int,
-                  oracle_mode: str) -> None:
+def _check_oracle(schedule: RoundSchedule, accs: np.ndarray, ins: np.ndarray,
+                  wts: np.ndarray, oracle_mode: str) -> None:
+    """Check PE accumulators against the reference dot product of the
+    round's operand vectors (``ins`` rows, ``wts`` columns)."""
     if oracle_mode == "off":
         return
-    length = schedule.stream_len
     pairs = [(r, c) for r in range(schedule.active_rows)
              for c in range(schedule.active_cols)]
     if oracle_mode == "sample":
         pairs = pairs[:: max(1, len(pairs) // 4)][:4]
+    xs = {r: ins[r].tolist() for r, _ in pairs}
+    ws = {c: wts[c].tolist() for _, c in pairs}
     for r, c in pairs:
-        ref = partial_conv_oracle(
-            input_vector(seed, schedule.input_ids[r], length).tolist(),
-            weight_vector(seed, schedule.filter_ids[c], length).tolist(),
-        )
+        ref = partial_conv_oracle(xs[r], ws[c])
         if ref != int(accs[r][c]):
             raise OracleMismatchError(
                 f"round {schedule.index} PE ({r},{c}): engine accumulator "

@@ -168,3 +168,16 @@ def test_fig1_output_rows_show_hop_counts(tmp_path, capsys):
     g_row = next(l for l in lines if ",gather," in l)
     assert ru_row.split(",")[6] == "15"
     assert g_row.split(",")[6] == "5"
+
+
+def test_payload_width_too_small_for_layer_exits_config_error(tmp_path, capsys):
+    # alexnet/conv3 accumulates 2304 products of 8-bit operands: results up
+    # to 255*255*2304 cannot fit a 16-bit payload, found before any cycle runs
+    path = tmp_path / "run.cfg"
+    path.write_text("mesh_rows = 4\nmesh_cols = 4\nlayers = conv3\n"
+                    "gather_payload_bits = 16\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "gather_payload_bits" in capsys.readouterr().err
+    path.write_text("mesh_rows = 4\nmesh_cols = 4\nlayers = conv3\n"
+                    "gather_payload_bits = 16\nmodes = analytic\n")
+    assert main(["run", "--config", str(path)]) == 0
