@@ -23,8 +23,8 @@ class AnalyticParams:
     """Inputs to the closed-form model.
 
     Packet sizes are in flits.  ``timeout_wait`` is the per-packet cycles a
-    gather initiator spends waiting out its give-up budget; the congestion
-    terms are measured by the simulator, not predicted here.
+    gather initiator spends waiting out its give-up budget.  Congestion is
+    measured by the simulator, not predicted here.
     """
 
     rows: int                 # mesh rows
@@ -39,16 +39,13 @@ class AnalyticParams:
     gather_flits: int = 4
     payloads_per_gather: int | None = None   # None = one whole row
     timeout_wait: int = 0
-    ru_congestion: int = 0
-    gather_congestion: int = 0
 
     def __post_init__(self) -> None:
         for name in ("rows", "cols", "in_channels", "kernel_side",
                      "input_vectors", "kernels", "unicast_flits", "gather_flits"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("mac_latency", "pipeline_depth", "timeout_wait",
-                     "ru_congestion", "gather_congestion"):
+        for name in ("mac_latency", "pipeline_depth", "timeout_wait"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.payloads_per_gather is not None and self.payloads_per_gather < 1:
@@ -87,7 +84,7 @@ class AnalyticParams:
 def ru_collection_cycles(p: AnalyticParams) -> int:
     """Per-round collection term for the repetitive-unicast drain: head path
     of the row-start packet plus every packet's flits streamed back to back."""
-    return p.cols * (p.pipeline_depth + p.unicast_flits) - 1 + p.ru_congestion
+    return p.cols * (p.pipeline_depth + p.unicast_flits) - 1
 
 
 def gather_collection_cycles(p: AnalyticParams) -> int:
@@ -96,8 +93,7 @@ def gather_collection_cycles(p: AnalyticParams) -> int:
     total = 0
     for i in range(chunks):
         span = p.cols - i * p.gather_chunk
-        total += (span * p.pipeline_depth + p.gather_flits - 1
-                  + p.timeout_wait + p.gather_congestion)
+        total += span * p.pipeline_depth + p.gather_flits - 1 + p.timeout_wait
     return total
 
 

@@ -8,18 +8,23 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+from pathlib import Path
 
 from .analytic import AnalyticParams, improvement_pct
 from .config import MeshConfig
 from .errors import ConfigError, GatherNocError, SimulationError
 from .harness import (
     RunConfig,
+    emit_csv,
+    improvement_record,
     load_run_config,
-    parse_kv_text,
+    parse_layers,
+    parse_modes,
     run,
-    run_config_from_kv,
     simulated_improvement_pct,
+    stats_record,
 )
 from .systolic import run_convolution, run_ready_row
 from .workload import model_layers
@@ -39,63 +44,30 @@ def _parse_mesh(text: str) -> tuple[int, int]:
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    kv: dict[str, str] = {}
+    """``cfg`` with the command-line flags applied; building the new
+    config runs the same validation as a config file."""
+    changes: dict = {}
     if args.mesh:
         rows, cols = _parse_mesh(args.mesh)
-        kv["mesh_rows"], kv["mesh_cols"] = str(rows), str(cols)
-    if args.model:
-        kv["model"] = args.model
-    if args.layers:
-        kv["layers"] = args.layers
+        changes["mesh"] = dataclasses.replace(cfg.mesh, rows=rows, cols=cols)
+    if args.model or args.layers:
+        # --model alone selects all of that model's layers; --layers alone
+        # names layers of the config's model
+        model = args.model or cfg.layers[0][0]
+        changes["layers"] = parse_layers(model, args.layers or "all")
     if args.modes:
-        kv["modes"] = args.modes
+        changes["modes"] = parse_modes(args.modes)
     if args.seed is not None:
-        kv["seed"] = str(args.seed)
+        changes["seed"] = args.seed
     if args.p_override is not None:
-        kv["p_override"] = str(args.p_override)
+        changes["p_override"] = args.p_override
     if args.output:
-        kv["output"] = args.output
+        changes["output"] = args.output
     if args.format:
-        kv["format"] = args.format
+        changes["out_format"] = args.format
     if args.event_log:
-        kv["event_log"] = "true"
-    if not kv:
-        return cfg
-    # rebuild through the same path as config files so flags and file keys
-    # stay equivalent
-    base = {
-        "mesh_rows": str(cfg.mesh.rows),
-        "mesh_cols": str(cfg.mesh.cols),
-        "virtual_channels": str(cfg.mesh.vc_count),
-        "buffer_depth": str(cfg.mesh.buffer_depth),
-        "flit_bits": str(cfg.mesh.flit_width),
-        "unicast_flits": str(cfg.mesh.unicast_len),
-        "gather_flits": str(cfg.mesh.gather_len),
-        "pipeline_stages": str(cfg.mesh.pipeline_depth),
-        "gather_timeout": str(cfg.mesh.gather_timeout),
-        "gather_payload_bits": str(cfg.mesh.gather_payload_bits),
-        "mac_cycles": str(cfg.mesh.mac_latency),
-        "buffer_commit_rate": str(cfg.mesh.buffer_commit_rate),
-        "modes": ",".join(cfg.modes),
-        "seed": str(cfg.seed),
-        "format": cfg.out_format,
-        "event_log": str(cfg.event_log).lower(),
-    }
-    if cfg.mesh.gather_capacity is not None:
-        base["gather_capacity"] = str(cfg.mesh.gather_capacity)
-    if cfg.p_override is not None:
-        base["p_override"] = str(cfg.p_override)
-    if cfg.output:
-        base["output"] = cfg.output
-    models = {m for m, _ in cfg.layers}
-    if len(models) == 1:
-        base["model"] = next(iter(models))
-        base["layers"] = ",".join(l for _, l in cfg.layers)
-    base.update(kv)
-    rebuilt = run_config_from_kv(base)
-    rebuilt.timeout_table = cfg.timeout_table
-    rebuilt.coefficients = cfg.coefficients
-    return rebuilt
+        changes["event_log"] = True
+    return dataclasses.replace(cfg, **changes)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -141,26 +113,8 @@ def cmd_fig1(args: argparse.Namespace) -> int:
     print(f"{'gather':<20}{g.packets:>8}{g.flits:>8}{g.hops:>8}"
           f"{g.total_cycles:>8}{g.energy:>10.1f}")
     if args.output:
-        from pathlib import Path
-
-        from .harness import emit_csv
-        records = []
-        for st in (ru, g):
-            records.append({
-                "model": st.model, "layer": st.layer, "mesh": st.mesh,
-                "mode": st.mode, "total_cycles": st.total_cycles,
-                "collection_cycles": st.collection_cycles, "hops": st.hops,
-                "flits": st.flits, "energy": st.energy, "improvement_pct": "",
-            })
-        records.append({
-            "model": ru.model, "layer": ru.layer, "mesh": ru.mesh,
-            "mode": "improvement", "total_cycles": "", "collection_cycles": "",
-            "hops": "", "flits": "", "energy": "",
-            "improvement_pct": round(
-                100.0 * (ru.total_cycles - g.total_cycles) / ru.total_cycles, 2),
-        })
         path = Path(args.output).with_suffix(".csv")
-        emit_csv(records, path)
+        emit_csv([stats_record(ru), stats_record(g), improvement_record(ru, g)], path)
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from .errors import ConfigError
 from .power import EVENT_KINDS, EnergyCoefficients
 from .stats import RunStats
 from .systolic import run_convolution
-from .workload import builtin_layer_db, load_layer, model_layers, stream_length
+from .workload import LayerConfig, builtin_layer_db, load_layer, model_layers, stream_length
 
 MODES = ("ru", "gather", "analytic")
 
@@ -52,21 +52,25 @@ class RunConfig:
             raise ConfigError("format must be csv or json")
         if not self.layers:
             raise ConfigError("at least one layer is required")
+        # unknown names fail here; known ones take the database's spelling,
+        # the one the run's result records carry
+        db = builtin_layer_db()
+        loaded = [load_layer(model, name, db) for model, name in self.layers]
+        self.layers = [(l.model, l.layer) for l in loaded]
         if "ru" in self.modes or "gather" in self.modes:
-            _check_payload_width(self.mesh, self.layers)
+            _check_payload_width(self.mesh, loaded)
 
 
-def _check_payload_width(mesh: MeshConfig, layers: list[tuple[str, str]]) -> None:
+def _check_payload_width(mesh: MeshConfig, layers: list[LayerConfig]) -> None:
     """Reject layers whose largest accumulator (8-bit operands) does not fit
     in a result payload, before any simulation starts."""
-    db = builtin_layer_db()
     limit = 1 << mesh.gather_payload_bits
-    for model, name in layers:
-        length = stream_length(load_layer(model, name, db))
+    for layer in layers:
+        length = stream_length(layer)
         if 255 * 255 * length >= limit:
             raise ConfigError(
-                f"{model}/{name}: results up to 255*255*{length} need more than "
-                f"gather_payload_bits = {mesh.gather_payload_bits}"
+                f"{layer.model}/{layer.layer}: results up to 255*255*{length} need "
+                f"more than gather_payload_bits = {mesh.gather_payload_bits}"
             )
 
 
@@ -86,6 +90,25 @@ def _pct(value: float) -> float:
 def simulated_improvement_pct(ru: RunStats, gather: RunStats) -> float:
     """(RU - G) / RU on total cycles, as a percentage."""
     return _pct(100.0 * (ru.total_cycles - gather.total_cycles) / ru.total_cycles)
+
+
+def stats_record(st: RunStats) -> dict:
+    """Result-file record of one simulated run."""
+    return {
+        "model": st.model, "layer": st.layer, "mesh": st.mesh, "mode": st.mode,
+        "total_cycles": st.total_cycles, "collection_cycles": st.collection_cycles,
+        "hops": st.hops, "flits": st.flits, "energy": st.energy, "improvement_pct": "",
+    }
+
+
+def improvement_record(ru: RunStats, gather: RunStats) -> dict:
+    """Result-file record of the simulated improvement of gather over ru."""
+    return {
+        "model": ru.model, "layer": ru.layer, "mesh": ru.mesh,
+        "mode": "improvement", "total_cycles": "", "collection_cycles": "",
+        "hops": "", "flits": "", "energy": "",
+        "improvement_pct": simulated_improvement_pct(ru, gather),
+    }
 
 
 def run(config: RunConfig) -> RunResult:
@@ -119,23 +142,13 @@ def run(config: RunConfig) -> RunResult:
                 event_log=event_lines,
             )
             stats[(model, layer_name, mode)] = st
-            records.append({
-                "model": model, "layer": layer_name, "mesh": st.mesh, "mode": mode,
-                "total_cycles": st.total_cycles,
-                "collection_cycles": st.collection_cycles,
-                "hops": st.hops, "flits": st.flits,
-                "energy": st.energy, "improvement_pct": "",
-            })
+            records.append(stats_record(st))
         if "ru" in config.modes and "gather" in config.modes:
             ru = stats[(model, layer_name, "ru")]
             g = stats[(model, layer_name, "gather")]
-            imp = simulated_improvement_pct(ru, g)
-            ru.improvement_pct = g.improvement_pct = imp
-            records.append({
-                "model": model, "layer": layer_name, "mesh": ru.mesh,
-                "mode": "improvement", "total_cycles": "", "collection_cycles": "",
-                "hops": "", "flits": "", "energy": "", "improvement_pct": imp,
-            })
+            rec = improvement_record(ru, g)
+            ru.improvement_pct = g.improvement_pct = rec["improvement_pct"]
+            records.append(rec)
         if config.event_log and config.output and event_lines is not None:
             path = Path(f"{config.output}.{model}.{layer_name}.events.txt")
             path.write_text("\n".join(event_lines) + ("\n" if event_lines else ""))
@@ -280,11 +293,22 @@ def _parse_bool(value: str) -> bool:
     raise ConfigError(f"expected a boolean, got {value!r}")
 
 
+def parse_modes(value: str) -> tuple[str, ...]:
+    return tuple(m.strip() for m in value.split(",") if m.strip())
+
+
+def parse_layers(model: str, value: str) -> list[tuple[str, str]]:
+    """``(model, layer)`` pairs of a comma list of layer names, or of every
+    layer of ``model`` for ``all``; ``RunConfig`` checks the names."""
+    if value.strip().lower() == "all":
+        return [(l.model, l.layer) for l in model_layers(model)]
+    return [(model, name.strip()) for name in value.split(",") if name.strip()]
+
+
 def run_config_from_kv(kv: dict[str, str], base_dir: Path | None = None) -> RunConfig:
     mesh_kwargs = {}
     coeff_kwargs = {}
     cfg_kwargs: dict = {}
-    db = builtin_layer_db()
     model = kv.get("model", "alexnet")
     for key, value in kv.items():
         if key in _MESH_KEYS:
@@ -308,7 +332,7 @@ def run_config_from_kv(kv: dict[str, str], base_dir: Path | None = None) -> RunC
         elif key == "event_log":
             cfg_kwargs["event_log"] = _parse_bool(value)
         elif key == "modes":
-            cfg_kwargs["modes"] = tuple(m.strip() for m in value.split(",") if m.strip())
+            cfg_kwargs["modes"] = parse_modes(value)
         elif key == "model":
             pass
         elif key == "layers":
@@ -320,14 +344,7 @@ def run_config_from_kv(kv: dict[str, str], base_dir: Path | None = None) -> RunC
             cfg_kwargs["timeout_table"] = parse_timeout_table(path.read_text())
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    layers_value = kv.get("layers", "all")
-    if layers_value.strip().lower() == "all":
-        layer_list = [(l.model, l.layer) for l in model_layers(model, db)]
-    else:
-        layer_list = [(model, name.strip()) for name in layers_value.split(",") if name.strip()]
-        for m, l in layer_list:
-            load_layer(m, l, db)   # validates
-    cfg_kwargs["layers"] = layer_list
+    cfg_kwargs["layers"] = parse_layers(model, kv.get("layers", "all"))
     if coeff_kwargs:
         cfg_kwargs["coefficients"] = EnergyCoefficients(**{
             f.name: coeff_kwargs.get(f.name, 1.0) for f in dc_fields(EnergyCoefficients)

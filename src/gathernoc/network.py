@@ -168,9 +168,6 @@ class MeshNetwork:
 
     # ------------------------------------------------------------------ api
 
-    def router_at(self, node: NodeId) -> Router:
-        return self.routers[node.index(self.config.cols)]
-
     def next_packet_id(self) -> int:
         pid = self._next_packet_id
         self._next_packet_id += 1
@@ -236,9 +233,6 @@ class MeshNetwork:
     def busy(self) -> bool:
         return bool(self._queued or self._ni_busy or self._commit_queue
                     or self._pending_sends or self._posts or self._holding)
-
-    def network_empty(self) -> bool:
-        return not self._queued and not self._ni_busy
 
     def jump_to(self, cycle: int) -> None:
         """Advance the clock over a provably idle stretch."""

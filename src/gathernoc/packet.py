@@ -22,8 +22,7 @@ class FlitType(IntEnum):
 
 class PacketType(IntEnum):
     UNICAST = 0
-    MULTICAST = 1   # representable; never injected by the built-in workloads
-    GATHER = 2
+    GATHER = 2      # 1 is reserved (docs/wire-format.md)
 
 
 @dataclass
@@ -32,9 +31,7 @@ class Flit:
 
     ``aspace`` (head flits) counts the payload bits still free across the
     packet's body/tail flits.  ``payload_slots`` (body/tail flits) holds the
-    (origin, value) results the flit carries.  ``mdst`` is the logical
-    multicast destination string; it is carried but never serialized into
-    the flit's bit budget.
+    (origin, value) results the flit carries.
     """
 
     ft: FlitType
@@ -43,9 +40,7 @@ class Flit:
     dst: NodeId
     packet_id: int
     vc: int
-    seq: int = 0
     aspace: int = 0
-    mdst: int = 0
     to_buffer: bool = False
     payload_slots: list[tuple[NodeId, int]] = field(default_factory=list)
 
@@ -122,7 +117,7 @@ def build_packet(
     aspace = capacity_bits - used_bits if pt == PacketType.GATHER else 0
     flits = [
         Flit(ft=FlitType.HEAD, pt=pt, src=src, dst=dst, packet_id=packet_id,
-             vc=vc, seq=0, aspace=aspace, mdst=0)
+             vc=vc, aspace=aspace)
     ]
     remaining = list(payloads)
     for i in range(1, length):
@@ -131,7 +126,7 @@ def build_packet(
         remaining = remaining[slots_per_flit:]
         flits.append(
             Flit(ft=ft, pt=pt, src=src, dst=dst, packet_id=packet_id,
-                 vc=vc, seq=i, payload_slots=take)
+                 vc=vc, payload_slots=take)
         )
     return flits
 
@@ -154,12 +149,7 @@ def _field_widths(config: MeshConfig) -> tuple[int, int, int]:
 
 
 def pack_header(flit: Flit, config: MeshConfig) -> int:
-    """Pack a head flit's fields into the documented bit layout.
-
-    MDst is deliberately excluded: the flit width cannot physically hold a
-    rows*cols-wide bit string next to the other fields, so it is carried
-    logically only.
-    """
+    """Pack a head flit's fields into the documented bit layout."""
     if not flit.is_head:
         raise ConfigError("only head flits carry the routed header")
     a_bits, r_bits, c_bits = _field_widths(config)

@@ -6,7 +6,7 @@ configurable, so only relative numbers are meaningful.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 EVENT_KINDS = (
     "buffer_write",
@@ -23,8 +23,10 @@ class ActivityCounters:
     """Per-router event counts, monotonically non-decreasing during a run.
 
     ``per_router[kind]`` is a flat list indexed by router id that grows to
-    cover every id recorded.  Counts folded in for replayed rounds belong to
-    no single router and are kept in ``replayed``.
+    cover every id recorded by a network.  ``replayed`` holds the counts
+    folded in by ``add_scaled``: a convolution run folds every round into
+    it, simulated or replayed, so its totals live there and belong to no
+    single router.
     """
 
     def __init__(self) -> None:
@@ -60,8 +62,8 @@ class ActivityCounters:
     def add_scaled(self, delta: dict[str, int], factor: int) -> None:
         """Fold ``factor`` repetitions of a per-round delta into the counters.
 
-        Used when identical rounds are replayed instead of re-simulated; the
-        bulk counts go to ``replayed``.
+        Each round of a convolution run is folded in this way; the bulk
+        counts go to ``replayed``.
         """
         for kind, n in delta.items():
             n *= factor

@@ -20,7 +20,8 @@ simulates, in one of two modes:
   launches its own packet.
 
 Rounds run back to back: a round's streaming starts once the previous
-round's results have all been committed to the buffer.
+round's results have all been committed to the buffer, and the network is
+checked to be drained at every round boundary.
 """
 from __future__ import annotations
 
@@ -77,7 +78,6 @@ class PEState:
     received_count: int = 0
     input_reg: int | None = None
     weight_reg: int | None = None
-    busy_until: int = -1
 
 
 @dataclass(frozen=True)
@@ -156,17 +156,6 @@ def post_cycle(stream_len: int, row: int, col: int, mac_latency: int) -> int:
     return last_operand_cycle(stream_len, row, col) + mac_latency
 
 
-def stream_events(schedule: RoundSchedule, max_events: int = 100_000):
-    """Operand arrival events (cycle, node, kind); desk-scale sizes only."""
-    n, m = schedule.active_rows, schedule.active_cols
-    if schedule.stream_len * n * m > max_events:
-        raise ConfigError("event enumeration is limited to desk-scale rounds")
-    for j in range(1, schedule.stream_len + 1):
-        for r in range(n):
-            for c in range(m):
-                yield (j + r + c, NodeId(r, c), "operand")
-
-
 def simulate_stream(schedule: RoundSchedule, seed: int) -> np.ndarray:
     """Cycle-level operand propagation through PE registers (validator).
 
@@ -223,7 +212,6 @@ def simulate_stream(schedule: RoundSchedule, seed: int) -> np.ndarray:
                     f"PE ({r},{c}) saw {pes[r][c].received_count} operands, "
                     f"expected {length}"
                 )
-            pes[r][c].busy_until = post_cycle(length, r, c, 0)
     return np.array([[pes[r][c].accumulator for c in range(m)] for r in range(n)])
 
 
@@ -241,13 +229,6 @@ class _RoundMeasurement:
     full_round: bool
     head_latencies: list[int]
     counter_delta: dict[str, int]
-
-    def signature(self) -> tuple:
-        return (
-            self.latency, self.collection, self.packets, self.flits,
-            self.hops, self.payloads, self.timeout_packets,
-            tuple(sorted(self.counter_delta.items())),
-        )
 
 
 def ideal_collection_cycles(config: MeshConfig, mode: CollectionMode) -> int:
@@ -277,9 +258,13 @@ def run_convolution(
 ) -> RunStats:
     """Execute all rounds of one layer in one collection mode.
 
-    ``replay`` reuses the measured timing of a round class once two
-    occurrences have been simulated cycle-by-cycle and shown identical;
-    rounds are independent and value-timing-decoupled, so this is exact.
+    With ``replay`` each round class ``(active_rows, active_cols)`` is
+    simulated once, in a network of its own that starts drained, so its
+    measurement does not depend on the rounds before it; every later round
+    of the class folds that measurement in.  Timing does not depend on the
+    operand values, so this is exact.  ``replay=False`` simulates every
+    round back to back in one network that carries its state from round to
+    round: the reference the replay differential tests compare against.
     ``oracle`` is ``full``, ``sample``, or ``auto``.
     """
     mode = CollectionMode(mode) if isinstance(mode, str) else mode
@@ -294,8 +279,8 @@ def run_convolution(
     )
 
     counters = ActivityCounters()
-    net = MeshNetwork(config, timeout_table=timeout_table, counters=counters,
-                      event_log=event_log)
+    net = None if replay else MeshNetwork(config, timeout_table=timeout_table,
+                                          event_log=event_log)
 
     oracle_mode = oracle
     if oracle == "auto":
@@ -303,47 +288,36 @@ def run_convolution(
         oracle_mode = "full" if work <= FULL_ORACLE_WORK_LIMIT else "sample"
     oracle_stride = max(1, len(schedules) // 32) if oracle_mode == "sample" else 1
 
-    measured: dict[tuple[int, int], list[_RoundMeasurement]] = {}
+    measured: dict[tuple[int, int], _RoundMeasurement] = {}
     round_start = 0
     for schedule in schedules:
-        key = schedule.class_key()
-        seen = measured.setdefault(key, [])
-        simulate = not (replay and len(seen) >= 2)
+        m = measured.get(schedule.class_key())
         check = oracle_mode == "full" or (
             oracle_mode == "sample" and schedule.index % oracle_stride == 0
         )
-        if simulate or check:
+        if m is None or check:
             # operand values are only materialized when this round is
             # simulated or oracle-checked; replayed rounds reuse the
-            # reference round's value-independent timing
+            # measured round's value-independent timing
             accs, ins, wts = round_accumulators(schedule, seed, operands=True)
         if check:
             _check_oracle(schedule, accs, ins, wts, oracle_mode)
-        if not simulate:
-            m0 = seen[0]
-            _fold_round(stats, m0, counters)
-            round_start += m0.latency
-            continue
-        m_run = _simulate_round(net, config, mode, schedule, accs, round_start, length)
-        if seen:
-            if m_run.signature() != seen[0].signature():
-                raise SimulationError(
-                    "rounds of the same shape measured different timing; "
-                    "replay optimization is unsound here"
-                )
-        seen.append(m_run)
-        _fold_round(stats, m_run, None)
-        round_start += m_run.latency
+        if m is None:
+            round_net = net or MeshNetwork(config, timeout_table=timeout_table,
+                                           event_log=event_log)
+            m = _simulate_round(round_net, config, mode, schedule, accs, round_start, length)
+            if replay:
+                measured[schedule.class_key()] = m
+        _fold_round(stats, m, counters)
+        round_start += m.latency
 
-    net.run_until_idle(round_start + 10_000)
-    net.assert_drained()
     stats.total_cycles = round_start
     stats.counter_totals = counters.totals()
     stats.energy = total_energy(counters, coefficients)
     return stats
 
 
-def _fold_round(stats: RunStats, m: _RoundMeasurement, counters: ActivityCounters | None) -> None:
+def _fold_round(stats: RunStats, m: _RoundMeasurement, counters: ActivityCounters) -> None:
     stats.per_round_latency.append(m.latency)
     stats.per_round_collection.append(m.collection)
     stats.packets += m.packets
@@ -355,9 +329,7 @@ def _fold_round(stats: RunStats, m: _RoundMeasurement, counters: ActivityCounter
         stats.delta_measured.append(m.collection - stats.ideal_collection)
     if not stats.head_latencies:
         stats.head_latencies = list(m.head_latencies)
-    if counters is not None:
-        # replayed rounds: fold the reference round's counts arithmetically
-        counters.add_scaled(m.counter_delta, 1)
+    counters.add_scaled(m.counter_delta, 1)
 
 
 def _simulate_round(
@@ -389,7 +361,7 @@ def _simulate_round(
             else:
                 net.schedule_post(ready, node, value)
 
-    if net.cycle < ready_base and net.network_empty():
+    if net.cycle < ready_base:
         net.jump_to(ready_base)
     limit = ready_base + (config.rows + config.cols) * (config.pipeline_depth + 2) * 4 \
         + config.rows * config.cols * config.unicast_len + 10_000
@@ -406,6 +378,7 @@ def _simulate_round(
             f"ones (missing or duplicated: {sorted(missing) if missing else 'duplicates'})"
         )
 
+    net.assert_drained()
     round_end = max(pkt.commit_cycle for pkt in round_delivered)
     full = n_active == config.rows and m_active == config.cols
     return _RoundMeasurement(

@@ -57,10 +57,6 @@ class BufferSink:
 BUFFER_SINK = BufferSink()
 
 
-def in_mesh(node: NodeId, rows: int, cols: int) -> bool:
-    return 0 <= node.row < rows and 0 <= node.col < cols
-
-
 def xy_route(current: NodeId, dst: NodeId, cols: int, sink_is_buffer: bool = False) -> Port:
     """Dimension-ordered next-port decision: resolve the column first, then
     the row.  At the destination, deliver locally or, for result traffic, out

@@ -181,3 +181,9 @@ def test_payload_width_too_small_for_layer_exits_config_error(tmp_path, capsys):
     path.write_text("mesh_rows = 4\nmesh_cols = 4\nlayers = conv3\n"
                     "gather_payload_bits = 16\nmodes = analytic\n")
     assert main(["run", "--config", str(path)]) == 0
+
+
+def test_run_model_flag_selects_that_models_layers(capsys):
+    assert main(["run", "--model", "vgg16", "--modes", "analytic"]) == 0
+    header = capsys.readouterr().out.splitlines()[1].split()
+    assert header == ["layer", "vgg16/conv1", "vgg16/conv2", "vgg16/conv3", "vgg16/conv4"]

@@ -117,11 +117,3 @@ def test_header_roundtrip_property(r1, c1, r2, c2, pt):
     flits = build_packet(pt, NodeId(r1, c1), NodeId(r2, c2), [], CFG, packet_id=0)
     fields = unpack_header(pack_header(flits[0], CFG), CFG)
     assert (fields["src"], fields["dst"], fields["pt"]) == (NodeId(r1, c1), NodeId(r2, c2), pt)
-
-
-def test_multicast_representable_but_ordinary():
-    # carried in the type system and buildable; the workloads never inject it
-    flits = build_packet(PacketType.MULTICAST, NodeId(0, 0), NodeId(2, 2), [], CFG, packet_id=99)
-    assert flits[0].pt == PacketType.MULTICAST
-    assert len(flits) == CFG.unicast_len
-    assert flits[0].mdst == 0

@@ -16,7 +16,6 @@ from gathernoc.systolic import (
     run_convolution,
     run_ready_row,
     simulate_stream,
-    stream_events,
     weight_vector,
 )
 from gathernoc.workload import LayerConfig
@@ -63,15 +62,6 @@ class TestStreamSchedule:
     def test_one_by_one_mesh_zero_skew(self):
         assert last_operand_cycle(5, 0, 0) == 5
         assert post_cycle(5, 0, 0, mac_latency=5) == 10
-
-    def test_stream_events_match_closed_form(self):
-        schedules = build_round_schedules(_layer(c=1, r=2, q=3, p=2), MeshConfig(rows=2, cols=3))
-        events = list(stream_events(schedules[0]))
-        last = {}
-        for cycle, node, _kind in events:
-            last[node] = max(last.get(node, 0), cycle)
-        for node, cycle in last.items():
-            assert cycle == last_operand_cycle(4, node.row, node.col)
 
     def test_cycle_level_stream_matches_engine_and_oracle(self):
         layer = _layer(c=2, r=2, q=3, p=4)
