@@ -103,7 +103,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 def cmd_fig1(args: argparse.Namespace) -> int:
     mesh = MeshConfig(rows=args.size, cols=args.size)
-    row = args.row if args.row is not None else args.size // 2 - 1
+    row = args.row if args.row is not None else max(0, args.size // 2 - 1)
     ru = run_ready_row(mesh, row, "ru")
     g = run_ready_row(mesh, row, "gather")
     print(f"{args.size}x{args.size} mesh, row {row} ready, drained to the right-edge buffer")

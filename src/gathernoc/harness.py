@@ -120,7 +120,6 @@ def run(config: RunConfig) -> RunResult:
 
     for model, layer_name in config.layers:
         layer = load_layer(model, layer_name, db).with_vectors(config.p_override)
-        event_lines: list[str] | None = [] if config.event_log else None
         for mode in config.modes:
             if mode == "analytic":
                 params = AnalyticParams.for_run(mesh, layer)
@@ -135,6 +134,7 @@ def run(config: RunConfig) -> RunResult:
                     "improvement_pct": est,
                 })
                 continue
+            event_lines: list[str] | None = [] if config.event_log else None
             st = run_convolution(
                 layer, mesh, mode, seed=config.seed,
                 timeout_table=config.timeout_table,
@@ -143,15 +143,15 @@ def run(config: RunConfig) -> RunResult:
             )
             stats[(model, layer_name, mode)] = st
             records.append(stats_record(st))
+            if event_lines is not None and config.output:
+                path = Path(f"{config.output}.{model}.{layer_name}.{mode}.events.txt")
+                path.write_text("\n".join(event_lines) + ("\n" if event_lines else ""))
         if "ru" in config.modes and "gather" in config.modes:
             ru = stats[(model, layer_name, "ru")]
             g = stats[(model, layer_name, "gather")]
             rec = improvement_record(ru, g)
             ru.improvement_pct = g.improvement_pct = rec["improvement_pct"]
             records.append(rec)
-        if config.event_log and config.output and event_lines is not None:
-            path = Path(f"{config.output}.{model}.{layer_name}.events.txt")
-            path.write_text("\n".join(event_lines) + ("\n" if event_lines else ""))
 
     table = comparison_table(config, stats, estimated)
     result = RunResult(records=records, stats=stats, estimated=estimated, table_text=table)
@@ -279,9 +279,17 @@ def parse_timeout_table(text: str) -> dict[tuple[int, int], int]:
         parts = line.split()
         if len(parts) != 3:
             raise ConfigError(f"timeout table line {lineno}: expected 'row col cycles'")
-        r, c, v = (int(x) for x in parts)
+        r, c, v = (_cast(int, x, f"timeout table line {lineno}") for x in parts)
         table[(r, c)] = v
     return table
+
+
+def _cast(cast, value: str, what: str):
+    """``cast(value)``, with a malformed value reported as a config error."""
+    try:
+        return cast(value)
+    except ValueError:
+        raise ConfigError(f"{what}: expected {cast.__name__}, got {value!r}") from None
 
 
 def _parse_bool(value: str) -> bool:
@@ -315,16 +323,19 @@ def run_config_from_kv(kv: dict[str, str], base_dir: Path | None = None) -> RunC
             field_name, cast = _MESH_KEYS[key]
             if key == "gather_capacity" and value.lower() == "auto":
                 continue
-            mesh_kwargs[field_name] = cast(value)
+            mesh_kwargs[field_name] = _cast(cast, value, key)
         elif key.startswith("energy_"):
             kind = key[len("energy_"):]
             if kind not in EVENT_KINDS:
                 raise ConfigError(f"unknown energy coefficient {key}")
-            coeff_kwargs[kind] = float(value)
+            coeff_kwargs[kind] = _cast(float, value, key)
+            if not coeff_kwargs[kind] >= 0:
+                raise ConfigError(f"{key}: energy coefficients must be non-negative")
         elif key == "seed":
-            cfg_kwargs["seed"] = int(value)
+            cfg_kwargs["seed"] = _cast(int, value, key)
         elif key == "p_override":
-            cfg_kwargs["p_override"] = None if value.lower() in ("", "none", "full") else int(value)
+            cfg_kwargs["p_override"] = (None if value.lower() in ("", "none", "full")
+                                        else _cast(int, value, key))
         elif key == "output":
             cfg_kwargs["output"] = value
         elif key == "format":

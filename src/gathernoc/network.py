@@ -104,7 +104,6 @@ class MeshNetwork:
         self,
         config: MeshConfig,
         timeout_table: dict[tuple[int, int], int] | None = None,
-        counters: ActivityCounters | None = None,
         stall_fn=None,
         event_log: list[str] | None = None,
         trace_links: bool = False,
@@ -121,7 +120,7 @@ class MeshNetwork:
             for r in range(config.rows)
             for c in range(config.cols)
         ]
-        self.counters = counters if counters is not None else ActivityCounters()
+        self.counters = ActivityCounters()
         self.counters.reserve(len(self.routers))
         self.stall_fn = stall_fn          # (cycle, node, out_port) -> bool
         self.event_log = event_log
@@ -188,18 +187,16 @@ class MeshNetwork:
         value: int,
         ready_cycle: int,
         after_packet: int | None,
-        to_buffer: bool = True,
-        dst: NodeId | None = None,
     ) -> int:
         """Queue a result unicast that launches once its predecessor's tail
         has passed this node (in-order drain chain).  Returns the packet id."""
         pid = self.next_packet_id()
-        dst = dst if dst is not None else self.buffer_node(node.row)
         flits = build_packet(
-            PacketType.UNICAST, node, dst, [(node, value)], self.config, pid
+            PacketType.UNICAST, node, self.buffer_node(node.row), [(node, value)],
+            self.config, pid
         )
         for f in flits:
-            f.to_buffer = to_buffer
+            f.to_buffer = True
         self._meta[pid] = _PacketMeta(flits=flits)
         seq = self._add_send(_PendingSend(node=node, flits=flits, ready_at=ready_cycle))
         if after_packet is None:

@@ -24,9 +24,9 @@ class ActivityCounters:
 
     ``per_router[kind]`` is a flat list indexed by router id that grows to
     cover every id recorded by a network.  ``replayed`` holds the counts
-    folded in by ``add_scaled``: a convolution run folds every round into
-    it, simulated or replayed, so its totals live there and belong to no
-    single router.
+    folded in by ``add_scaled``: a run folds each distinct round
+    measurement into it once, scaled by the number of rounds it stands
+    for, so a run's totals live there and belong to no single router.
     """
 
     def __init__(self) -> None:
@@ -56,24 +56,17 @@ class ActivityCounters:
     def totals(self) -> dict[str, int]:
         return {k: self.total(k) for k in EVENT_KINDS}
 
-    def snapshot(self) -> dict[str, int]:
-        return self.totals()
-
     def add_scaled(self, delta: dict[str, int], factor: int) -> None:
         """Fold ``factor`` repetitions of a per-round delta into the counters.
 
-        Each round of a convolution run is folded in this way; the bulk
-        counts go to ``replayed``.
+        A run folds each round measurement in this way, with its round
+        count as ``factor``; the bulk counts go to ``replayed``.
         """
         for kind, n in delta.items():
             n *= factor
             if n < 0:
                 raise ValueError("activity counters only move forward")
             self.replayed[kind] += n
-
-    @staticmethod
-    def diff(after: dict[str, int], before: dict[str, int]) -> dict[str, int]:
-        return {k: after[k] - before[k] for k in EVENT_KINDS}
 
 
 @dataclass(frozen=True)

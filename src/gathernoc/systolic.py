@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -217,8 +218,11 @@ def simulate_stream(schedule: RoundSchedule, seed: int) -> np.ndarray:
 
 # --------------------------------------------------------------------- runs
 
-@dataclass
+@dataclass(eq=False)
 class _RoundMeasurement:
+    """What one simulated round measured; compared and hashed by identity,
+    so that replayed rounds can be counted per measurement."""
+
     latency: int
     collection: int
     packets: int
@@ -261,11 +265,13 @@ def run_convolution(
     With ``replay`` each round class ``(active_rows, active_cols)`` is
     simulated once, in a network of its own that starts drained, so its
     measurement does not depend on the rounds before it; every later round
-    of the class folds that measurement in.  Timing does not depend on the
+    of the class reuses that measurement.  Timing does not depend on the
     operand values, so this is exact.  ``replay=False`` simulates every
     round back to back in one network that carries its state from round to
     round: the reference the replay differential tests compare against.
-    ``oracle`` is ``full``, ``sample``, or ``auto``.
+    Either way the statistics are built once, after the last round: the
+    per-round lists in round order, the totals as round count times
+    measurement.  ``oracle`` is ``full``, ``sample``, or ``auto``.
     """
     mode = CollectionMode(mode) if isinstance(mode, str) else mode
     layer = layer.with_vectors(p_override)
@@ -278,7 +284,6 @@ def run_convolution(
         ideal_collection=ideal_collection_cycles(config, mode),
     )
 
-    counters = ActivityCounters()
     net = None if replay else MeshNetwork(config, timeout_table=timeout_table,
                                           event_log=event_log)
 
@@ -289,6 +294,7 @@ def run_convolution(
     oracle_stride = max(1, len(schedules) // 32) if oracle_mode == "sample" else 1
 
     measured: dict[tuple[int, int], _RoundMeasurement] = {}
+    rounds: list[_RoundMeasurement] = []
     round_start = 0
     for schedule in schedules:
         m = measured.get(schedule.class_key())
@@ -308,28 +314,36 @@ def run_convolution(
             m = _simulate_round(round_net, config, mode, schedule, accs, round_start, length)
             if replay:
                 measured[schedule.class_key()] = m
-        _fold_round(stats, m, counters)
+        rounds.append(m)
         round_start += m.latency
+    return _fold_rounds(stats, rounds, coefficients)
 
-    stats.total_cycles = round_start
+
+def _fold_rounds(stats: RunStats, rounds: list[_RoundMeasurement],
+                 coefficients: EnergyCoefficients | None) -> RunStats:
+    """Fill ``stats`` from the measurement of every round, in round order.
+
+    A replayed round is the same object as its class's measurement, so
+    scalars and counters are folded once per distinct measurement, times
+    the number of rounds it stands for.
+    """
+    stats.per_round_latency = [m.latency for m in rounds]
+    stats.per_round_collection = [m.collection for m in rounds]
+    stats.delta_measured = [m.collection - stats.ideal_collection
+                            for m in rounds if m.full_round]
+    stats.total_cycles = sum(stats.per_round_latency)
+    stats.head_latencies = list(rounds[0].head_latencies) if rounds else []
+    counters = ActivityCounters()
+    for m, count in Counter(rounds).items():
+        stats.packets += count * m.packets
+        stats.flits += count * m.flits
+        stats.hops += count * m.hops
+        stats.timeout_packets += count * m.timeout_packets
+        stats.payloads_delivered += count * m.payloads
+        counters.add_scaled(m.counter_delta, count)
     stats.counter_totals = counters.totals()
     stats.energy = total_energy(counters, coefficients)
     return stats
-
-
-def _fold_round(stats: RunStats, m: _RoundMeasurement, counters: ActivityCounters) -> None:
-    stats.per_round_latency.append(m.latency)
-    stats.per_round_collection.append(m.collection)
-    stats.packets += m.packets
-    stats.flits += m.flits
-    stats.hops += m.hops
-    stats.timeout_packets += m.timeout_packets
-    stats.payloads_delivered += m.payloads
-    if m.full_round:
-        stats.delta_measured.append(m.collection - stats.ideal_collection)
-    if not stats.head_latencies:
-        stats.head_latencies = list(m.head_latencies)
-    counters.add_scaled(m.counter_delta, 1)
 
 
 def _simulate_round(
@@ -342,24 +356,32 @@ def _simulate_round(
     length: int,
 ) -> _RoundMeasurement:
     ready_base = round_start + length + config.mac_latency
-    n_active, m_active = schedule.active_rows, schedule.active_cols
-    expected: list[tuple[NodeId, int]] = []
+    results = [(NodeId(r, c), int(accs[r][c]), ready_base + r + c)
+               for r in range(schedule.active_rows)
+               for c in range(schedule.active_cols)]
+    full = schedule.active_rows == config.rows and schedule.active_cols == config.cols
+    return _collect(net, config, mode, results, round_start, ready_base, full,
+                    f"round {schedule.index}")
+
+
+def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
+             results: list[tuple[NodeId, int, int]], round_start: int,
+             ready_base: int, full_round: bool, what: str) -> _RoundMeasurement:
+    """Post every ``(node, value, ready cycle)`` result, drain them to the
+    buffer, check each was delivered exactly once and the network drained,
+    and measure the round.  ``ready_base`` is the earliest ready cycle."""
     delivered_before = len(net.delivered)
-    counters_before = net.counters.snapshot()
+    counters_before = net.counters.totals()
     flits_before = net.flits_injected
     timeout_before = net.timeout_packets
 
-    for r in range(n_active):
-        prev_pid: int | None = None
-        for c in range(m_active):
-            node = NodeId(r, c)
-            value = int(accs[r][c])
-            ready = ready_base + r + c
-            expected.append((node, value))
-            if mode == CollectionMode.RU:
-                prev_pid = net.schedule_unicast_result(node, value, ready, prev_pid)
-            else:
-                net.schedule_post(ready, node, value)
+    prev_pid: dict[int, int] = {}  # each row's in-order unicast chain
+    for node, value, ready in results:
+        if mode == CollectionMode.RU:
+            prev_pid[node.row] = net.schedule_unicast_result(
+                node, value, ready, prev_pid.get(node.row))
+        else:
+            net.schedule_post(ready, node, value)
 
     if net.cycle < ready_base:
         net.jump_to(ready_base)
@@ -368,19 +390,17 @@ def _simulate_round(
     net.run_until_idle(limit)
 
     round_delivered = net.delivered[delivered_before:]
-    delivered_payloads: list[tuple[NodeId, int]] = []
-    for pkt in round_delivered:
-        delivered_payloads.extend(pkt.payloads)
+    delivered_payloads = [p for pkt in round_delivered for p in pkt.payloads]
+    expected = [(node, value) for node, value, _ in results]
     if sorted(delivered_payloads) != sorted(expected):
         missing = set(expected) - set(delivered_payloads)
         raise LostPayloadError(
-            f"round {schedule.index}: delivered payloads do not match posted "
-            f"ones (missing or duplicated: {sorted(missing) if missing else 'duplicates'})"
+            f"{what}: delivered payloads do not match posted ones "
+            f"(missing or duplicated: {sorted(missing) if missing else 'duplicates'})"
         )
 
     net.assert_drained()
     round_end = max(pkt.commit_cycle for pkt in round_delivered)
-    full = n_active == config.rows and m_active == config.cols
     return _RoundMeasurement(
         latency=round_end - round_start,
         collection=round_end - ready_base,
@@ -389,9 +409,9 @@ def _simulate_round(
         hops=sum(pkt.hops for pkt in round_delivered),
         payloads=len(delivered_payloads),
         timeout_packets=net.timeout_packets - timeout_before,
-        full_round=full,
+        full_round=full_round,
         head_latencies=[pkt.head_arrival - pkt.inject_cycle for pkt in round_delivered],
-        counter_delta=ActivityCounters.diff(net.counters.snapshot(), counters_before),
+        counter_delta={k: n - counters_before[k] for k, n in net.counters.totals().items()},
     )
 
 
@@ -406,48 +426,24 @@ def run_ready_row(
     """One row of PEs, all with a result ready at cycle 0 (motivating demo).
 
     Returns stats for draining that single row's results to the buffer in
-    the requested mode.
+    the requested mode, as a one-round run.
     """
     mode = CollectionMode(mode) if isinstance(mode, str) else mode
     if not 0 <= row < config.rows:
         raise ConfigError(f"row {row} outside the {config.rows}-row mesh")
-    counters = ActivityCounters()
-    net = MeshNetwork(config, timeout_table=timeout_table, counters=counters)
     values = values if values is not None else [101 + c for c in range(config.cols)]
     if len(values) != config.cols:
         raise ConfigError("need one value per column")
-    expected = []
-    prev_pid: int | None = None
-    for c in range(config.cols):
-        node = NodeId(row, c)
-        expected.append((node, values[c]))
-        if mode == CollectionMode.RU:
-            prev_pid = net.schedule_unicast_result(node, values[c], 0, prev_pid)
-        else:
-            net.schedule_post(0, node, values[c])
-    net.run_until_idle(10_000 + 40 * config.cols * config.pipeline_depth)
-    net.assert_drained()
-    delivered_payloads = [p for pkt in net.delivered for p in pkt.payloads]
-    if sorted(delivered_payloads) != sorted(expected):
-        raise LostPayloadError("ready-row scenario lost or duplicated a payload")
+    results = [(NodeId(row, c), v, 0) for c, v in enumerate(values)]
+    m = _collect(MeshNetwork(config, timeout_table=timeout_table), config, mode,
+                 results, round_start=0, ready_base=0, full_round=False,
+                 what=f"ready row {row}")
     stats = RunStats(
         model="demo", layer=f"ready-row-{row}", mode=mode.value,
         rows=config.rows, cols=config.cols, seed=0, rounds=1,
         ideal_collection=ideal_collection_cycles(config, mode),
     )
-    end = max(pkt.commit_cycle for pkt in net.delivered)
-    stats.total_cycles = end
-    stats.per_round_latency = [end]
-    stats.per_round_collection = [end]
-    stats.packets = len(net.delivered)
-    stats.flits = net.flits_injected
-    stats.hops = sum(pkt.hops for pkt in net.delivered)
-    stats.payloads_delivered = len(delivered_payloads)
-    stats.timeout_packets = net.timeout_packets
-    stats.head_latencies = [pkt.head_arrival - pkt.inject_cycle for pkt in net.delivered]
-    stats.counter_totals = counters.totals()
-    stats.energy = total_energy(counters, coefficients)
-    return stats
+    return _fold_rounds(stats, [m], coefficients)
 
 
 def _check_oracle(schedule: RoundSchedule, accs: np.ndarray, ins: np.ndarray,

@@ -187,3 +187,35 @@ def test_run_model_flag_selects_that_models_layers(capsys):
     assert main(["run", "--model", "vgg16", "--modes", "analytic"]) == 0
     header = capsys.readouterr().out.splitlines()[1].split()
     assert header == ["layer", "vgg16/conv1", "vgg16/conv2", "vgg16/conv3", "vgg16/conv4"]
+
+
+@pytest.mark.parametrize("line, named", [
+    ("mesh_rows = eight", "mesh_rows"),
+    ("seed = 1.5", "seed"),
+    ("p_override = many", "p_override"),
+    ("energy_link_traversal = lots", "energy_link_traversal"),
+    ("energy_va_arb = -1", "energy_va_arb"),
+    ("timeout_table = timeouts.txt", "timeout table line 2"),
+])
+def test_malformed_config_value_exits_config_error(tmp_path, capsys, line, named):
+    (tmp_path / "timeouts.txt").write_text("0 0 5\n0 0 x\n")
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{line}\nmodes = analytic\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert f"configuration error: {named}" in capsys.readouterr().err
+
+
+def test_fig1_smallest_mesh_uses_row_zero(capsys):
+    assert main(["fig1", "--size", "1"]) == 0
+    assert "row 0 ready" in capsys.readouterr().out
+
+
+def test_event_log_writes_one_monotone_file_per_mode(tmp_path, capsys):
+    out = tmp_path / "ev"
+    assert main(["run", "--mesh", "4x4", "--layers", "conv3", "--p-override", "16",
+                 "--modes", "ru,gather", "--event-log", "--output", str(out)]) == 0
+    assert not (tmp_path / "ev.alexnet.conv3.events.txt").exists()
+    for mode in ("ru", "gather"):
+        lines = (tmp_path / f"ev.alexnet.conv3.{mode}.events.txt").read_text().splitlines()
+        cycles = [int(l.split()[0]) for l in lines]
+        assert cycles and cycles == sorted(cycles)

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gathernoc import systolic
 from gathernoc.config import MeshConfig
+from gathernoc.power import ActivityCounters
 from gathernoc.stats import RunStats
 from gathernoc.systolic import build_round_schedules, run_convolution
 from gathernoc.workload import LayerConfig
@@ -78,3 +79,30 @@ def test_replay_simulates_each_round_class_once_in_its_own_network(monkeypatch):
         run_convolution(layer, cfg, mode, seed=3, replay=False)
         assert len(calls) == len(schedules)
         assert len({id(net) for net, _ in calls}) == 1
+
+
+def test_replay_folds_each_round_class_once_scaled_by_its_round_count(monkeypatch):
+    # 4x4 mesh, 16 input vectors x 6 filters: classes (4, 4) and (4, 2),
+    # four rounds each
+    cfg = MeshConfig(rows=4, cols=4)
+    layer = LayerConfig("t", "t", in_channels=2, kernels=6, kernel_side=1,
+                        layer_side=1, input_vectors=16)
+    schedules = build_round_schedules(layer, cfg)
+    per_class: dict[tuple[int, int], int] = {}
+    for s in schedules:
+        per_class[s.class_key()] = per_class.get(s.class_key(), 0) + 1
+    assert len(per_class) >= 2 and min(per_class.values()) >= 3
+
+    factors = []
+    add_scaled = ActivityCounters.add_scaled
+
+    def spy(self, delta, factor):
+        factors.append(factor)
+        return add_scaled(self, delta, factor)
+
+    monkeypatch.setattr(ActivityCounters, "add_scaled", spy)
+    for mode in ("ru", "gather"):
+        factors.clear()
+        stats = run_convolution(layer, cfg, mode, seed=3, replay=True)
+        assert sorted(factors) == sorted(per_class.values())
+        assert stats.rounds == sum(factors)

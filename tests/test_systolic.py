@@ -1,7 +1,11 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from gathernoc.config import MeshConfig
+from gathernoc.config import MeshConfig, flat_timeout_table
 from gathernoc.errors import ConfigError
 from gathernoc.systolic import (
     CollectionMode,
@@ -181,6 +185,18 @@ class TestReadyRowScenario:
         values = [7, 8, 9, 10, 11, 12]
         g = run_ready_row(cfg, 0, CollectionMode.GATHER, values=values)
         assert g.payloads_delivered == 6
+
+    # every RunStats field of the ready-row demo, keyed "size/row/mode" with a
+    # "/flat5" suffix for a flat give-up budget of 5 cycles
+    GOLDEN = json.loads((Path(__file__).parent / "data" / "ready_row_golden.json").read_text())
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_ready_row_stats_match_golden(self, key):
+        size, row, mode, *flat = key.split("/")
+        cfg = MeshConfig(rows=int(size), cols=int(size))
+        table = flat_timeout_table(cfg, 5) if flat else None
+        stats = run_ready_row(cfg, int(row), mode, timeout_table=table)
+        assert dataclasses.asdict(stats) == self.GOLDEN[key]
 
 
 def test_ideal_collection_forms():
