@@ -72,10 +72,6 @@ class MeshConfig:
         return (self.gather_len - 1) * self.flit_width
 
     @property
-    def unicast_payload_capacity_bits(self) -> int:
-        return (self.unicast_len - 1) * self.flit_width
-
-    @property
     def payload_slots_per_flit(self) -> int:
         """Whole payloads that fit in one flit's payload field."""
         return self.flit_width // self.gather_payload_bits

@@ -52,6 +52,11 @@ class RunConfig:
             raise ConfigError("format must be csv or json")
         if not self.layers:
             raise ConfigError("at least one layer is required")
+        rows, cols = self.mesh.rows, self.mesh.cols
+        for r, c in self.timeout_table or ():
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ConfigError(f"timeout table entry ({r}, {c}) is outside the "
+                                  f"{rows}x{cols} mesh")
         # unknown names fail here; known ones take the database's spelling,
         # the one the run's result records carry
         db = builtin_layer_db()
@@ -117,6 +122,7 @@ def run(config: RunConfig) -> RunResult:
     stats: dict[tuple[str, str, str], RunStats] = {}
     estimated: dict[tuple[str, str], float] = {}
     mesh = config.mesh
+    event_files: list[Path] = []
 
     for model, layer_name in config.layers:
         layer = load_layer(model, layer_name, db).with_vectors(config.p_override)
@@ -146,6 +152,7 @@ def run(config: RunConfig) -> RunResult:
             if event_lines is not None and config.output:
                 path = Path(f"{config.output}.{model}.{layer_name}.{mode}.events.txt")
                 path.write_text("\n".join(event_lines) + ("\n" if event_lines else ""))
+                event_files.append(path)
         if "ru" in config.modes and "gather" in config.modes:
             ru = stats[(model, layer_name, "ru")]
             g = stats[(model, layer_name, "gather")]
@@ -156,7 +163,7 @@ def run(config: RunConfig) -> RunResult:
     table = comparison_table(config, stats, estimated)
     result = RunResult(records=records, stats=stats, estimated=estimated, table_text=table)
     if config.output:
-        result.files = emit_results(result, config)
+        result.files = event_files + emit_results(result, config)
     return result
 
 

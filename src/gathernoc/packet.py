@@ -131,13 +131,6 @@ def build_packet(
     return flits
 
 
-def extract_payloads(flits: list[Flit]) -> list[tuple[NodeId, int]]:
-    out: list[tuple[NodeId, int]] = []
-    for f in flits:
-        out.extend(f.payload_slots)
-    return out
-
-
 # --- packed header layout (documented in docs/wire-format.md) ---------------
 
 def _field_widths(config: MeshConfig) -> tuple[int, int, int]:

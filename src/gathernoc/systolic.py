@@ -28,8 +28,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain, product
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .network import MeshNetwork
 from .power import ActivityCounters, EnergyCoefficients, total_energy
 from .stats import RunStats
 from .topology import NodeId
-from .workload import LayerConfig, stream_length
+from .workload import LayerConfig, round_count, stream_length
 
 _INPUT_TAG = 0
 _WEIGHT_TAG = 1
@@ -71,16 +72,6 @@ def partial_conv_oracle(inputs, weights) -> int:
     return sum(map(operator.mul, inputs, weights))
 
 
-@dataclass
-class PEState:
-    """Register state of one PE in the desk-scale stream validator."""
-
-    accumulator: int = 0
-    received_count: int = 0
-    input_reg: int | None = None
-    weight_reg: int | None = None
-
-
 @dataclass(frozen=True)
 class RoundSchedule:
     """One round's assignment of vectors to the mesh.
@@ -102,23 +93,38 @@ class RoundSchedule:
     def active_cols(self) -> int:
         return len(self.filter_ids)
 
-    def class_key(self) -> tuple[int, int]:
-        return (self.active_rows, self.active_cols)
+
+def _blocks(total: int, size: int) -> list[tuple[int, int, int]]:
+    """``(size, count, index of the first)`` of the full blocks, then of the
+    ragged last block if any, of ``total`` vectors cut into blocks of ``size``."""
+    full, rest = divmod(total, size)
+    return [b for b in ((size, full, 0), (rest, 1, full)) if b[0] and b[1]]
+
+
+class RoundPlan:
+    """Every round of one layer on one mesh, by block arithmetic: round
+    ``ib * col_count + fb`` pairs row block ``ib`` (input vectors, ``n`` per
+    block) with column block ``fb`` (filters, ``m`` per block).  Only a last
+    block can be ragged, so a layer has at most four round classes."""
+
+    def __init__(self, layer: LayerConfig, config: MeshConfig) -> None:
+        self.p, self.q, self.n, self.m = layer.vectors, layer.kernels, config.rows, config.cols
+        self.stream_len = stream_length(layer)
+        self.row_blocks, self.col_blocks = _blocks(self.p, self.n), _blocks(self.q, self.m)
+        self.col_count = math.ceil(self.q / self.m)
+        self.rounds = round_count(layer, config)
+
+    def schedule(self, index: int) -> RoundSchedule:
+        ib, fb = divmod(index, self.col_count)
+        return RoundSchedule(index, tuple(range(ib * self.n, min(ib * self.n + self.n, self.p))),
+                             tuple(range(fb * self.m, min(fb * self.m + self.m, self.q))),
+                             self.stream_len)
 
 
 def build_round_schedules(layer: LayerConfig, config: MeshConfig) -> list[RoundSchedule]:
-    n, m = config.rows, config.cols
-    p, q = layer.vectors, layer.kernels
-    length = stream_length(layer)
-    schedules = []
-    idx = 0
-    for ib in range(math.ceil(p / n)):
-        rows = tuple(range(ib * n, min((ib + 1) * n, p)))
-        for fb in range(math.ceil(q / m)):
-            cols = tuple(range(fb * m, min((fb + 1) * m, q)))
-            schedules.append(RoundSchedule(idx, rows, cols, length))
-            idx += 1
-    return schedules
+    """The round plan expanded round by round, in round order."""
+    plan = RoundPlan(layer, config)
+    return [plan.schedule(i) for i in range(plan.rounds)]
 
 
 def operand_vector(seed: int, tag: int, vec_id: int, length: int) -> np.ndarray:
@@ -138,14 +144,24 @@ def weight_vector(seed: int, vec_id: int, length: int) -> np.ndarray:
 def round_accumulators(schedule: RoundSchedule, seed: int, operands: bool = False):
     """Final accumulator of every active PE for one round (rows x cols).
 
-    With ``operands`` it returns ``(accumulators, inputs, weights)``: the
-    stacked operand vectors of the round's rows and columns come along, so
-    the oracle can check against them without generating them again.
-    """
+    With ``operands`` it returns ``(accumulators, inputs, weights)``, the
+    stacked operand vectors of the round's rows and columns, so the oracle
+    can check against them without generating them again."""
     ins = np.stack([input_vector(seed, i, schedule.stream_len) for i in schedule.input_ids])
     wts = np.stack([weight_vector(seed, k, schedule.stream_len) for k in schedule.filter_ids])
     accs = ins @ wts.T
     return (accs, ins, wts) if operands else accs
+
+
+def sampled_accumulators(schedule: RoundSchedule, seed: int, pes: list[tuple[int, int]]):
+    """``round_accumulators`` on only the rows and columns of ``pes``: the
+    accumulators by ``(row, col)``, the operand vectors by row and by column."""
+    rows, cols = sorted({r for r, _ in pes}), sorted({c for _, c in pes})
+    accs, ins, wts = round_accumulators(replace(
+        schedule, input_ids=tuple(schedule.input_ids[r] for r in rows),
+        filter_ids=tuple(schedule.filter_ids[c] for c in cols)), seed, operands=True)
+    return ({(r, c): accs[rows.index(r), cols.index(c)] for r, c in pes},
+            dict(zip(rows, ins)), dict(zip(cols, wts)))
 
 
 def last_operand_cycle(stream_len: int, row: int, col: int) -> int:
@@ -164,56 +180,34 @@ def simulate_stream(schedule: RoundSchedule, seed: int) -> np.ndarray:
     and forwards them unchanged next cycle.  Returns the accumulator grid;
     used in tests to pin the closed-form skew and the engine arithmetic.
     """
-    n, m = schedule.active_rows, schedule.active_cols
-    length = schedule.stream_len
-    ins = [input_vector(seed, i, length) for i in schedule.input_ids]
-    wts = [weight_vector(seed, k, length) for k in schedule.filter_ids]
-    pes = [[PEState() for _ in range(m)] for _ in range(n)]
-    # horizontal[r][c] holds the operand on the link into PE (r, c); the
-    # edge links replay the skewed source streams.
-    total_cycles = length + n + m + 2
-    h_link = [[None] * m for _ in range(n)]
-    v_link = [[None] * m for _ in range(n)]
-    for cycle in range(1, total_cycles + 1):
-        # edge feeds: row r's stream is delayed r cycles, column c's by c,
-        # so operand j reaches the edge PE of row r in cycle j + r
-        for r in range(n):
-            jj = cycle - r
-            h_link[r][0] = int(ins[r][jj - 1]) if 1 <= jj <= length else None
-        for c in range(m):
-            jj = cycle - c
-            v_link[0][c] = int(wts[c][jj - 1]) if 1 <= jj <= length else None
-        # read phase: all PEs latch their incoming operands
-        for r in range(n):
-            for c in range(m):
-                pe = pes[r][c]
-                x = h_link[r][c]
-                w = v_link[r][c]
-                pe.input_reg, pe.weight_reg = x, w
-                if (x is None) != (w is None):
-                    raise SimulationError("operand skew misaligned")
-        # commit phase: MAC and forward to the east/south neighbors
-        new_h = [[None] * m for _ in range(n)]
-        new_v = [[None] * m for _ in range(n)]
-        for r in range(n):
-            for c in range(m):
-                pe = pes[r][c]
-                if pe.input_reg is not None:
-                    pe.accumulator = pe_mac(pe.accumulator, pe.input_reg, pe.weight_reg)
-                    pe.received_count += 1
-                    if c + 1 < m:
-                        new_h[r][c + 1] = pe.input_reg
-                    if r + 1 < n:
-                        new_v[r + 1][c] = pe.weight_reg
-        h_link, v_link = new_h, new_v
-    for r in range(n):
-        for c in range(m):
-            if pes[r][c].received_count != length:
-                raise SimulationError(
-                    f"PE ({r},{c}) saw {pes[r][c].received_count} operands, "
-                    f"expected {length}"
-                )
-    return np.array([[pes[r][c].accumulator for c in range(m)] for r in range(n)])
+    n, m, length = schedule.active_rows, schedule.active_cols, schedule.stream_len
+    ins = [input_vector(seed, i, length).tolist() for i in schedule.input_ids]
+    wts = [weight_vector(seed, k, length).tolist() for k in schedule.filter_ids]
+    # each PE's accumulator and operand count; h[r][c] and v[r][c] hold the
+    # operands on the links into PE (r, c)
+    acc = [[0] * m for _ in range(n)]
+    seen = [[0] * m for _ in range(n)]
+    h = [[None] * m for _ in range(n)]
+    v = [[None] * m for _ in range(n)]
+    for cycle in range(1, length + n + m + 3):
+        # every operand moves one PE east (inputs) or south (weights) per
+        # cycle; row r's edge stream is delayed r cycles, column c's by c, so
+        # operand j reaches the edge PE of row r in cycle j + r
+        h = [[ins[r][cycle - r - 1] if 1 <= cycle - r <= length else None] + h[r][:-1]
+             for r in range(n)]
+        v = [[wts[c][cycle - c - 1] if 1 <= cycle - c <= length else None
+              for c in range(m)]] + v[:-1]
+        for r, c in product(range(n), range(m)):
+            x, w = h[r][c], v[r][c]
+            if (x is None) != (w is None):
+                raise SimulationError("operand skew misaligned")
+            if x is not None:
+                acc[r][c] = pe_mac(acc[r][c], x, w)
+                seen[r][c] += 1
+    for r, c in product(range(n), range(m)):
+        if seen[r][c] != length:
+            raise SimulationError(f"PE ({r},{c}) saw {seen[r][c]} operands, expected {length}")
+    return np.array(acc)
 
 
 # --------------------------------------------------------------------- runs
@@ -262,79 +256,84 @@ def run_convolution(
 ) -> RunStats:
     """Execute all rounds of one layer in one collection mode.
 
-    With ``replay`` each round class ``(active_rows, active_cols)`` is
-    simulated once, in a network of its own that starts drained, so its
-    measurement does not depend on the rounds before it; every later round
-    of the class reuses that measurement.  Timing does not depend on the
-    operand values, so this is exact.  ``replay=False`` simulates every
-    round back to back in one network that carries its state from round to
-    round: the reference the replay differential tests compare against.
-    Either way the statistics are built once, after the last round: the
-    per-round lists in round order, the totals as round count times
-    measurement.  ``oracle`` is ``full``, ``sample``, or ``auto``.
+    With ``replay`` only the first round of each round class ``(active_rows,
+    active_cols)`` of the layer's ``RoundPlan`` is simulated, in a network of
+    its own that starts drained at the round's true start cycle (the sum of
+    the earlier rounds' latencies); every later round of the class reuses
+    that measurement, which is exact because timing does not depend on
+    operand values.  ``replay=False`` simulates every round of
+    ``build_round_schedules`` back to back in one network that carries its
+    state: the reference the replay differential tests compare against.
+    ``oracle`` is ``full``, ``sample`` (at most four PEs of every
+    ``rounds // 32``-th round) or ``auto``.
     """
     mode = CollectionMode(mode) if isinstance(mode, str) else mode
     layer = layer.with_vectors(p_override)
-    schedules = build_round_schedules(layer, config)
-    length = stream_length(layer)
-    stats = RunStats(
-        model=layer.model, layer=layer.layer, mode=mode.value,
-        rows=config.rows, cols=config.cols, seed=seed,
-        rounds=len(schedules),
-        ideal_collection=ideal_collection_cycles(config, mode),
-    )
+    plan = RoundPlan(layer, config)
+    stats = RunStats(model=layer.model, layer=layer.layer, mode=mode.value,
+                     rows=config.rows, cols=config.cols, seed=seed, rounds=plan.rounds,
+                     ideal_collection=ideal_collection_cycles(config, mode))
 
-    net = None if replay else MeshNetwork(config, timeout_table=timeout_table,
-                                          event_log=event_log)
-
-    oracle_mode = oracle
     if oracle == "auto":
-        work = len(schedules) * config.rows * config.cols * length
-        oracle_mode = "full" if work <= FULL_ORACLE_WORK_LIMIT else "sample"
-    oracle_stride = max(1, len(schedules) // 32) if oracle_mode == "sample" else 1
+        work = plan.rounds * config.rows * config.cols * plan.stream_len
+        oracle = "full" if work <= FULL_ORACLE_WORK_LIMIT else "sample"
+    checked = {"full": range(plan.rounds),
+               "sample": range(0, plan.rounds, max(1, plan.rounds // 32))}.get(oracle, ())
+    simulated = set()
 
-    measured: dict[tuple[int, int], _RoundMeasurement] = {}
-    rounds: list[_RoundMeasurement] = []
-    round_start = 0
-    for schedule in schedules:
-        m = measured.get(schedule.class_key())
-        check = oracle_mode == "full" or (
-            oracle_mode == "sample" and schedule.index % oracle_stride == 0
-        )
-        if m is None or check:
-            # operand values are only materialized when this round is
-            # simulated or oracle-checked; replayed rounds reuse the
-            # measured round's value-independent timing
-            accs, ins, wts = round_accumulators(schedule, seed, operands=True)
-        if check:
-            _check_oracle(schedule, accs, ins, wts, oracle_mode)
-        if m is None:
-            round_net = net or MeshNetwork(config, timeout_table=timeout_table,
-                                           event_log=event_log)
-            m = _simulate_round(round_net, config, mode, schedule, accs, round_start, length)
-            if replay:
-                measured[schedule.class_key()] = m
-        rounds.append(m)
-        round_start += m.latency
-    return _fold_rounds(stats, rounds, coefficients)
+    def simulate(net: MeshNetwork, schedule: RoundSchedule, round_start: int):
+        accs, ins, wts = round_accumulators(schedule, seed, operands=True)
+        if schedule.index in checked:
+            _check_oracle(schedule, _oracle_pes(schedule, oracle), accs, ins, wts)
+        simulated.add(schedule.index)
+        return _simulate_round(net, config, mode, schedule, accs, round_start, plan.stream_len)
+
+    # rows: (the measurements of one row of rounds, how many rows repeat it)
+    if replay:
+        rows, row_start = [], 0
+        for _, row_count, ib in plan.row_blocks:
+            row, start = [], row_start
+            for _, col_count, fb in plan.col_blocks:
+                m = simulate(MeshNetwork(config, timeout_table=timeout_table, event_log=event_log),
+                             plan.schedule(ib * plan.col_count + fb), start)
+                row += [m] * col_count
+                start += col_count * m.latency
+            rows.append((row, row_count))
+            row_start += row_count * (start - row_start)
+    else:
+        net = MeshNetwork(config, timeout_table=timeout_table, event_log=event_log)
+        row, start = [], 0
+        for schedule in build_round_schedules(layer, config):
+            row.append(simulate(net, schedule, start))
+            start += row[-1].latency
+        rows = [(row, 1)]
+
+    for schedule in (plan.schedule(i) for i in checked if i not in simulated):
+        pes = _oracle_pes(schedule, oracle)
+        _check_oracle(schedule, pes, *sampled_accumulators(schedule, seed, pes))
+    return _fold_rounds(stats, rows, coefficients)
 
 
-def _fold_rounds(stats: RunStats, rounds: list[_RoundMeasurement],
+def _fold_rounds(stats: RunStats, rows: list[tuple[list[_RoundMeasurement], int]],
                  coefficients: EnergyCoefficients | None) -> RunStats:
-    """Fill ``stats`` from the measurement of every round, in round order.
+    """Fill ``stats`` from ``rows``: (measurements of a row of rounds, times
+    the row repeats).  A replayed round is its class's measurement object, so
+    scalars and counters are folded once per measurement, times its count."""
+    def per_round(values) -> list[int]:
+        return list(chain.from_iterable(values(row) * times for row, times in rows))
 
-    A replayed round is the same object as its class's measurement, so
-    scalars and counters are folded once per distinct measurement, times
-    the number of rounds it stands for.
-    """
-    stats.per_round_latency = [m.latency for m in rounds]
-    stats.per_round_collection = [m.collection for m in rounds]
-    stats.delta_measured = [m.collection - stats.ideal_collection
-                            for m in rounds if m.full_round]
+    stats.per_round_latency = per_round(lambda row: [m.latency for m in row])
+    stats.per_round_collection = per_round(lambda row: [m.collection for m in row])
+    stats.delta_measured = per_round(lambda row: [m.collection - stats.ideal_collection
+                                                  for m in row if m.full_round])
     stats.total_cycles = sum(stats.per_round_latency)
-    stats.head_latencies = list(rounds[0].head_latencies) if rounds else []
+    stats.head_latencies = list(rows[0][0][0].head_latencies)
+    counts = Counter()
+    for row, times in rows:
+        for m in row:
+            counts[m] += times
     counters = ActivityCounters()
-    for m, count in Counter(rounds).items():
+    for m, count in counts.items():
         stats.packets += count * m.packets
         stats.flits += count * m.flits
         stats.hops += count * m.hops
@@ -438,30 +437,30 @@ def run_ready_row(
     m = _collect(MeshNetwork(config, timeout_table=timeout_table), config, mode,
                  results, round_start=0, ready_base=0, full_round=False,
                  what=f"ready row {row}")
-    stats = RunStats(
-        model="demo", layer=f"ready-row-{row}", mode=mode.value,
-        rows=config.rows, cols=config.cols, seed=0, rounds=1,
-        ideal_collection=ideal_collection_cycles(config, mode),
-    )
-    return _fold_rounds(stats, [m], coefficients)
+    stats = RunStats(model="demo", layer=f"ready-row-{row}", mode=mode.value,
+                     rows=config.rows, cols=config.cols, seed=0, rounds=1,
+                     ideal_collection=ideal_collection_cycles(config, mode))
+    return _fold_rounds(stats, [([m], 1)], coefficients)
 
 
-def _check_oracle(schedule: RoundSchedule, accs: np.ndarray, ins: np.ndarray,
-                  wts: np.ndarray, oracle_mode: str) -> None:
-    """Check PE accumulators against the reference dot product of the
-    round's operand vectors (``ins`` rows, ``wts`` columns)."""
-    if oracle_mode == "off":
-        return
-    pairs = [(r, c) for r in range(schedule.active_rows)
-             for c in range(schedule.active_cols)]
+def _oracle_pes(schedule: RoundSchedule, oracle_mode: str) -> list[tuple[int, int]]:
+    """PEs ``(row, col)`` the oracle checks in a round: every active PE, or
+    under ``sample`` at most four, evenly spaced in row-major order."""
+    pes = range(schedule.active_rows * schedule.active_cols)
     if oracle_mode == "sample":
-        pairs = pairs[:: max(1, len(pairs) // 4)][:4]
-    xs = {r: ins[r].tolist() for r, _ in pairs}
-    ws = {c: wts[c].tolist() for _, c in pairs}
-    for r, c in pairs:
+        pes = pes[:: max(1, len(pes) // 4)][:4]
+    return [divmod(k, schedule.active_cols) for k in pes]
+
+
+def _check_oracle(schedule: RoundSchedule, pes: list[tuple[int, int]], accs, ins, wts) -> None:
+    """Check the engine accumulators ``accs[r, c]`` of ``pes`` against the
+    reference dot product of the operand vectors ``ins[r]`` and ``wts[c]``."""
+    xs = {r: ins[r].tolist() for r, _ in pes}
+    ws = {c: wts[c].tolist() for _, c in pes}
+    for r, c in pes:
         ref = partial_conv_oracle(xs[r], ws[c])
-        if ref != int(accs[r][c]):
+        if ref != int(accs[r, c]):
             raise OracleMismatchError(
                 f"round {schedule.index} PE ({r},{c}): engine accumulator "
-                f"{int(accs[r][c])} != reference {ref}"
+                f"{int(accs[r, c])} != reference {ref}"
             )

@@ -34,7 +34,6 @@ class TestValidation:
     def test_capacity_bits_properties(self):
         cfg = MeshConfig()
         assert cfg.gather_payload_capacity_bits == 294
-        assert cfg.unicast_payload_capacity_bits == 98
         assert cfg.payload_slots_per_flit == 3
 
 

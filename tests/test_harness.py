@@ -215,7 +215,23 @@ def test_event_log_writes_one_monotone_file_per_mode(tmp_path, capsys):
     assert main(["run", "--mesh", "4x4", "--layers", "conv3", "--p-override", "16",
                  "--modes", "ru,gather", "--event-log", "--output", str(out)]) == 0
     assert not (tmp_path / "ev.alexnet.conv3.events.txt").exists()
+    wrote = [l for l in capsys.readouterr().out.splitlines() if l.startswith("wrote ")]
     for mode in ("ru", "gather"):
-        lines = (tmp_path / f"ev.alexnet.conv3.{mode}.events.txt").read_text().splitlines()
+        path = tmp_path / f"ev.alexnet.conv3.{mode}.events.txt"
+        assert f"wrote {path}" in wrote
+        lines = path.read_text().splitlines()
         cycles = [int(l.split()[0]) for l in lines]
         assert cycles and cycles == sorted(cycles)
+    assert len(wrote) == 4   # the two event logs, the CSV and the table
+
+
+@pytest.mark.parametrize("entry", ["99 99 5", "4 0 5", "0 4 5", "-1 0 5"])
+def test_timeout_table_entry_outside_mesh_exits_config_error(tmp_path, capsys, entry):
+    (tmp_path / "timeouts.txt").write_text(f"0 0 5\n{entry}\n")
+    path = tmp_path / "run.cfg"
+    path.write_text("mesh_rows = 4\nmesh_cols = 4\nlayers = conv3\n"
+                    "timeout_table = timeouts.txt\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "outside the 4x4 mesh" in capsys.readouterr().err
+    (tmp_path / "timeouts.txt").write_text("0 0 5\n3 3 7\n")
+    assert main(["run", "--config", str(path), "--p-override", "4"]) == 0

@@ -8,7 +8,6 @@ from gathernoc.packet import (
     FlitType,
     PacketType,
     build_packet,
-    extract_payloads,
     pack_header,
     unpack_header,
 )
@@ -48,7 +47,7 @@ def test_payloads_fill_body_first_then_tail():
                          payloads, CFG, packet_id=4)
     # three whole 32-bit slots per 98-bit flit
     assert [len(f.payload_slots) for f in flits] == [0, 3, 3, 2]
-    assert extract_payloads(flits) == payloads
+    assert [p for f in flits for p in f.payload_slots] == payloads
 
 
 def test_capacity_overflow_rejected():
@@ -80,7 +79,7 @@ def test_build_roundtrip_lossless():
     assert flits[0].src == NodeId(0, 1)
     assert flits[0].dst == NodeId(0, 7)
     assert all(f.packet_id == 77 for f in flits)
-    assert extract_payloads(flits) == payloads
+    assert [p for f in flits for p in f.payload_slots] == payloads
     assert flits[0].aspace == 294 - 64
 
 
