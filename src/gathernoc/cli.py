@@ -12,7 +12,6 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .analytic import AnalyticParams, improvement_pct
 from .config import MeshConfig
 from .errors import ConfigError, GatherNocError, SimulationError
 from .harness import (
@@ -23,11 +22,9 @@ from .harness import (
     parse_layers,
     parse_modes,
     run,
-    simulated_improvement_pct,
     stats_record,
 )
-from .systolic import run_convolution, run_ready_row
-from .workload import model_layers
+from .systolic import run_ready_row
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,21 +79,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_table2(args: argparse.Namespace) -> int:
     rows, cols = _parse_mesh(args.mesh)
-    mesh = MeshConfig(rows=rows, cols=cols)
-    layers = model_layers(args.model)
-    names = [l.layer for l in layers]
-    est = {l.layer: improvement_pct(AnalyticParams.for_run(mesh, l)) for l in layers}
-    lines = [f"{args.model} improvement over repetitive unicast (%), {rows}x{cols} mesh"]
-    width = max(len(n) for n in names) + 4
-    lines.append("result".ljust(12) + "".join(n.rjust(width) for n in names))
-    lines.append("estimated".ljust(12) + "".join(f"{est[n]:.2f}".rjust(width) for n in names))
+    cfg = RunConfig(mesh=MeshConfig(rows=rows, cols=cols), layers=parse_layers(args.model, "all"),
+                    modes=("ru", "gather", "analytic") if args.simulate else ("analytic",),
+                    seed=args.seed, p_override=args.p_override)
+    result = run(cfg)
+    table = {"estimated": [result.estimated[key] for key in cfg.layers]}
     if args.simulate:
-        sim = {}
-        for layer in layers:
-            ru = run_convolution(layer, mesh, "ru", seed=args.seed, p_override=args.p_override)
-            g = run_convolution(layer, mesh, "gather", seed=args.seed, p_override=args.p_override)
-            sim[layer.layer] = simulated_improvement_pct(ru, g)
-        lines.append("simulated".ljust(12) + "".join(f"{sim[n]:.2f}".rjust(width) for n in names))
+        table["simulated"] = [result.stats[(*key, "ru")].improvement_pct for key in cfg.layers]
+    names = [name for _, name in cfg.layers]
+    width = max(len(n) for n in names) + 4
+    lines = [f"{args.model} improvement over repetitive unicast (%), {rows}x{cols} mesh",
+             "result".ljust(12) + "".join(n.rjust(width) for n in names)]
+    lines += [label.ljust(12) + "".join(f"{v:.2f}".rjust(width) for v in values)
+              for label, values in table.items()]
     print("\n".join(lines))
     return EXIT_OK
 

@@ -14,7 +14,8 @@ from .errors import ConfigError
 from .power import EVENT_KINDS, EnergyCoefficients
 from .stats import RunStats
 from .systolic import run_convolution
-from .workload import LayerConfig, builtin_layer_db, load_layer, model_layers, stream_length
+from .workload import (LayerConfig, builtin_layer_db, load_layer, model_layers, round_count,
+                       stream_length)
 
 MODES = ("ru", "gather", "analytic")
 
@@ -48,6 +49,8 @@ class RunConfig:
         for m in self.modes:
             if m not in MODES:
                 raise ConfigError(f"unknown mode {m!r}; choose from {MODES}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.out_format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
         if not self.layers:
@@ -129,13 +132,12 @@ def run(config: RunConfig) -> RunResult:
         for mode in config.modes:
             if mode == "analytic":
                 params = AnalyticParams.for_run(mesh, layer)
-                est = improvement_pct(params)
-                estimated[(model, layer_name)] = est
+                est = estimated[(model, layer_name)] = improvement_pct(params)
                 records.append({
                     "model": model, "layer": layer_name, "mesh": f"{mesh.rows}x{mesh.cols}",
                     "mode": "analytic",
                     "total_cycles": latency_gather(params),
-                    "collection_cycles": gather_collection_cycles(params) * params.rounds,
+                    "collection_cycles": gather_collection_cycles(mesh) * round_count(layer, mesh),
                     "hops": "", "flits": "", "energy": "",
                     "improvement_pct": est,
                 })

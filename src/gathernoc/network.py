@@ -92,7 +92,6 @@ class _PendingSend:
 
 @dataclass
 class _PacketMeta:
-    flits: list[Flit]
     inject_cycle: int = -1
     hops: int = 0
     head_arrival: int = -1
@@ -197,7 +196,7 @@ class MeshNetwork:
         )
         for f in flits:
             f.to_buffer = True
-        self._meta[pid] = _PacketMeta(flits=flits)
+        self._meta[pid] = _PacketMeta()
         seq = self._add_send(_PendingSend(node=node, flits=flits, ready_at=ready_cycle))
         if after_packet is None:
             heappush(self._due_sends, (ready_cycle, seq))
@@ -215,7 +214,7 @@ class MeshNetwork:
         pid = flits[0].packet_id
         if pid >= self._next_packet_id:
             self._next_packet_id = pid + 1
-        self._meta[pid] = _PacketMeta(flits=flits)
+        self._meta[pid] = _PacketMeta()
         seq = self._add_send(_PendingSend(node=node, flits=flits, ready_at=cycle))
         heappush(self._due_sends, (cycle, seq))
 
@@ -361,7 +360,6 @@ class MeshNetwork:
             elif ft == _TAIL:
                 owners[slot] = None
                 router.route_cache.pop(pid, None)
-                router.load_checked.discard(pid)
             if trace is not None:
                 trace.setdefault((rid, out, vc), []).append((t, pid))
 
@@ -446,11 +444,10 @@ class MeshNetwork:
             if flit.pt != PacketType.GATHER:
                 continue
             unit = router.unit
-            if flit.ft == _HEAD and pid not in router.load_checked:
-                router.load_checked.add(pid)
+            if flit.ft == _HEAD:
                 if gather_load_check(flit, unit, cfg):
                     self._log(t, router.node, f"load pid={pid}")
-            elif flit.ft != _HEAD and unit.reserved_by == pid:
+            elif unit.reserved_by == pid:
                 if upload_payload(flit, unit, cfg):
                     self._holding -= 1
                     rid = router.node.index(cfg.cols)
@@ -521,7 +518,7 @@ class MeshNetwork:
             )
             for f in flits:
                 f.to_buffer = True
-            meta = _PacketMeta(flits=flits, inject_cycle=t)
+            meta = _PacketMeta(inject_cycle=t)
             meta.timeout_init = unit.timeout > 0
             if meta.timeout_init:
                 self.timeout_packets += 1
@@ -559,13 +556,11 @@ class MeshNetwork:
                 router.route_cache[pid] = xy_route(
                     router.node, flit.dst, cfg.cols, sink_is_buffer=flit.to_buffer
                 )
-                if flit.pt == PacketType.GATHER and pid not in router.load_checked:
-                    # a locally injected gather can still pick up this
-                    # node's own pending payload (not the usual path:
-                    # initiators carry their payload from birth)
-                    router.load_checked.add(pid)
-                    if gather_load_check(flit, unit, cfg):
-                        self._log(t, router.node, f"load pid={pid}")
+                # a locally injected gather can still pick up this node's
+                # own pending payload (not the usual path: initiators carry
+                # their payload from birth)
+                if flit.pt == PacketType.GATHER and gather_load_check(flit, unit, cfg):
+                    self._log(t, router.node, f"load pid={pid}")
             elif flit.pt == PacketType.GATHER and unit.reserved_by == pid:
                 if upload_payload(flit, unit, cfg):
                     self._holding -= 1

@@ -160,5 +160,3 @@ class Router:
         self.route_cache: dict[int, Port] = {}
         self.rr: list[int] = [0] * len(Port)
         self.unit = GatherUnit(node, timeout)
-        # packet ids whose head already triggered a load decision here
-        self.load_checked: set[int] = set()

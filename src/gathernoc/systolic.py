@@ -34,6 +34,7 @@ from itertools import chain, product
 
 import numpy as np
 
+from .analytic import gather_collection_cycles, ru_collection_cycles
 from .config import MeshConfig
 from .errors import ConfigError, LostPayloadError, OracleMismatchError, SimulationError
 from .network import MeshNetwork
@@ -230,16 +231,11 @@ class _RoundMeasurement:
 
 
 def ideal_collection_cycles(config: MeshConfig, mode: CollectionMode) -> int:
-    """Closed-form full-row collection term with no congestion or waits.
-
-    The gather reference uses the single-packet form: timeout-launched
-    packets overlap the lead packet in time, so the serialized multi-chunk
-    sum would overestimate what a cycle-accurate run can show.
-    """
-    m, kappa = config.cols, config.pipeline_depth
+    """The closed-form full-row collection term of ``mode`` (no congestion or
+    waits), which ``delta_measured`` is measured against."""
     if mode == CollectionMode.RU:
-        return m * (kappa + config.unicast_len) - 1
-    return m * kappa + config.gather_len - 1
+        return ru_collection_cycles(config)
+    return gather_collection_cycles(config)
 
 
 def run_convolution(
@@ -268,6 +264,8 @@ def run_convolution(
     ``rounds // 32``-th round) or ``auto``.
     """
     mode = CollectionMode(mode) if isinstance(mode, str) else mode
+    if oracle not in ("auto", "full", "sample"):
+        raise ConfigError(f"unknown oracle {oracle!r}; choose auto, full or sample")
     layer = layer.with_vectors(p_override)
     plan = RoundPlan(layer, config)
     stats = RunStats(model=layer.model, layer=layer.layer, mode=mode.value,
@@ -277,8 +275,8 @@ def run_convolution(
     if oracle == "auto":
         work = plan.rounds * config.rows * config.cols * plan.stream_len
         oracle = "full" if work <= FULL_ORACLE_WORK_LIMIT else "sample"
-    checked = {"full": range(plan.rounds),
-               "sample": range(0, plan.rounds, max(1, plan.rounds // 32))}.get(oracle, ())
+    checked = (range(plan.rounds) if oracle == "full"
+               else range(0, plan.rounds, max(1, plan.rounds // 32)))
     simulated = set()
 
     def simulate(net: MeshNetwork, schedule: RoundSchedule, round_start: int):

@@ -235,3 +235,26 @@ def test_timeout_table_entry_outside_mesh_exits_config_error(tmp_path, capsys, e
     assert "outside the 4x4 mesh" in capsys.readouterr().err
     (tmp_path / "timeouts.txt").write_text("0 0 5\n3 3 7\n")
     assert main(["run", "--config", str(path), "--p-override", "4"]) == 0
+
+
+def test_table2_simulated_rows_come_from_the_run(capsys):
+    # recorded before table2 was built on harness.run
+    assert main(["table2", "--mesh", "4x4", "--simulate", "--p-override", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "alexnet improvement over repetitive unicast (%), 4x4 mesh\n"
+        "result          conv1    conv2    conv3    conv4    conv5\n"
+        "estimated        1.02     0.25     0.23     0.11     0.17\n"
+        "simulated        1.01     0.24     0.23     0.11     0.17\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{cfg}"],
+    ["run", "--mesh", "4x4", "--layers", "conv3", "--p-override", "4", "--seed", "-1"],
+    ["table2", "--simulate", "--seed", "-1"],
+])
+def test_negative_seed_exits_config_error(tmp_path, capsys, argv):
+    path = tmp_path / "run.cfg"
+    path.write_text("mesh_rows = 4\nmesh_cols = 4\nlayers = conv3\np_override = 4\nseed = -1\n")
+    assert main([a.format(cfg=path) for a in argv]) == 2
+    assert "configuration error: seed must be >= 0" in capsys.readouterr().err

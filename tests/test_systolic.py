@@ -10,7 +10,6 @@ from gathernoc.errors import ConfigError
 from gathernoc.systolic import (
     CollectionMode,
     build_round_schedules,
-    ideal_collection_cycles,
     input_vector,
     last_operand_cycle,
     partial_conv_oracle,
@@ -155,6 +154,16 @@ class TestRunConvolution:
         assert stats.rounds == 4
         assert stats.payloads_delivered == 5 * 6
 
+    @pytest.mark.parametrize("oracle", ["ful", "Full", "none", ""])
+    @pytest.mark.parametrize("replay", [True, False])
+    def test_unknown_oracle_rejected_before_simulation(self, monkeypatch, oracle, replay):
+        def simulated(*args, **kwargs):
+            raise AssertionError("a round was simulated")
+        monkeypatch.setattr("gathernoc.systolic._simulate_round", simulated)
+        with pytest.raises(ConfigError, match="oracle"):
+            run_convolution(_layer(), MeshConfig(rows=4, cols=4), "ru",
+                            oracle=oracle, replay=replay)
+
     def test_replay_matches_full_simulation(self):
         cfg = MeshConfig(rows=4, cols=4)
         layer = _layer(c=2, r=2, q=8, p=12)   # 6 rounds, one repeated class
@@ -197,9 +206,3 @@ class TestReadyRowScenario:
         table = flat_timeout_table(cfg, 5) if flat else None
         stats = run_ready_row(cfg, int(row), mode, timeout_table=table)
         assert dataclasses.asdict(stats) == self.GOLDEN[key]
-
-
-def test_ideal_collection_forms():
-    cfg = MeshConfig()
-    assert ideal_collection_cycles(cfg, CollectionMode.RU) == 55
-    assert ideal_collection_cycles(cfg, CollectionMode.GATHER) == 43
