@@ -3,9 +3,10 @@
 16x16 meshes, both collection schemes plus the closed-form estimate, and
 write per-mesh result files and comparison tables.
 
-At full scale the identical-round replay keeps this to about 2 seconds
-(2-vCPU 2.1 GHz Xeon, Python 3.11); pass --p-override to truncate the
-per-layer input count for a quick look.
+At full scale the identical-round replay, which simulates each round shape
+once per mesh and mode, keeps this to about 1.4 seconds (2-vCPU Xeon,
+Python 3.11); pass --p-override to truncate the per-layer input count for
+a quick look.
 """
 import argparse
 import sys

@@ -13,9 +13,8 @@ from .config import MeshConfig
 from .errors import ConfigError
 from .power import EVENT_KINDS, EnergyCoefficients
 from .stats import RunStats
-from .systolic import run_convolution
-from .workload import (LayerConfig, builtin_layer_db, load_layer, model_layers, round_count,
-                       stream_length)
+from .systolic import check_payload_width, run_convolution
+from .workload import builtin_layer_db, load_layer, model_layers, round_count
 
 MODES = ("ru", "gather", "analytic")
 
@@ -66,20 +65,8 @@ class RunConfig:
         loaded = [load_layer(model, name, db) for model, name in self.layers]
         self.layers = [(l.model, l.layer) for l in loaded]
         if "ru" in self.modes or "gather" in self.modes:
-            _check_payload_width(self.mesh, loaded)
-
-
-def _check_payload_width(mesh: MeshConfig, layers: list[LayerConfig]) -> None:
-    """Reject layers whose largest accumulator (8-bit operands) does not fit
-    in a result payload, before any simulation starts."""
-    limit = 1 << mesh.gather_payload_bits
-    for layer in layers:
-        length = stream_length(layer)
-        if 255 * 255 * length >= limit:
-            raise ConfigError(
-                f"{layer.model}/{layer.layer}: results up to 255*255*{length} need "
-                f"more than gather_payload_bits = {mesh.gather_payload_bits}"
-            )
+            for layer in loaded:
+                check_payload_width(self.mesh, layer)
 
 
 @dataclass
@@ -126,6 +113,7 @@ def run(config: RunConfig) -> RunResult:
     estimated: dict[tuple[str, str], float] = {}
     mesh = config.mesh
     event_files: list[Path] = []
+    classes: dict = {}  # round-class measurements, shared by the run's layers
 
     for model, layer_name in config.layers:
         layer = load_layer(model, layer_name, db).with_vectors(config.p_override)
@@ -147,7 +135,7 @@ def run(config: RunConfig) -> RunResult:
                 layer, mesh, mode, seed=config.seed,
                 timeout_table=config.timeout_table,
                 coefficients=config.coefficients,
-                event_log=event_lines,
+                event_log=event_lines, classes=classes,
             )
             stats[(model, layer_name, mode)] = st
             records.append(stats_record(st))

@@ -215,10 +215,12 @@ def simulate_stream(schedule: RoundSchedule, seed: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class _RoundMeasurement:
-    """What one simulated round measured; compared and hashed by identity,
-    so that replayed rounds can be counted per measurement."""
+    """What one simulated round measured, with cycles counted from its ready
+    cycle (when its first result is posted); compared and hashed by
+    identity, so that replayed rounds can be counted per measurement.
+    ``events`` holds the round's event lines, cycles counted from the ready
+    cycle too, when its class was measured with an event log."""
 
-    latency: int
     collection: int
     packets: int
     flits: int
@@ -228,6 +230,7 @@ class _RoundMeasurement:
     full_round: bool
     head_latencies: list[int]
     counter_delta: dict[str, int]
+    events: list[str] | None = None
 
 
 def ideal_collection_cycles(config: MeshConfig, mode: CollectionMode) -> int:
@@ -236,6 +239,24 @@ def ideal_collection_cycles(config: MeshConfig, mode: CollectionMode) -> int:
     if mode == CollectionMode.RU:
         return ru_collection_cycles(config)
     return gather_collection_cycles(config)
+
+
+def _collection_mode(mode: CollectionMode | str) -> CollectionMode:
+    try:
+        return CollectionMode(mode)
+    except ValueError:
+        raise ConfigError(f"unknown mode {mode!r}; choose ru or gather") from None
+
+
+def check_payload_width(config: MeshConfig, layer: LayerConfig) -> None:
+    """Reject a layer whose largest accumulator (8-bit operands) does not fit
+    in a result payload, before any simulation starts."""
+    length = stream_length(layer)
+    if 255 * 255 * length >= 1 << config.gather_payload_bits:
+        raise ConfigError(
+            f"{layer.model}/{layer.layer}: results up to 255*255*{length} need "
+            f"more than gather_payload_bits = {config.gather_payload_bits}"
+        )
 
 
 def run_convolution(
@@ -249,24 +270,30 @@ def run_convolution(
     oracle: str = "auto",
     replay: bool = True,
     event_log: list[str] | None = None,
+    classes: dict | None = None,
 ) -> RunStats:
     """Execute all rounds of one layer in one collection mode.
 
-    With ``replay`` only the first round of each round class ``(active_rows,
-    active_cols)`` of the layer's ``RoundPlan`` is simulated, in a network of
-    its own that starts drained at the round's true start cycle (the sum of
-    the earlier rounds' latencies); every later round of the class reuses
-    that measurement, which is exact because timing does not depend on
-    operand values.  ``replay=False`` simulates every round of
-    ``build_round_schedules`` back to back in one network that carries its
-    state: the reference the replay differential tests compare against.
-    ``oracle`` is ``full``, ``sample`` (at most four PEs of every
+    With ``replay`` each round class ``(active_rows, active_cols)`` of the
+    layer's ``RoundPlan`` is measured once, in a network of its own that
+    starts drained, relative to the class's ready cycle; every round of the
+    class reuses that measurement, which is exact because timing does not
+    depend on operand values, and its events are logged shifted to the
+    true ready cycle of the class's first round.  ``classes`` holds the
+    measurements, keyed by everything a class simulation depends on; pass
+    one mapping to several calls (``harness.run`` passes one to the layers
+    of a run) to measure each class once across them.  By default each
+    call measures its classes afresh.  ``replay=False`` simulates every
+    round of ``build_round_schedules`` back to back in one network that
+    carries its state: the reference the replay differential tests compare
+    against.  ``oracle`` is ``full``, ``sample`` (at most four PEs of every
     ``rounds // 32``-th round) or ``auto``.
     """
-    mode = CollectionMode(mode) if isinstance(mode, str) else mode
+    mode = _collection_mode(mode)
     if oracle not in ("auto", "full", "sample"):
         raise ConfigError(f"unknown oracle {oracle!r}; choose auto, full or sample")
     layer = layer.with_vectors(p_override)
+    check_payload_width(config, layer)
     plan = RoundPlan(layer, config)
     stats = RunStats(model=layer.model, layer=layer.layer, mode=mode.value,
                      rows=config.rows, cols=config.cols, seed=seed, rounds=plan.rounds,
@@ -278,49 +305,71 @@ def run_convolution(
     checked = (range(plan.rounds) if oracle == "full"
                else range(0, plan.rounds, max(1, plan.rounds // 32)))
     simulated = set()
+    # a round's ready cycle, counted from its start
+    ready_offset = plan.stream_len + config.mac_latency
 
-    def simulate(net: MeshNetwork, schedule: RoundSchedule, round_start: int):
+    def simulate(net: MeshNetwork, schedule: RoundSchedule, ready_base: int):
         accs, ins, wts = round_accumulators(schedule, seed, operands=True)
         if schedule.index in checked:
             _check_oracle(schedule, _oracle_pes(schedule, oracle), accs, ins, wts)
         simulated.add(schedule.index)
-        return _simulate_round(net, config, mode, schedule, accs, round_start, plan.stream_len)
+        return _simulate_round(net, config, mode, schedule, accs, ready_base)
 
     # rows: (the measurements of one row of rounds, how many rows repeat it)
     if replay:
+        classes = {} if classes is None else classes
+        table = tuple(sorted(timeout_table.items())) if timeout_table else ()
         rows, row_start = [], 0
         for _, row_count, ib in plan.row_blocks:
             row, start = [], row_start
             for _, col_count, fb in plan.col_blocks:
-                m = simulate(MeshNetwork(config, timeout_table=timeout_table, event_log=event_log),
-                             plan.schedule(ib * plan.col_count + fb), start)
+                schedule = plan.schedule(ib * plan.col_count + fb)
+                key = (config, mode, table, schedule.active_rows, schedule.active_cols,
+                       event_log is not None)
+                m = classes.get(key)
+                if m is None:
+                    events = None if event_log is None else []
+                    m = classes[key] = simulate(
+                        MeshNetwork(config, timeout_table=timeout_table, event_log=events),
+                        schedule, 0)
+                    m.events = events
+                if event_log is not None:
+                    event_log.extend(_shifted(m.events, start + ready_offset))
                 row += [m] * col_count
-                start += col_count * m.latency
+                start += col_count * (ready_offset + m.collection)
             rows.append((row, row_count))
             row_start += row_count * (start - row_start)
     else:
         net = MeshNetwork(config, timeout_table=timeout_table, event_log=event_log)
         row, start = [], 0
         for schedule in build_round_schedules(layer, config):
-            row.append(simulate(net, schedule, start))
-            start += row[-1].latency
+            row.append(simulate(net, schedule, start + ready_offset))
+            start += ready_offset + row[-1].collection
         rows = [(row, 1)]
 
     for schedule in (plan.schedule(i) for i in checked if i not in simulated):
         pes = _oracle_pes(schedule, oracle)
         _check_oracle(schedule, pes, *sampled_accumulators(schedule, seed, pes))
-    return _fold_rounds(stats, rows, coefficients)
+    return _fold_rounds(stats, rows, coefficients, ready_offset)
+
+
+def _shifted(events: list[str], offset: int):
+    """Event lines ``"<cycle> <rest>"`` with ``offset`` added to each cycle."""
+    for line in events:
+        cycle, rest = line.split(" ", 1)
+        yield f"{int(cycle) + offset} {rest}"
 
 
 def _fold_rounds(stats: RunStats, rows: list[tuple[list[_RoundMeasurement], int]],
-                 coefficients: EnergyCoefficients | None) -> RunStats:
+                 coefficients: EnergyCoefficients | None, ready_offset: int) -> RunStats:
     """Fill ``stats`` from ``rows``: (measurements of a row of rounds, times
-    the row repeats).  A replayed round is its class's measurement object, so
+    the row repeats).  A round's latency is ``ready_offset`` plus its
+    collection.  A replayed round is its class's measurement object, so
     scalars and counters are folded once per measurement, times its count."""
     def per_round(values) -> list[int]:
         return list(chain.from_iterable(values(row) * times for row, times in rows))
 
-    stats.per_round_latency = per_round(lambda row: [m.latency for m in row])
+    stats.per_round_latency = per_round(lambda row: [ready_offset + m.collection for m in row])
     stats.per_round_collection = per_round(lambda row: [m.collection for m in row])
     stats.delta_measured = per_round(lambda row: [m.collection - stats.ideal_collection
                                                   for m in row if m.full_round])
@@ -349,21 +398,18 @@ def _simulate_round(
     mode: CollectionMode,
     schedule: RoundSchedule,
     accs: np.ndarray,
-    round_start: int,
-    length: int,
+    ready_base: int,
 ) -> _RoundMeasurement:
-    ready_base = round_start + length + config.mac_latency
     results = [(NodeId(r, c), int(accs[r][c]), ready_base + r + c)
                for r in range(schedule.active_rows)
                for c in range(schedule.active_cols)]
     full = schedule.active_rows == config.rows and schedule.active_cols == config.cols
-    return _collect(net, config, mode, results, round_start, ready_base, full,
-                    f"round {schedule.index}")
+    return _collect(net, config, mode, results, ready_base, full, f"round {schedule.index}")
 
 
 def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
-             results: list[tuple[NodeId, int, int]], round_start: int,
-             ready_base: int, full_round: bool, what: str) -> _RoundMeasurement:
+             results: list[tuple[NodeId, int, int]], ready_base: int,
+             full_round: bool, what: str) -> _RoundMeasurement:
     """Post every ``(node, value, ready cycle)`` result, drain them to the
     buffer, check each was delivered exactly once and the network drained,
     and measure the round.  ``ready_base`` is the earliest ready cycle."""
@@ -399,7 +445,6 @@ def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
     net.assert_drained()
     round_end = max(pkt.commit_cycle for pkt in round_delivered)
     return _RoundMeasurement(
-        latency=round_end - round_start,
         collection=round_end - ready_base,
         packets=len(round_delivered),
         flits=net.flits_injected - flits_before,
@@ -425,7 +470,7 @@ def run_ready_row(
     Returns stats for draining that single row's results to the buffer in
     the requested mode, as a one-round run.
     """
-    mode = CollectionMode(mode) if isinstance(mode, str) else mode
+    mode = _collection_mode(mode)
     if not 0 <= row < config.rows:
         raise ConfigError(f"row {row} outside the {config.rows}-row mesh")
     values = values if values is not None else [101 + c for c in range(config.cols)]
@@ -433,12 +478,12 @@ def run_ready_row(
         raise ConfigError("need one value per column")
     results = [(NodeId(row, c), v, 0) for c, v in enumerate(values)]
     m = _collect(MeshNetwork(config, timeout_table=timeout_table), config, mode,
-                 results, round_start=0, ready_base=0, full_round=False,
+                 results, ready_base=0, full_round=False,
                  what=f"ready row {row}")
     stats = RunStats(model="demo", layer=f"ready-row-{row}", mode=mode.value,
                      rows=config.rows, cols=config.cols, seed=0, rounds=1,
                      ideal_collection=ideal_collection_cycles(config, mode))
-    return _fold_rounds(stats, [([m], 1)], coefficients)
+    return _fold_rounds(stats, [([m], 1)], coefficients, ready_offset=0)
 
 
 def _oracle_pes(schedule: RoundSchedule, oracle_mode: str) -> list[tuple[int, int]]:

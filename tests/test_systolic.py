@@ -21,7 +21,11 @@ from gathernoc.systolic import (
     simulate_stream,
     weight_vector,
 )
-from gathernoc.workload import LayerConfig
+from gathernoc.workload import LayerConfig, load_layer
+
+
+def _not_simulated(*args, **kwargs):
+    raise AssertionError("a round was simulated")
 
 
 def _layer(c=1, r=3, q=8, p=8, model="t", name="t"):
@@ -164,6 +168,25 @@ class TestRunConvolution:
             run_convolution(_layer(), MeshConfig(rows=4, cols=4), "ru",
                             oracle=oracle, replay=replay)
 
+    @pytest.mark.parametrize("mode", ["unicast", "RU", "analytic", ""])
+    @pytest.mark.parametrize("replay", [True, False])
+    def test_unknown_mode_rejected_before_simulation(self, monkeypatch, mode, replay):
+        monkeypatch.setattr("gathernoc.systolic._simulate_round", _not_simulated)
+        with pytest.raises(ConfigError, match="mode"):
+            run_convolution(_layer(), MeshConfig(rows=4, cols=4), mode, replay=replay)
+
+    @pytest.mark.parametrize("mode", ["ru", "gather"])
+    @pytest.mark.parametrize("replay", [True, False])
+    def test_payload_width_checked_before_simulation(self, monkeypatch, mode, replay):
+        # alexnet/conv3 results reach 255*255*2304, more than 20 bits hold;
+        # the library path rejects the layer as RunConfig does, whether or
+        # not a simulated value would overflow
+        monkeypatch.setattr("gathernoc.systolic._simulate_round", _not_simulated)
+        cfg = MeshConfig(rows=4, cols=4, gather_payload_bits=20)
+        with pytest.raises(ConfigError, match="gather_payload_bits"):
+            run_convolution(load_layer("alexnet", "conv3"), cfg, mode, p_override=4,
+                            replay=replay)
+
     def test_replay_matches_full_simulation(self):
         cfg = MeshConfig(rows=4, cols=4)
         layer = _layer(c=2, r=2, q=8, p=12)   # 6 rounds, one repeated class
@@ -188,6 +211,12 @@ class TestReadyRowScenario:
         assert ru.hops == 15
         assert g.hops == 5
         assert ru.packets == 6 and g.packets == 1
+
+    @pytest.mark.parametrize("mode", ["unicast", "RU", "analytic", ""])
+    def test_unknown_mode_rejected_before_simulation(self, monkeypatch, mode):
+        monkeypatch.setattr("gathernoc.systolic._collect", _not_simulated)
+        with pytest.raises(ConfigError, match="mode"):
+            run_ready_row(MeshConfig(rows=4, cols=4), 0, mode)
 
     def test_ready_row_payloads_survive(self):
         cfg = MeshConfig(rows=6, cols=6)
