@@ -4,16 +4,17 @@
 write per-mesh result files and comparison tables.
 
 At full scale the identical-round replay, which simulates each round shape
-once per mesh and mode, keeps this to about 1.4 seconds (2-vCPU Xeon,
-Python 3.11); pass --p-override to truncate the per-layer input count for
-a quick look.
+once per mesh and mode, and one oracle check of each layer per mesh keep
+this to about 1 second (1.0-1.2 s on a 2-vCPU Xeon, Python 3.11); pass
+--p-override to truncate the per-layer input count for a quick look.
 """
 import argparse
 import sys
 from pathlib import Path
 
 from gathernoc.config import MeshConfig
-from gathernoc.harness import RunConfig, run
+from gathernoc.errors import ConfigError
+from gathernoc.harness import RunConfig, parse_mesh, run
 from gathernoc.workload import model_layers
 
 
@@ -26,20 +27,25 @@ def main() -> int:
     parser.add_argument("--meshes", default="8x8,16x16")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args()
+    try:
+        meshes = [MeshConfig(rows=rows, cols=cols)
+                  for rows, cols in map(parse_mesh, args.meshes.split(","))]
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     layers = [(l.model, l.layer) for m in ("alexnet", "vgg16") for l in model_layers(m)]
 
-    for mesh_name in args.meshes.split(","):
-        rows, cols = (int(x) for x in mesh_name.strip().split("x"))
+    for mesh in meshes:
         cfg = RunConfig(
-            mesh=MeshConfig(rows=rows, cols=cols),
+            mesh=mesh,
             layers=layers,
             modes=("ru", "gather", "analytic"),
             seed=args.seed,
             p_override=args.p_override,
-            output=str(outdir / f"grid_{rows}x{cols}"),
+            output=str(outdir / f"grid_{mesh.rows}x{mesh.cols}"),
             out_format=args.format,
         )
         result = run(cfg)

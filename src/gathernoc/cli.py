@@ -18,10 +18,12 @@ from .harness import (
     RunConfig,
     emit_csv,
     improvement_record,
-    load_run_config,
+    parse_kv_text,
     parse_layers,
+    parse_mesh,
     parse_modes,
     run,
+    run_config_from_kv,
     stats_record,
 )
 from .systolic import run_ready_row
@@ -32,20 +34,12 @@ EXIT_SIMULATION = 3
 EXIT_IO = 4
 
 
-def _parse_mesh(text: str) -> tuple[int, int]:
-    try:
-        rows, cols = (int(x) for x in text.lower().split("x"))
-        return rows, cols
-    except ValueError:
-        raise ConfigError(f"mesh must look like 8x8, got {text!r}") from None
-
-
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     """``cfg`` with the command-line flags applied; building the new
     config runs the same validation as a config file."""
     changes: dict = {}
     if args.mesh:
-        rows, cols = _parse_mesh(args.mesh)
+        rows, cols = parse_mesh(args.mesh)
         changes["mesh"] = dataclasses.replace(cfg.mesh, rows=rows, cols=cols)
     if args.model or args.layers:
         # --model alone selects all of that model's layers; --layers alone
@@ -68,7 +62,15 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config) if args.config else RunConfig()
+    if args.config:
+        path = Path(args.config)
+        kv = parse_kv_text(path.read_text())
+        if args.output:
+            # the file's own checks see the flag's output: its event_log needs one
+            kv["output"] = args.output
+        cfg = run_config_from_kv(kv, base_dir=path.parent)
+    else:
+        cfg = RunConfig()
     cfg = _apply_overrides(cfg, args)
     result = run(cfg)
     sys.stdout.write(result.table_text)
@@ -78,7 +80,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    rows, cols = _parse_mesh(args.mesh)
+    rows, cols = parse_mesh(args.mesh)
     cfg = RunConfig(mesh=MeshConfig(rows=rows, cols=cols), layers=parse_layers(args.model, "all"),
                     modes=("ru", "gather", "analytic") if args.simulate else ("analytic",),
                     seed=args.seed, p_override=args.p_override)

@@ -54,11 +54,16 @@ class RunConfig:
             raise ConfigError("format must be csv or json")
         if not self.layers:
             raise ConfigError("at least one layer is required")
+        if self.event_log and not self.output:
+            raise ConfigError("event_log needs output, the stem of the event files")
         rows, cols = self.mesh.rows, self.mesh.cols
-        for r, c in self.timeout_table or ():
+        for (r, c), budget in (self.timeout_table or {}).items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ConfigError(f"timeout table entry ({r}, {c}) is outside the "
                                   f"{rows}x{cols} mesh")
+            if budget < 0:
+                raise ConfigError(f"timeout table entry ({r}, {c}): budget must be "
+                                  f">= 0, got {budget}")
         # unknown names fail here; known ones take the database's spelling,
         # the one the run's result records carry
         db = builtin_layer_db()
@@ -113,7 +118,8 @@ def run(config: RunConfig) -> RunResult:
     estimated: dict[tuple[str, str], float] = {}
     mesh = config.mesh
     event_files: list[Path] = []
-    classes: dict = {}  # round-class measurements, shared by the run's layers
+    # round-class measurements and oracle verdicts, shared by the run's calls
+    shared: dict = {}
 
     for model, layer_name in config.layers:
         layer = load_layer(model, layer_name, db).with_vectors(config.p_override)
@@ -135,11 +141,11 @@ def run(config: RunConfig) -> RunResult:
                 layer, mesh, mode, seed=config.seed,
                 timeout_table=config.timeout_table,
                 coefficients=config.coefficients,
-                event_log=event_lines, classes=classes,
+                event_log=event_lines, shared=shared,
             )
             stats[(model, layer_name, mode)] = st
             records.append(stats_record(st))
-            if event_lines is not None and config.output:
+            if event_lines is not None:
                 path = Path(f"{config.output}.{model}.{layer_name}.{mode}.events.txt")
                 path.write_text("\n".join(event_lines) + ("\n" if event_lines else ""))
                 event_files.append(path)
@@ -296,6 +302,15 @@ def _parse_bool(value: str) -> bool:
     if v in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"expected a boolean, got {value!r}")
+
+
+def parse_mesh(text: str) -> tuple[int, int]:
+    """``(rows, cols)`` of a mesh size written ``8x8``."""
+    try:
+        rows, cols = (int(x) for x in text.lower().split("x"))
+        return rows, cols
+    except ValueError:
+        raise ConfigError(f"mesh must look like 8x8, got {text!r}") from None
 
 
 def parse_modes(value: str) -> tuple[str, ...]:

@@ -1,4 +1,7 @@
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +228,24 @@ def test_event_log_writes_one_monotone_file_per_mode(tmp_path, capsys):
     assert len(wrote) == 4   # the two event logs, the CSV and the table
 
 
+def test_event_log_without_output_exits_config_error(tmp_path, capsys):
+    # the event files are named after the output stem; without one the
+    # events were recorded and then dropped
+    flags = ["--mesh", "4x4", "--layers", "conv3", "--p-override", "4", "--modes", "ru,gather"]
+    assert main(["run", *flags, "--event-log"]) == 2
+    assert "configuration error: event_log needs output" in capsys.readouterr().err
+    path = tmp_path / "run.cfg"
+    path.write_text("event_log = true\n")
+    assert main(["run", "--config", str(path), *flags]) == 2
+    assert "configuration error: event_log needs output" in capsys.readouterr().err
+    # the file's event_log may take its output from the flag
+    assert main(["run", "--config", str(path), *flags, "--output", str(tmp_path / "ev")]) == 0
+    assert (tmp_path / "ev.alexnet.conv3.gather.events.txt").exists()
+    with pytest.raises(ConfigError, match="event_log needs output"):
+        RunConfig(mesh=MeshConfig(rows=4, cols=4), layers=[("alexnet", "conv3")],
+                  event_log=True)
+
+
 @pytest.mark.parametrize("entry", ["99 99 5", "4 0 5", "0 4 5", "-1 0 5"])
 def test_timeout_table_entry_outside_mesh_exits_config_error(tmp_path, capsys, entry):
     (tmp_path / "timeouts.txt").write_text(f"0 0 5\n{entry}\n")
@@ -235,6 +256,35 @@ def test_timeout_table_entry_outside_mesh_exits_config_error(tmp_path, capsys, e
     assert "outside the 4x4 mesh" in capsys.readouterr().err
     (tmp_path / "timeouts.txt").write_text("0 0 5\n3 3 7\n")
     assert main(["run", "--config", str(path), "--p-override", "4"]) == 0
+
+
+@pytest.mark.parametrize("entry", ["0 1 -5", "3 3 -1"])
+def test_timeout_table_negative_budget_exits_config_error(tmp_path, capsys, entry):
+    (tmp_path / "timeouts.txt").write_text(f"0 0 5\n{entry}\n")
+    path = tmp_path / "run.cfg"
+    path.write_text("mesh_rows = 4\nmesh_cols = 4\nlayers = conv3\n"
+                    "timeout_table = timeouts.txt\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "budget must be >= 0" in capsys.readouterr().err
+    (tmp_path / "timeouts.txt").write_text("0 0 0\n0 1 5\n")
+    assert main(["run", "--config", str(path), "--p-override", "4"]) == 0
+
+
+@pytest.mark.parametrize("meshes, named", [
+    ("8x8x", "'8x8x'"), ("8x8,16", "'16'"), ("0x4", "at least one row"),
+])
+def test_grid_script_malformed_meshes_exits_config_error(tmp_path, capsys, monkeypatch,
+                                                         meshes, named):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
+    grid_main = runpy.run_path(str(script))["main"]
+    monkeypatch.setattr(sys, "argv", ["reproduce_results.py", "--meshes", meshes,
+                                      "--outdir", str(tmp_path / "out")])
+    assert grid_main() == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and named in err
+    assert err.count("\n") == 1
+    # every mesh is checked before anything runs or is written
+    assert not (tmp_path / "out").exists()
 
 
 def test_table2_simulated_rows_come_from_the_run(capsys):

@@ -1,5 +1,5 @@
 """The round plan against an explicit round-by-round enumeration, and the
-oracle's reach through ``run_convolution``."""
+oracle's reach through ``run_convolution`` and ``harness.run``."""
 from __future__ import annotations
 
 import math
@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gathernoc import systolic
+from gathernoc import harness, systolic
 from gathernoc.config import MeshConfig
 from gathernoc.errors import OracleMismatchError
 from gathernoc.systolic import RoundPlan, RoundSchedule, build_round_schedules, run_convolution
@@ -101,20 +101,155 @@ GUARD_LAYER = LayerConfig("t", "t", in_channels=2, kernels=8, kernel_side=1,
 GUARD_ROUND = 2
 
 
-@pytest.mark.parametrize("replay", [True, False])
-@pytest.mark.parametrize("oracle", ["full", "sample"])
-def test_oracle_catches_an_engine_accumulator_off_by_one(monkeypatch, oracle, replay):
-    engine = systolic.round_accumulators
-
+def off_by_one_at_guard_round(engine):
+    """``engine`` (``round_accumulators``) with the accumulator of PE (0, 0)
+    one too high in round ``GUARD_ROUND``."""
     def off_by_one(schedule, seed, operands=False):
         out = engine(schedule, seed, operands)
         if schedule.index == GUARD_ROUND:
             # the first PE of the arrays is PE (0, 0), which every rule samples
             (out[0] if operands else out)[0, 0] += 1
         return out
+    return off_by_one
 
+
+@pytest.mark.parametrize("replay", [True, False])
+@pytest.mark.parametrize("oracle", ["full", "sample"])
+def test_oracle_catches_an_engine_accumulator_off_by_one(monkeypatch, oracle, replay):
     cfg = MeshConfig(rows=2, cols=2)
     run_convolution(GUARD_LAYER, cfg, "ru", seed=3, oracle=oracle, replay=replay)
-    monkeypatch.setattr(systolic, "round_accumulators", off_by_one)
+    monkeypatch.setattr(systolic, "round_accumulators",
+                        off_by_one_at_guard_round(systolic.round_accumulators))
     with pytest.raises(OracleMismatchError, match=rf"round {GUARD_ROUND} PE \(0,0\)"):
         run_convolution(GUARD_LAYER, cfg, "ru", seed=3, oracle=oracle, replay=replay)
+
+
+# ---------------------------------------------- one oracle verdict per run
+
+# harness.run resolves ``oracle="auto"``; these work limits make it pick
+# each rule
+AUTO_LIMITS = {"full": 10**12, "sample": 0}
+
+
+def use_layers(monkeypatch, layers: list[LayerConfig]) -> list[tuple[str, str]]:
+    """Make ``harness.run`` see ``layers`` as its layer database."""
+    db = {(l.model, l.layer): l for l in layers}
+    monkeypatch.setattr(harness, "builtin_layer_db", lambda: db)
+    return list(db)
+
+
+def spy_oracle_checks(monkeypatch) -> Counter:
+    """Count every PE check ``_check_oracle`` makes as (layer, round, PE,
+    input vector, weight vector, accumulator); the layer is the one of the
+    ``harness.run`` call in progress, or ``None`` outside one."""
+    checks, layer_of_call = Counter(), [None]
+    check, convolve = systolic._check_oracle, harness.run_convolution
+
+    def spy(schedule, pes, accs, ins, wts):
+        checks.update((layer_of_call[0], schedule.index, (r, c), tuple(ins[r].tolist()),
+                       tuple(wts[c].tolist()), int(accs[r, c])) for r, c in pes)
+        return check(schedule, pes, accs, ins, wts)
+
+    def tagged(layer, *args, **kwargs):
+        layer_of_call[0] = layer.layer
+        try:
+            return convolve(layer, *args, **kwargs)
+        finally:
+            layer_of_call[0] = None
+
+    monkeypatch.setattr(systolic, "_check_oracle", spy)
+    monkeypatch.setattr(harness, "run_convolution", tagged)
+    return checks
+
+
+# stream lengths 2, 3 and 2 and ragged blocks on both meshes, so round
+# classes are shared across layers while the operands differ; "long" has
+# 70 rounds on 3x4, so the sampled rule skips rounds there
+VERDICT_LAYERS = [
+    LayerConfig("v", "long", in_channels=2, kernels=20, kernel_side=1, layer_side=1,
+                input_vectors=40),
+    LayerConfig("v", "wide", in_channels=3, kernels=9, kernel_side=1, layer_side=1,
+                input_vectors=7),
+    LayerConfig("v", "small", in_channels=2, kernels=5, kernel_side=1, layer_side=1,
+                input_vectors=5),
+]
+
+
+@pytest.mark.parametrize("modes", [("ru", "gather"), ("gather", "ru"), ("gather",)])
+@pytest.mark.parametrize("oracle", ["full", "sample"])
+@pytest.mark.parametrize("rows, cols", [(3, 4), (2, 5)])
+def test_run_checks_each_layer_once_as_a_single_mode_run(monkeypatch, modes, oracle,
+                                                         rows, cols):
+    # whichever mode runs first checks the layer; the other reuses the
+    # verdict, so the run makes exactly the checks of one run_convolution
+    mesh = MeshConfig(rows=rows, cols=cols)
+    monkeypatch.setattr(systolic, "FULL_ORACLE_WORK_LIMIT", AUTO_LIMITS[oracle])
+    cfg = harness.RunConfig(mesh=mesh, layers=use_layers(monkeypatch, VERDICT_LAYERS),
+                            modes=modes, seed=9)
+    checks = spy_oracle_checks(monkeypatch)
+    expected = Counter()
+    for layer in VERDICT_LAYERS:
+        alone = {}
+        for mode in ("ru", "gather"):
+            checks.clear()
+            run_convolution(layer, mesh, mode, seed=9)
+            alone[mode] = Counter({(layer.layer, *k[1:]): n for k, n in checks.items()})
+        assert alone["ru"] == alone["gather"]
+        expected += alone["ru"]
+    # a second run checks every layer again: no verdict outlives its run
+    for _ in range(2):
+        checks.clear()
+        harness.run(cfg)
+        assert checks == expected
+
+
+@pytest.mark.parametrize("modes", [("ru", "gather"), ("gather", "ru")])
+@pytest.mark.parametrize("oracle", ["full", "sample"])
+def test_run_oracle_catches_an_engine_accumulator_off_by_one(monkeypatch, oracle, modes):
+    monkeypatch.setattr(systolic, "FULL_ORACLE_WORK_LIMIT", AUTO_LIMITS[oracle])
+    cfg = harness.RunConfig(mesh=MeshConfig(rows=2, cols=2),
+                            layers=use_layers(monkeypatch, [GUARD_LAYER]), modes=modes, seed=3)
+    harness.run(cfg)
+    calls, convolve = [], harness.run_convolution
+
+    def record(layer, config, mode, *args, **kwargs):
+        calls.append(mode)
+        return convolve(layer, config, mode, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_convolution", record)
+    monkeypatch.setattr(systolic, "round_accumulators",
+                        off_by_one_at_guard_round(systolic.round_accumulators))
+    with pytest.raises(OracleMismatchError, match=rf"round {GUARD_ROUND} PE \(0,0\)"):
+        harness.run(cfg)
+    # the first mode of the layer makes the checks and raises
+    assert calls == [modes[0]]
+
+
+def test_shared_verdict_covers_only_its_layer_mesh_seed_and_rule(monkeypatch):
+    checks = spy_oracle_checks(monkeypatch)
+
+    def checked(mode, mesh, **kwargs) -> Counter:
+        checks.clear()
+        run_convolution(VERDICT_LAYERS[0], mesh, mode, **kwargs)
+        return Counter(checks)
+
+    runs = [dict(mesh=MeshConfig(rows=rows, cols=cols), seed=seed, oracle=oracle,
+                 p_override=p)
+            for rows, cols in ((3, 4), (2, 5)) for seed in (1, 2)
+            for oracle in ("full", "sample") for p in (None, 10)]
+    alone = [checked("ru", **kwargs) for kwargs in runs]
+    shared = {}
+    for kwargs, expected in zip(runs, alone):
+        assert checked("gather", shared=shared, **kwargs) == expected
+    for kwargs in runs:
+        assert checked("ru", shared=shared, **kwargs) == Counter()
+
+
+def test_a_failed_check_leaves_no_verdict(monkeypatch):
+    monkeypatch.setattr(systolic, "round_accumulators",
+                        off_by_one_at_guard_round(systolic.round_accumulators))
+    shared = {}
+    for mode in ("ru", "gather", "ru"):
+        with pytest.raises(OracleMismatchError, match=rf"round {GUARD_ROUND} PE \(0,0\)"):
+            run_convolution(GUARD_LAYER, MeshConfig(rows=2, cols=2), mode, seed=3,
+                            shared=shared)
