@@ -5,8 +5,9 @@ write per-mesh result files and comparison tables.
 
 At full scale the identical-round replay, which simulates each round shape
 once per mesh and mode, and one oracle check of each layer per mesh keep
-this to about 1 second (1.0-1.2 s on a 2-vCPU Xeon, Python 3.11); pass
---p-override to truncate the per-layer input count for a quick look.
+this to about 0.6 seconds (0.57-0.71 s on a 2-vCPU Xeon, Python 3.11,
+process start included); pass --p-override to truncate the per-layer input
+count for a quick look.
 """
 import argparse
 import sys

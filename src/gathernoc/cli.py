@@ -8,7 +8,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -21,7 +20,6 @@ from .harness import (
     parse_kv_text,
     parse_layers,
     parse_mesh,
-    parse_modes,
     run,
     run_config_from_kv,
     stats_record,
@@ -34,44 +32,42 @@ EXIT_SIMULATION = 3
 EXIT_IO = 4
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """``cfg`` with the command-line flags applied; building the new
-    config runs the same validation as a config file."""
-    changes: dict = {}
+def _flag_settings(args: argparse.Namespace) -> dict[str, str]:
+    """The ``run`` flags given, as the config-file settings they override."""
+    kv: dict[str, str] = {}
     if args.mesh:
         rows, cols = parse_mesh(args.mesh)
-        changes["mesh"] = dataclasses.replace(cfg.mesh, rows=rows, cols=cols)
-    if args.model or args.layers:
+        kv["mesh_rows"], kv["mesh_cols"] = str(rows), str(cols)
+    if args.model:
         # --model alone selects all of that model's layers; --layers alone
         # names layers of the config's model
-        model = args.model or cfg.layers[0][0]
-        changes["layers"] = parse_layers(model, args.layers or "all")
+        kv["model"], kv["layers"] = args.model, args.layers or "all"
+    elif args.layers:
+        kv["layers"] = args.layers
     if args.modes:
-        changes["modes"] = parse_modes(args.modes)
+        kv["modes"] = args.modes
     if args.seed is not None:
-        changes["seed"] = args.seed
+        kv["seed"] = str(args.seed)
     if args.p_override is not None:
-        changes["p_override"] = args.p_override
+        kv["p_override"] = str(args.p_override)
     if args.output:
-        changes["output"] = args.output
+        kv["output"] = args.output
     if args.format:
-        changes["out_format"] = args.format
+        kv["format"] = args.format
     if args.event_log:
-        changes["event_log"] = True
-    return dataclasses.replace(cfg, **changes)
+        kv["event_log"] = "true"
+    return kv
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    # the flags apply before the one validation of the merged config, so a
+    # file may be valid only with a flag's value (a timeout table of the
+    # --mesh, an event_log with the --output)
+    kv, base_dir = {}, None
     if args.config:
         path = Path(args.config)
-        kv = parse_kv_text(path.read_text())
-        if args.output:
-            # the file's own checks see the flag's output: its event_log needs one
-            kv["output"] = args.output
-        cfg = run_config_from_kv(kv, base_dir=path.parent)
-    else:
-        cfg = RunConfig()
-    cfg = _apply_overrides(cfg, args)
+        kv, base_dir = parse_kv_text(path.read_text()), path.parent
+    cfg = run_config_from_kv({**kv, **_flag_settings(args)}, base_dir=base_dir)
     result = run(cfg)
     sys.stdout.write(result.table_text)
     for path in result.files:

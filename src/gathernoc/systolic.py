@@ -26,7 +26,6 @@ checked to be drained at every round boundary.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -62,15 +61,34 @@ def pe_mac(acc: int, operand: int, weight: int) -> int:
     return acc + operand * weight
 
 
-def partial_conv_oracle(inputs, weights) -> int:
-    """Reference dot product, kept independent of the engine's arithmetic.
+def partial_conv_oracle(inputs, weights) -> int | list[int]:
+    """Reference dot products, kept independent of the engine's arithmetic.
 
-    Given Python ints (``ndarray.tolist()``) it computes in exact integer
-    arithmetic, not numpy's matrix product.
+    ``inputs`` and ``weights`` are one vector each, or a stack of vectors
+    on one side, all of length ``L``.  Both are widened to int64 here, so
+    the operands' own dtype never sets the precision; the products are
+    elementwise and summed along the last axis, never a matrix product.
+    The result is exact: ``max|x| * max|w| * L < 2**63`` bounds every
+    partial sum, and an operand pair outside that bound raises
+    ``SimulationError``.  Returns an ``int`` for two vectors, a list of
+    ints for a stack.
     """
-    if len(inputs) != len(weights):
+    try:
+        x = np.asarray(inputs, dtype=np.int64)
+        w = np.asarray(weights, dtype=np.int64)
+    except OverflowError:
+        raise SimulationError("oracle operands do not fit in int64") from None
+    length = x.shape[-1]
+    if length != w.shape[-1]:
         raise ConfigError("oracle operands must have equal length")
-    return sum(map(operator.mul, inputs, weights))
+    if _magnitude(x) * _magnitude(w) * length >= 1 << 63:
+        raise SimulationError(f"oracle dot products of length {length} could overflow int64")
+    return (x * w).sum(axis=-1).tolist()
+
+
+def _magnitude(a: np.ndarray) -> int:
+    """The largest ``|value|`` in ``a`` as a Python int (0 if empty)."""
+    return max(-int(a.min()), int(a.max())) if a.size else 0
 
 
 @dataclass(frozen=True)
@@ -510,13 +528,18 @@ def _oracle_pes(schedule: RoundSchedule, oracle_mode: str) -> list[tuple[int, in
 
 def _check_oracle(schedule: RoundSchedule, pes: list[tuple[int, int]], accs, ins, wts) -> None:
     """Check the engine accumulators ``accs[r, c]`` of ``pes`` against the
-    reference dot product of the operand vectors ``ins[r]`` and ``wts[c]``."""
-    xs = {r: ins[r].tolist() for r, _ in pes}
-    ws = {c: wts[c].tolist() for _, c in pes}
+    reference dot products of the operand vectors ``ins[r]`` and ``wts[c]``,
+    one oracle call per column against the stack of its checked rows."""
+    rows_of: dict[int, list[int]] = {}
     for r, c in pes:
-        ref = partial_conv_oracle(xs[r], ws[c])
-        if ref != int(accs[r, c]):
+        rows_of.setdefault(c, []).append(r)
+    refs = {}
+    for c, rows in rows_of.items():
+        col = partial_conv_oracle(np.stack([ins[r] for r in rows]), wts[c])
+        refs.update(zip(((r, c) for r in rows), col))
+    for r, c in pes:
+        if refs[r, c] != int(accs[r, c]):
             raise OracleMismatchError(
                 f"round {schedule.index} PE ({r},{c}): engine accumulator "
-                f"{int(accs[r, c])} != reference {ref}"
+                f"{int(accs[r, c])} != reference {refs[r, c]}"
             )

@@ -258,6 +258,33 @@ def test_timeout_table_entry_outside_mesh_exits_config_error(tmp_path, capsys, e
     assert main(["run", "--config", str(path), "--p-override", "4"]) == 0
 
 
+def test_config_file_is_validated_with_the_flags_applied(tmp_path, capsys):
+    # a 4x4 file whose timeout table fits only the --mesh given with it
+    (tmp_path / "timeouts.txt").write_text("0 0 5\n5 5 7\n")
+    path = tmp_path / "run.cfg"
+    path.write_text("mesh_rows = 4\nmesh_cols = 4\nlayers = conv3\np_override = 4\n"
+                    "timeout_table = timeouts.txt\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "outside the 4x4 mesh" in capsys.readouterr().err
+    assert main(["run", "--config", str(path), "--mesh", "8x8", "--modes", "analytic"]) == 0
+    assert main(["run", "--config", str(path), "--mesh", "8x8", "--modes", "ru,gather",
+                 "--output", str(tmp_path / "out"), "--format", "json"]) == 0
+    assert json.loads((tmp_path / "out.json").read_text())[0]["mesh"] == "8x8"
+
+
+# a 4x4 file with an entry outside 8x8 too, and an 8x8 file made invalid
+# by the flag's smaller mesh
+@pytest.mark.parametrize("side, mesh, entry", [(4, "8x8", "9 9 7"), (8, "4x4", "5 5 7")])
+def test_config_file_still_invalid_with_the_flags_exits_config_error(tmp_path, capsys,
+                                                                      side, mesh, entry):
+    (tmp_path / "timeouts.txt").write_text(f"0 0 5\n{entry}\n")
+    path = tmp_path / "run.cfg"
+    path.write_text(f"mesh_rows = {side}\nmesh_cols = {side}\nlayers = conv3\n"
+                    "timeout_table = timeouts.txt\n")
+    assert main(["run", "--config", str(path), "--mesh", mesh, "--modes", "analytic"]) == 2
+    assert f"outside the {mesh} mesh" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry", ["0 1 -5", "3 3 -1"])
 def test_timeout_table_negative_budget_exits_config_error(tmp_path, capsys, entry):
     (tmp_path / "timeouts.txt").write_text(f"0 0 5\n{entry}\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -121,6 +122,30 @@ def test_oracle_catches_an_engine_accumulator_off_by_one(monkeypatch, oracle, re
     monkeypatch.setattr(systolic, "round_accumulators",
                         off_by_one_at_guard_round(systolic.round_accumulators))
     with pytest.raises(OracleMismatchError, match=rf"round {GUARD_ROUND} PE \(0,0\)"):
+        run_convolution(GUARD_LAYER, cfg, "ru", seed=3, oracle=oracle, replay=replay)
+
+
+def uint8_engine(engine):
+    """``engine`` (``round_accumulators``) with its operands cast to uint8
+    and multiplied in uint8, so every accumulator wraps modulo 256; an
+    oracle that took the dtype of the operands it is given, through a
+    matrix product as the engine does, would agree with it."""
+    def narrow(schedule, seed, operands=False):
+        _, ins, wts = engine(schedule, seed, operands=True)
+        ins, wts = ins.astype(np.uint8), wts.astype(np.uint8)
+        accs = ins @ wts.T
+        return (accs, ins, wts) if operands else accs
+    return narrow
+
+
+@pytest.mark.parametrize("replay", [True, False])
+@pytest.mark.parametrize("oracle", ["full", "sample"])
+def test_oracle_does_not_take_the_engines_dtype(monkeypatch, oracle, replay):
+    cfg = MeshConfig(rows=2, cols=2)
+    run_convolution(GUARD_LAYER, cfg, "ru", seed=3, oracle=oracle, replay=replay)
+    monkeypatch.setattr(systolic, "round_accumulators",
+                        uint8_engine(systolic.round_accumulators))
+    with pytest.raises(OracleMismatchError, match=r"round 0 PE \(0,0\)"):
         run_convolution(GUARD_LAYER, cfg, "ru", seed=3, oracle=oracle, replay=replay)
 
 

@@ -1,12 +1,14 @@
 import dataclasses
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gathernoc.config import MeshConfig, flat_timeout_table
-from gathernoc.errors import ConfigError
+from gathernoc.errors import ConfigError, SimulationError
 from gathernoc.systolic import (
     CollectionMode,
     build_round_schedules,
@@ -59,6 +61,86 @@ class TestMacAndOracle:
         for x, w in zip(ins, wts):
             acc = pe_mac(acc, x, w)
         assert acc == partial_conv_oracle(ins, wts)
+
+
+def _python_dot(xs, ws) -> int:
+    """The oracle's reference: an exact dot product on Python ints."""
+    return sum(map(operator.mul, xs, ws))
+
+
+@st.composite
+def oracle_operands(draw):
+    """Signed operands of one length ``L`` with ``max|x| * max|w| * L <
+    2**63``, as lists of Python ints: two vectors, or a stack of rows on one
+    side."""
+    length = draw(st.integers(0, 4608))
+    x_mag = draw(st.integers(1, 2**40))
+    w_mag = draw(st.integers(1, max(1, (2**63 - 1) // (x_mag * max(1, length)))))
+    stacked = draw(st.sampled_from(["neither", "inputs", "weights"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+
+    rows = draw(st.integers(1, 4))
+
+    def side(mag, stack):
+        a = rng.integers(-mag, mag, size=(rows if stack else 1, length), endpoint=True)
+        if a.size:  # the bound's extremes too
+            a.flat[0] = draw(st.sampled_from([-mag, mag]))
+        return a.tolist() if stack else a[0].tolist()
+
+    return side(x_mag, stacked == "inputs"), side(w_mag, stacked == "weights"), stacked
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(oracle_operands(), st.booleans())
+def test_oracle_is_the_exact_python_dot_product(operands, as_arrays):
+    xs, ws, stacked = operands
+    if stacked == "inputs":
+        expected = [_python_dot(x, ws) for x in xs]
+    elif stacked == "weights":
+        expected = [_python_dot(xs, w) for w in ws]
+    else:
+        expected = _python_dot(xs, ws)
+    got = partial_conv_oracle(*((np.array(xs), np.array(ws)) if as_arrays else (xs, ws)))
+    assert type(got) is type(expected) and got == expected
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.uint16, np.int16])
+def test_oracle_widens_narrow_operands(dtype):
+    # the products and their sum overflow the operands' own dtype
+    info = np.iinfo(dtype)
+    xs, ws = [info.max, info.min, info.max], [info.max, info.min, info.min]
+    expected = _python_dot(xs, ws)
+    assert partial_conv_oracle(np.array(xs, dtype), np.array(ws, dtype)) == expected
+    assert partial_conv_oracle(np.array([xs, ws], dtype), np.array(ws, dtype)) == [
+        expected, _python_dot(ws, ws)]
+
+
+@pytest.mark.parametrize("xs, ws", [
+    ([2**32], [2**31]),
+    ([-2**32], [2**31]),
+    ([2**31, 0], [0, 2**31]),
+    ([[1], [2**32]], [2**31]),
+    ([2**63], [0]),
+])
+def test_oracle_rejects_operands_that_could_overflow(xs, ws):
+    with pytest.raises(SimulationError):
+        partial_conv_oracle(xs, ws)
+
+
+def test_oracle_is_exact_just_inside_the_bound():
+    assert partial_conv_oracle([2**32 - 1], [-2**31]) == -(2**63) + 2**31
+    assert partial_conv_oracle([-2**63], [0]) == 0
+
+
+# beside TestMacAndOracle.test_oracle_length_mismatch: stacks and empty vectors
+@pytest.mark.parametrize("xs, ws", [
+    ([[1, 2], [3, 4]], [1, 2, 3]),
+    ([1], [[1, 2]]),
+    ([], [0]),
+])
+def test_oracle_length_mismatch_is_a_config_error(xs, ws):
+    with pytest.raises(ConfigError):
+        partial_conv_oracle(xs, ws)
 
 
 class TestStreamSchedule:
