@@ -88,6 +88,18 @@ class MeshConfig:
         return max(1, min(self.cols, bit_bound))
 
 
+def check_timeout_table(config: MeshConfig, table: dict[tuple[int, int], int] | None) -> None:
+    """Reject a give-up table with an entry outside the mesh or a negative
+    budget; ``None`` means the default table."""
+    for (r, c), budget in (table or {}).items():
+        if not (0 <= r < config.rows and 0 <= c < config.cols):
+            raise ConfigError(f"timeout table entry ({r}, {c}) is outside the "
+                              f"{config.rows}x{config.cols} mesh")
+        if budget < 0:
+            raise ConfigError(f"timeout table entry ({r}, {c}): budget must be "
+                              f">= 0, got {budget}")
+
+
 def default_timeout_table(config: MeshConfig) -> dict[tuple[int, int], int]:
     """Per-node give-up budgets for gather collection.
 

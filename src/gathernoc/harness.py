@@ -9,7 +9,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from .analytic import AnalyticParams, gather_collection_cycles, improvement_pct, latency_gather
-from .config import MeshConfig
+from .config import MeshConfig, check_timeout_table
 from .errors import ConfigError
 from .power import EVENT_KINDS, EnergyCoefficients
 from .stats import RunStats
@@ -56,14 +56,7 @@ class RunConfig:
             raise ConfigError("at least one layer is required")
         if self.event_log and not self.output:
             raise ConfigError("event_log needs output, the stem of the event files")
-        rows, cols = self.mesh.rows, self.mesh.cols
-        for (r, c), budget in (self.timeout_table or {}).items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ConfigError(f"timeout table entry ({r}, {c}) is outside the "
-                                  f"{rows}x{cols} mesh")
-            if budget < 0:
-                raise ConfigError(f"timeout table entry ({r}, {c}): budget must be "
-                                  f">= 0, got {budget}")
+        check_timeout_table(self.mesh, self.timeout_table)
         # unknown names fail here; known ones take the database's spelling,
         # the one the run's result records carry
         db = builtin_layer_db()

@@ -83,7 +83,7 @@ class EnergyCoefficients:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) < 0:
+            if not getattr(self, f.name) >= 0:
                 raise ValueError("energy coefficients must be non-negative")
 
     def as_dict(self) -> dict[str, float]:

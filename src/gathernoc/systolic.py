@@ -29,12 +29,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, product
+from itertools import chain
 
 import numpy as np
 
 from .analytic import gather_collection_cycles, ru_collection_cycles
-from .config import MeshConfig
+from .config import MeshConfig, check_timeout_table
 from .errors import ConfigError, LostPayloadError, OracleMismatchError, SimulationError
 from .network import MeshNetwork
 from .power import ActivityCounters, EnergyCoefficients, total_energy
@@ -54,11 +54,6 @@ FULL_ORACLE_WORK_LIMIT = 2_000_000
 class CollectionMode(Enum):
     RU = "ru"
     GATHER = "gather"
-
-
-def pe_mac(acc: int, operand: int, weight: int) -> int:
-    """One multiply-accumulate step."""
-    return acc + operand * weight
 
 
 def partial_conv_oracle(inputs, weights) -> int | list[int]:
@@ -160,16 +155,14 @@ def weight_vector(seed: int, vec_id: int, length: int) -> np.ndarray:
     return operand_vector(seed, _WEIGHT_TAG, vec_id, length)
 
 
-def round_accumulators(schedule: RoundSchedule, seed: int, operands: bool = False):
-    """Final accumulator of every active PE for one round (rows x cols).
-
-    With ``operands`` it returns ``(accumulators, inputs, weights)``, the
-    stacked operand vectors of the round's rows and columns, so the oracle
-    can check against them without generating them again."""
+def round_accumulators(schedule: RoundSchedule, seed: int):
+    """``(accumulators, inputs, weights)`` of one round: the final
+    accumulator of every active PE (rows x cols) and the stacked operand
+    vectors of the round's rows and columns, so the oracle can check
+    against them without generating them again."""
     ins = np.stack([input_vector(seed, i, schedule.stream_len) for i in schedule.input_ids])
     wts = np.stack([weight_vector(seed, k, schedule.stream_len) for k in schedule.filter_ids])
-    accs = ins @ wts.T
-    return (accs, ins, wts) if operands else accs
+    return ins @ wts.T, ins, wts
 
 
 def sampled_accumulators(schedule: RoundSchedule, seed: int, pes: list[tuple[int, int]]):
@@ -178,7 +171,7 @@ def sampled_accumulators(schedule: RoundSchedule, seed: int, pes: list[tuple[int
     rows, cols = sorted({r for r, _ in pes}), sorted({c for _, c in pes})
     accs, ins, wts = round_accumulators(replace(
         schedule, input_ids=tuple(schedule.input_ids[r] for r in rows),
-        filter_ids=tuple(schedule.filter_ids[c] for c in cols)), seed, operands=True)
+        filter_ids=tuple(schedule.filter_ids[c] for c in cols)), seed)
     return ({(r, c): accs[rows.index(r), cols.index(c)] for r, c in pes},
             dict(zip(rows, ins)), dict(zip(cols, wts)))
 
@@ -190,43 +183,6 @@ def last_operand_cycle(stream_len: int, row: int, col: int) -> int:
 
 def post_cycle(stream_len: int, row: int, col: int, mac_latency: int) -> int:
     return last_operand_cycle(stream_len, row, col) + mac_latency
-
-
-def simulate_stream(schedule: RoundSchedule, seed: int) -> np.ndarray:
-    """Cycle-level operand propagation through PE registers (validator).
-
-    Each PE latches the operands from its west/north neighbor, MACs them,
-    and forwards them unchanged next cycle.  Returns the accumulator grid;
-    used in tests to pin the closed-form skew and the engine arithmetic.
-    """
-    n, m, length = schedule.active_rows, schedule.active_cols, schedule.stream_len
-    ins = [input_vector(seed, i, length).tolist() for i in schedule.input_ids]
-    wts = [weight_vector(seed, k, length).tolist() for k in schedule.filter_ids]
-    # each PE's accumulator and operand count; h[r][c] and v[r][c] hold the
-    # operands on the links into PE (r, c)
-    acc = [[0] * m for _ in range(n)]
-    seen = [[0] * m for _ in range(n)]
-    h = [[None] * m for _ in range(n)]
-    v = [[None] * m for _ in range(n)]
-    for cycle in range(1, length + n + m + 3):
-        # every operand moves one PE east (inputs) or south (weights) per
-        # cycle; row r's edge stream is delayed r cycles, column c's by c, so
-        # operand j reaches the edge PE of row r in cycle j + r
-        h = [[ins[r][cycle - r - 1] if 1 <= cycle - r <= length else None] + h[r][:-1]
-             for r in range(n)]
-        v = [[wts[c][cycle - c - 1] if 1 <= cycle - c <= length else None
-              for c in range(m)]] + v[:-1]
-        for r, c in product(range(n), range(m)):
-            x, w = h[r][c], v[r][c]
-            if (x is None) != (w is None):
-                raise SimulationError("operand skew misaligned")
-            if x is not None:
-                acc[r][c] = pe_mac(acc[r][c], x, w)
-                seen[r][c] += 1
-    for r, c in product(range(n), range(m)):
-        if seen[r][c] != length:
-            raise SimulationError(f"PE ({r},{c}) saw {seen[r][c]} operands, expected {length}")
-    return np.array(acc)
 
 
 # --------------------------------------------------------------------- runs
@@ -282,7 +238,6 @@ def run_convolution(
     config: MeshConfig,
     mode: CollectionMode | str,
     seed: int = 1,
-    p_override: int | None = None,
     timeout_table: dict[tuple[int, int], int] | None = None,
     coefficients: EnergyCoefficients | None = None,
     oracle: str = "auto",
@@ -292,32 +247,36 @@ def run_convolution(
 ) -> RunStats:
     """Execute all rounds of one layer in one collection mode.
 
+    The oracle runs first, before any network is built: ``oracle`` is
+    ``full``, ``sample`` (at most four PEs of every ``rounds // 32``-th
+    round) or ``auto``, and each checked round generates the operands of
+    its checked PEs only.  The network then carries no operands: each PE
+    posts a stand-in payload, so a round's measurement depends on the
+    mesh, mode, timeout table and the round's shape alone.
+
     With ``replay`` each round class ``(active_rows, active_cols)`` of the
     layer's ``RoundPlan`` is measured once, in a network of its own that
     starts drained, relative to the class's ready cycle; every round of the
-    class reuses that measurement, which is exact because timing does not
-    depend on operand values, and its events are logged shifted to the
-    true ready cycle of the class's first round.  ``replay=False``
+    class reuses that measurement, and its events are logged shifted to
+    the true ready cycle of the class's first round.  ``replay=False``
     simulates every round of ``build_round_schedules`` back to back in one
     network that carries its state: the reference the replay differential
-    tests compare against.  ``oracle`` is ``full``, ``sample`` (at most four
-    PEs of every ``rounds // 32``-th round) or ``auto``.
+    tests compare against.
 
     ``shared`` holds what several calls can reuse: the class measurements,
     keyed by everything a class simulation depends on, and the oracle's
     verdict on a layer, keyed by the layer, mesh, seed and resolved oracle
     mode (the checked pairs and operand values depend on nothing else, not
     on the collection mode).  A verdict is stored only once every check of
-    the layer has passed; a call that finds one skips the oracle checks but
-    still builds the accumulators of the rounds it simulates, which are the
-    payloads it posts.  ``harness.run`` passes one mapping to all its calls,
-    so it measures each class once and checks each layer once per run.  By
-    default each call measures and checks afresh.
+    the layer has passed; a call that finds one does no operand work.
+    ``harness.run`` passes one mapping to all its calls, so it measures
+    each class once and checks each layer once per run.  By default each
+    call measures and checks afresh.
     """
     mode = _collection_mode(mode)
     if oracle not in ("auto", "full", "sample"):
         raise ConfigError(f"unknown oracle {oracle!r}; choose auto, full or sample")
-    layer = layer.with_vectors(p_override)
+    check_timeout_table(config, timeout_table)
     check_payload_width(config, layer)
     plan = RoundPlan(layer, config)
     stats = RunStats(model=layer.model, layer=layer.layer, mode=mode.value,
@@ -329,23 +288,15 @@ def run_convolution(
         oracle = "full" if work <= FULL_ORACLE_WORK_LIMIT else "sample"
     shared = {} if shared is None else shared
     verdict = ("oracle passed", layer, config, seed, oracle)
-    if verdict in shared:  # an earlier call passed every check of this layer
-        checked = range(0)
-    elif oracle == "full":
-        checked = range(plan.rounds)
-    else:
-        checked = range(0, plan.rounds, max(1, plan.rounds // 32))
-    simulated = set()
+    if verdict not in shared:  # else an earlier call passed every check of this layer
+        stride = 1 if oracle == "full" else max(1, plan.rounds // 32)
+        for schedule in map(plan.schedule, range(0, plan.rounds, stride)):
+            pes = _oracle_pes(schedule, oracle)
+            _check_oracle(schedule, pes, *sampled_accumulators(schedule, seed, pes))
+        shared[verdict] = True
+
     # a round's ready cycle, counted from its start
     ready_offset = plan.stream_len + config.mac_latency
-
-    def simulate(net: MeshNetwork, schedule: RoundSchedule, ready_base: int):
-        accs, ins, wts = round_accumulators(schedule, seed, operands=True)
-        if schedule.index in checked:
-            _check_oracle(schedule, _oracle_pes(schedule, oracle), accs, ins, wts)
-        simulated.add(schedule.index)
-        return _simulate_round(net, config, mode, schedule, accs, ready_base)
-
     # rows: (the measurements of one row of rounds, how many rows repeat it)
     if replay:
         table = tuple(sorted(timeout_table.items())) if timeout_table else ()
@@ -359,9 +310,9 @@ def run_convolution(
                 m = shared.get(key)
                 if m is None:
                     events = None if event_log is None else []
-                    m = shared[key] = simulate(
+                    m = shared[key] = _simulate_round(
                         MeshNetwork(config, timeout_table=timeout_table, event_log=events),
-                        schedule, 0)
+                        config, mode, schedule, 0)
                     m.events = events
                 if event_log is not None:
                     event_log.extend(_shifted(m.events, start + ready_offset))
@@ -373,14 +324,9 @@ def run_convolution(
         net = MeshNetwork(config, timeout_table=timeout_table, event_log=event_log)
         row, start = [], 0
         for schedule in build_round_schedules(layer, config):
-            row.append(simulate(net, schedule, start + ready_offset))
+            row.append(_simulate_round(net, config, mode, schedule, start + ready_offset))
             start += ready_offset + row[-1].collection
         rows = [(row, 1)]
-
-    for schedule in (plan.schedule(i) for i in checked if i not in simulated):
-        pes = _oracle_pes(schedule, oracle)
-        _check_oracle(schedule, pes, *sampled_accumulators(schedule, seed, pes))
-    shared[verdict] = True
     return _fold_rounds(stats, rows, coefficients, ready_offset)
 
 
@@ -428,10 +374,12 @@ def _simulate_round(
     config: MeshConfig,
     mode: CollectionMode,
     schedule: RoundSchedule,
-    accs: np.ndarray,
     ready_base: int,
 ) -> _RoundMeasurement:
-    results = [(NodeId(r, c), int(accs[r][c]), ready_base + r + c)
+    """Collect one round of ``schedule``'s shape.  Each active PE posts its
+    flat index ``r * cols + c`` as a stand-in result, distinct per PE, so
+    the measurement never depends on operand values."""
+    results = [(NodeId(r, c), r * config.cols + c, ready_base + r + c)
                for r in range(schedule.active_rows)
                for c in range(schedule.active_cols)]
     full = schedule.active_rows == config.rows and schedule.active_cols == config.cols
@@ -502,6 +450,7 @@ def run_ready_row(
     the requested mode, as a one-round run.
     """
     mode = _collection_mode(mode)
+    check_timeout_table(config, timeout_table)
     if not 0 <= row < config.rows:
         raise ConfigError(f"row {row} outside the {config.rows}-row mesh")
     values = values if values is not None else [101 + c for c in range(config.cols)]

@@ -42,7 +42,7 @@ def grid():
             layer = next(l for l in model_layers(model) if l.layer == name)
             for mode in ("ru", "gather"):
                 out[(size, model, name, mode)] = run_convolution(
-                    layer, mesh, mode, seed=SEED, p_override=P_DESK
+                    layer.with_vectors(P_DESK), mesh, mode, seed=SEED
                 )
     return out
 

@@ -87,6 +87,13 @@ def test_negative_coefficient_rejected():
         EnergyCoefficients(buffer_write=-1.0)
 
 
+def test_nan_coefficient_rejected():
+    # nan compares false against everything, so `< 0` alone lets it through
+    # and every energy comes out nan
+    with pytest.raises(ValueError, match="non-negative"):
+        EnergyCoefficients(buffer_write=float("nan"))
+
+
 def test_gather_saves_energy_and_sign_matches_hops():
     cfg = MeshConfig(rows=6, cols=6)
     ru = run_ready_row(cfg, 2, "ru")

@@ -105,11 +105,11 @@ GUARD_ROUND = 2
 def off_by_one_at_guard_round(engine):
     """``engine`` (``round_accumulators``) with the accumulator of PE (0, 0)
     one too high in round ``GUARD_ROUND``."""
-    def off_by_one(schedule, seed, operands=False):
-        out = engine(schedule, seed, operands)
+    def off_by_one(schedule, seed):
+        out = engine(schedule, seed)
         if schedule.index == GUARD_ROUND:
             # the first PE of the arrays is PE (0, 0), which every rule samples
-            (out[0] if operands else out)[0, 0] += 1
+            out[0][0, 0] += 1
         return out
     return off_by_one
 
@@ -125,16 +125,50 @@ def test_oracle_catches_an_engine_accumulator_off_by_one(monkeypatch, oracle, re
         run_convolution(GUARD_LAYER, cfg, "ru", seed=3, oracle=oracle, replay=replay)
 
 
+@pytest.mark.parametrize("replay", [True, False])
+@pytest.mark.parametrize("mode", ["ru", "gather"])
+@pytest.mark.parametrize("oracle", ["full", "sample"])
+def test_oracle_fails_before_any_round_is_simulated(monkeypatch, oracle, mode, replay):
+    monkeypatch.setattr(systolic, "round_accumulators",
+                        off_by_one_at_guard_round(systolic.round_accumulators))
+
+    def simulated(*args, **kwargs):
+        raise AssertionError("a round was simulated before the oracle finished")
+
+    monkeypatch.setattr(systolic, "_simulate_round", simulated)
+    with pytest.raises(OracleMismatchError, match=rf"round {GUARD_ROUND} PE \(0,0\)"):
+        run_convolution(GUARD_LAYER, MeshConfig(rows=2, cols=2), mode, seed=3,
+                        oracle=oracle, replay=replay)
+
+
+@pytest.mark.parametrize("replay", [True, False])
+@pytest.mark.parametrize("mode", ["ru", "gather"])
+def test_simulation_generates_no_operands(monkeypatch, mode, replay):
+    # with only the layer's verdict shared (no class measurements), a run
+    # simulates every class without ever reaching the engine
+    cfg = MeshConfig(rows=3, cols=4)
+    layer = VERDICT_LAYERS[1]
+    first = {}
+    expected = run_convolution(layer, cfg, mode, seed=5, replay=replay, shared=first)
+    verdicts = {key: value for key, value in first.items() if value is True}
+    assert len(verdicts) == 1
+
+    def engine(*args, **kwargs):
+        raise AssertionError("operands were generated")
+
+    monkeypatch.setattr(systolic, "round_accumulators", engine)
+    assert run_convolution(layer, cfg, mode, seed=5, replay=replay, shared=verdicts) == expected
+
+
 def uint8_engine(engine):
     """``engine`` (``round_accumulators``) with its operands cast to uint8
     and multiplied in uint8, so every accumulator wraps modulo 256; an
     oracle that took the dtype of the operands it is given, through a
     matrix product as the engine does, would agree with it."""
-    def narrow(schedule, seed, operands=False):
-        _, ins, wts = engine(schedule, seed, operands=True)
+    def narrow(schedule, seed):
+        _, ins, wts = engine(schedule, seed)
         ins, wts = ins.astype(np.uint8), wts.astype(np.uint8)
-        accs = ins @ wts.T
-        return (accs, ins, wts) if operands else accs
+        return ins @ wts.T, ins, wts
     return narrow
 
 
@@ -253,13 +287,12 @@ def test_run_oracle_catches_an_engine_accumulator_off_by_one(monkeypatch, oracle
 def test_shared_verdict_covers_only_its_layer_mesh_seed_and_rule(monkeypatch):
     checks = spy_oracle_checks(monkeypatch)
 
-    def checked(mode, mesh, **kwargs) -> Counter:
+    def checked(mode, mesh, p, **kwargs) -> Counter:
         checks.clear()
-        run_convolution(VERDICT_LAYERS[0], mesh, mode, **kwargs)
+        run_convolution(VERDICT_LAYERS[0].with_vectors(p), mesh, mode, **kwargs)
         return Counter(checks)
 
-    runs = [dict(mesh=MeshConfig(rows=rows, cols=cols), seed=seed, oracle=oracle,
-                 p_override=p)
+    runs = [dict(mesh=MeshConfig(rows=rows, cols=cols), seed=seed, oracle=oracle, p=p)
             for rows, cols in ((3, 4), (2, 5)) for seed in (1, 2)
             for oracle in ("full", "sample") for p in (None, 10)]
     alone = [checked("ru", **kwargs) for kwargs in runs]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import operator
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -11,16 +12,15 @@ from gathernoc.config import MeshConfig, flat_timeout_table
 from gathernoc.errors import ConfigError, SimulationError
 from gathernoc.systolic import (
     CollectionMode,
+    RoundSchedule,
     build_round_schedules,
     input_vector,
     last_operand_cycle,
     partial_conv_oracle,
-    pe_mac,
     post_cycle,
     round_accumulators,
     run_convolution,
     run_ready_row,
-    simulate_stream,
     weight_vector,
 )
 from gathernoc.workload import LayerConfig, load_layer
@@ -30,9 +30,61 @@ def _not_simulated(*args, **kwargs):
     raise AssertionError("a round was simulated")
 
 
+# give-up tables the library path must reject as RunConfig does, with the
+# message that names the bad entry
+BAD_TIMEOUT_TABLES = [
+    ({(9, 9): 5}, r"entry \(9, 9\) is outside the 4x4 mesh"),
+    ({(0, 4): 5}, r"entry \(0, 4\) is outside the 4x4 mesh"),
+    ({(-1, 0): 5}, r"entry \(-1, 0\) is outside the 4x4 mesh"),
+    ({(0, 0): 0, (0, 1): -3}, r"entry \(0, 1\): budget must be >= 0, got -3"),
+]
+
+
 def _layer(c=1, r=3, q=8, p=8, model="t", name="t"):
     return LayerConfig(model=model, layer=name, in_channels=c, kernel_side=r,
                        kernels=q, layer_side=1, input_vectors=p)
+
+
+def pe_mac(acc: int, operand: int, weight: int) -> int:
+    """One multiply-accumulate step."""
+    return acc + operand * weight
+
+
+def simulate_stream(schedule: RoundSchedule, seed: int) -> np.ndarray:
+    """Cycle-level operand propagation through PE registers (validator).
+
+    Each PE latches the operands from its west/north neighbor, MACs them,
+    and forwards them unchanged next cycle.  Returns the accumulator grid,
+    to pin the closed-form skew and the engine arithmetic.
+    """
+    n, m, length = schedule.active_rows, schedule.active_cols, schedule.stream_len
+    ins = [input_vector(seed, i, length).tolist() for i in schedule.input_ids]
+    wts = [weight_vector(seed, k, length).tolist() for k in schedule.filter_ids]
+    # each PE's accumulator and operand count; h[r][c] and v[r][c] hold the
+    # operands on the links into PE (r, c)
+    acc = [[0] * m for _ in range(n)]
+    seen = [[0] * m for _ in range(n)]
+    h = [[None] * m for _ in range(n)]
+    v = [[None] * m for _ in range(n)]
+    for cycle in range(1, length + n + m + 3):
+        # every operand moves one PE east (inputs) or south (weights) per
+        # cycle; row r's edge stream is delayed r cycles, column c's by c, so
+        # operand j reaches the edge PE of row r in cycle j + r
+        h = [[ins[r][cycle - r - 1] if 1 <= cycle - r <= length else None] + h[r][:-1]
+             for r in range(n)]
+        v = [[wts[c][cycle - c - 1] if 1 <= cycle - c <= length else None
+              for c in range(m)]] + v[:-1]
+        for r, c in product(range(n), range(m)):
+            x, w = h[r][c], v[r][c]
+            if (x is None) != (w is None):
+                raise SimulationError("operand skew misaligned")
+            if x is not None:
+                acc[r][c] = pe_mac(acc[r][c], x, w)
+                seen[r][c] += 1
+    for r, c in product(range(n), range(m)):
+        if seen[r][c] != length:
+            raise SimulationError(f"PE ({r},{c}) saw {seen[r][c]} operands, expected {length}")
+    return np.array(acc)
 
 
 class TestMacAndOracle:
@@ -157,7 +209,7 @@ class TestStreamSchedule:
         cfg = MeshConfig(rows=4, cols=3)
         schedule = build_round_schedules(layer, cfg)[0]
         stepped = simulate_stream(schedule, seed=11)
-        engine = round_accumulators(schedule, seed=11)
+        engine, _, _ = round_accumulators(schedule, seed=11)
         assert (stepped == engine).all()
         ref = partial_conv_oracle(
             input_vector(11, schedule.input_ids[2], 8).tolist(),
@@ -266,8 +318,19 @@ class TestRunConvolution:
         monkeypatch.setattr("gathernoc.systolic._simulate_round", _not_simulated)
         cfg = MeshConfig(rows=4, cols=4, gather_payload_bits=20)
         with pytest.raises(ConfigError, match="gather_payload_bits"):
-            run_convolution(load_layer("alexnet", "conv3"), cfg, mode, p_override=4,
+            run_convolution(load_layer("alexnet", "conv3").with_vectors(4), cfg, mode,
                             replay=replay)
+
+    @pytest.mark.parametrize("table, message", BAD_TIMEOUT_TABLES)
+    @pytest.mark.parametrize("mode", ["ru", "gather"])
+    @pytest.mark.parametrize("replay", [True, False])
+    def test_bad_timeout_table_rejected_before_any_work(self, monkeypatch, table, message,
+                                                        mode, replay):
+        for name in ("round_accumulators", "MeshNetwork", "_simulate_round"):
+            monkeypatch.setattr(f"gathernoc.systolic.{name}", _not_simulated)
+        with pytest.raises(ConfigError, match=message):
+            run_convolution(_layer(), MeshConfig(rows=4, cols=4), mode,
+                            timeout_table=table, replay=replay)
 
     def test_replay_matches_full_simulation(self):
         cfg = MeshConfig(rows=4, cols=4)
@@ -299,6 +362,15 @@ class TestReadyRowScenario:
         monkeypatch.setattr("gathernoc.systolic._collect", _not_simulated)
         with pytest.raises(ConfigError, match="mode"):
             run_ready_row(MeshConfig(rows=4, cols=4), 0, mode)
+
+    @pytest.mark.parametrize("table, message", BAD_TIMEOUT_TABLES)
+    @pytest.mark.parametrize("mode", ["ru", "gather"])
+    def test_bad_timeout_table_rejected_before_simulation(self, monkeypatch, table, message,
+                                                          mode):
+        for name in ("MeshNetwork", "_collect"):
+            monkeypatch.setattr(f"gathernoc.systolic.{name}", _not_simulated)
+        with pytest.raises(ConfigError, match=message):
+            run_ready_row(MeshConfig(rows=4, cols=4), 0, mode, timeout_table=table)
 
     def test_ready_row_payloads_survive(self):
         cfg = MeshConfig(rows=6, cols=6)
