@@ -28,27 +28,28 @@ def main() -> int:
     parser.add_argument("--meshes", default="8x8,16x16")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args()
+    outdir = Path(args.outdir)
+    layers = [(l.model, l.layer) for m in ("alexnet", "vgg16") for l in model_layers(m)]
+    # every config is checked before anything runs or is written
     try:
-        meshes = [MeshConfig(rows=rows, cols=cols)
-                  for rows, cols in map(parse_mesh, args.meshes.split(","))]
+        configs = [
+            RunConfig(
+                mesh=MeshConfig(rows=rows, cols=cols),
+                layers=layers,
+                modes=("ru", "gather", "analytic"),
+                seed=args.seed,
+                p_override=args.p_override,
+                output=str(outdir / f"grid_{rows}x{cols}"),
+                out_format=args.format,
+            )
+            for rows, cols in map(parse_mesh, args.meshes.split(","))
+        ]
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    layers = [(l.model, l.layer) for m in ("alexnet", "vgg16") for l in model_layers(m)]
-
-    for mesh in meshes:
-        cfg = RunConfig(
-            mesh=mesh,
-            layers=layers,
-            modes=("ru", "gather", "analytic"),
-            seed=args.seed,
-            p_override=args.p_override,
-            output=str(outdir / f"grid_{mesh.rows}x{mesh.cols}"),
-            out_format=args.format,
-        )
+    for cfg in configs:
         result = run(cfg)
         sys.stdout.write(result.table_text + "\n")
         for path in result.files:

@@ -12,13 +12,13 @@ from .errors import (
     OracleMismatchError,
     SimulationError,
 )
-from .harness import RunConfig, load_run_config, run
+from .harness import RunConfig, run
 from .network import MeshNetwork
 from .packet import Flit, FlitType, PacketType, build_packet
 from .power import ActivityCounters, EnergyCoefficients, total_energy
 from .stats import RunStats
 from .systolic import CollectionMode, partial_conv_oracle, run_convolution, run_ready_row
-from .topology import NodeId, Port, hop_path, manhattan_hops, xy_route
+from .topology import NodeId, Port, xy_route
 from .workload import LayerConfig, load_layer, model_layers, round_count, stream_length
 
 __version__ = "0.1.0"
@@ -48,14 +48,11 @@ __all__ = [
     "SimulationError",
     "build_packet",
     "default_timeout_table",
-    "hop_path",
     "improvement",
     "improvement_pct",
     "latency_gather",
     "latency_ru",
     "load_layer",
-    "load_run_config",
-    "manhattan_hops",
     "model_layers",
     "partial_conv_oracle",
     "round_count",

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field, fields as dc_fields
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -48,8 +49,11 @@ class RunConfig:
         for m in self.modes:
             if m not in MODES:
                 raise ConfigError(f"unknown mode {m!r}; choose from {MODES}")
+        _check_unique("mode", self.modes)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.p_override is not None and self.p_override < 1:
+            raise ConfigError(f"p_override must be >= 1, got {self.p_override}")
         if self.out_format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
         if not self.layers:
@@ -62,9 +66,20 @@ class RunConfig:
         db = builtin_layer_db()
         loaded = [load_layer(model, name, db) for model, name in self.layers]
         self.layers = [(l.model, l.layer) for l in loaded]
+        _check_unique("layer", [f"{m}/{l}" for m, l in self.layers])
         if "ru" in self.modes or "gather" in self.modes:
             for layer in loaded:
                 check_payload_width(self.mesh, layer)
+
+
+def _check_unique(what: str, names) -> None:
+    """Reject a list that names one item twice: a run would repeat its rows
+    in the result file and its column in the table."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ConfigError(f"{what} {name} is given twice")
+        seen.add(name)
 
 
 @dataclass
@@ -333,9 +348,10 @@ def run_config_from_kv(kv: dict[str, str], base_dir: Path | None = None) -> RunC
             kind = key[len("energy_"):]
             if kind not in EVENT_KINDS:
                 raise ConfigError(f"unknown energy coefficient {key}")
-            coeff_kwargs[kind] = _cast(float, value, key)
-            if not coeff_kwargs[kind] >= 0:
-                raise ConfigError(f"{key}: energy coefficients must be non-negative")
+            coeff = coeff_kwargs[kind] = _cast(float, value, key)
+            if not (math.isfinite(coeff) and coeff >= 0):
+                raise ConfigError(f"{key}: energy coefficients must be finite and "
+                                  f"non-negative, got {value}")
         elif key == "seed":
             cfg_kwargs["seed"] = _cast(int, value, key)
         elif key == "p_override":
@@ -367,8 +383,3 @@ def run_config_from_kv(kv: dict[str, str], base_dir: Path | None = None) -> RunC
         })
     cfg_kwargs["mesh"] = MeshConfig(**mesh_kwargs)
     return RunConfig(**cfg_kwargs)
-
-
-def load_run_config(path: str | Path) -> RunConfig:
-    p = Path(path)
-    return run_config_from_kv(parse_kv_text(p.read_text()), base_dir=p.parent)

@@ -64,8 +64,7 @@ def packet_length(pt: PacketType, config: MeshConfig) -> int:
     return config.gather_len if pt == PacketType.GATHER else config.unicast_len
 
 
-def payload_bits(flit_or_slots, config: MeshConfig) -> int:
-    slots = flit_or_slots.payload_slots if isinstance(flit_or_slots, Flit) else flit_or_slots
+def payload_bits(slots: list[tuple[NodeId, int]], config: MeshConfig) -> int:
     return len(slots) * config.gather_payload_bits
 
 

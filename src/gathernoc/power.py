@@ -6,6 +6,7 @@ configurable, so only relative numbers are meaningful.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 EVENT_KINDS = (
@@ -83,8 +84,9 @@ class EnergyCoefficients:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if not getattr(self, f.name) >= 0:
-                raise ValueError("energy coefficients must be non-negative")
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError("energy coefficients must be finite and non-negative")
 
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 from .config import MeshConfig
 from .errors import SimulationError
@@ -23,13 +22,6 @@ class GatherPayload:
     origin: NodeId
     value: int
     dst: NodeId          # right-edge router of the origin's row
-
-
-class GatherStatus(Enum):
-    IDLE = "idle"
-    WAITING = "waiting"
-    ACKED = "acked"
-    TIMED_OUT = "timed_out"
 
 
 class GatherUnit:
@@ -49,7 +41,6 @@ class GatherUnit:
         self.pending: GatherPayload | None = None
         self.posted_at: int = -1
         self.reserved_by: int | None = None   # packet id granted the load
-        self.status = GatherStatus.IDLE
         self.nacks = 0
 
     @property
@@ -64,7 +55,6 @@ class GatherUnit:
         self.pending = payload
         self.posted_at = now
         self.reserved_by = None
-        self.status = GatherStatus.WAITING
 
     def reserve(self, packet_id: int) -> None:
         self.reserved_by = packet_id
@@ -75,7 +65,6 @@ class GatherUnit:
         payload = self.pending
         self.pending = None
         self.reserved_by = None
-        self.status = GatherStatus.ACKED
         return payload
 
     def nack(self) -> None:
@@ -87,7 +76,6 @@ class GatherUnit:
         payload = self.pending
         self.pending = None
         self.reserved_by = None
-        self.status = GatherStatus.TIMED_OUT
         return payload
 
     def expired(self, now: int) -> bool:

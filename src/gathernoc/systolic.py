@@ -176,15 +176,6 @@ def sampled_accumulators(schedule: RoundSchedule, seed: int, pes: list[tuple[int
             dict(zip(rows, ins)), dict(zip(cols, wts)))
 
 
-def last_operand_cycle(stream_len: int, row: int, col: int) -> int:
-    """Round-relative cycle the last operand reaches PE (row, col)."""
-    return stream_len + row + col
-
-
-def post_cycle(stream_len: int, row: int, col: int, mac_latency: int) -> int:
-    return last_operand_cycle(stream_len, row, col) + mac_latency
-
-
 # --------------------------------------------------------------------- runs
 
 @dataclass(eq=False)
@@ -407,8 +398,10 @@ def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
 
     if net.cycle < ready_base:
         net.jump_to(ready_base)
+    # a payload no packet picks up waits out its node's give-up budget
     limit = ready_base + (config.rows + config.cols) * (config.pipeline_depth + 2) * 4 \
-        + config.rows * config.cols * config.unicast_len + 10_000
+        + config.rows * config.cols * config.unicast_len + 10_000 \
+        + max(router.unit.timeout for router in net.routers)
     net.run_until_idle(limit)
 
     round_delivered = net.delivered[delivered_before:]

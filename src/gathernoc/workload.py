@@ -73,16 +73,6 @@ def parse_layer_db(text: str) -> dict[tuple[str, str], LayerConfig]:
     return db
 
 
-def serialize_layer_db(db: dict[tuple[str, str], LayerConfig]) -> str:
-    lines = ["# model layer in_channels kernels kernel_side layer_side"]
-    for cfg in db.values():
-        lines.append(
-            f"{cfg.model} {cfg.layer} {cfg.in_channels} {cfg.kernels} "
-            f"{cfg.kernel_side} {cfg.layer_side}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def builtin_layer_db() -> dict[tuple[str, str], LayerConfig]:
     text = resources.files("gathernoc").joinpath("data/layers.txt").read_text()
     return parse_layer_db(text)

@@ -12,7 +12,6 @@ from gathernoc.harness import (
     CSV_COLUMNS,
     RunConfig,
     emit_csv,
-    load_run_config,
     parse_kv_text,
     parse_timeout_table,
     run,
@@ -131,7 +130,7 @@ class TestConfigFiles:
     def test_load_run_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("mesh_rows=4\nmesh_cols=4\nmodes=analytic\nlayers=conv1\n")
-        cfg = load_run_config(path)
+        cfg = run_config_from_kv(parse_kv_text(path.read_text()), base_dir=path.parent)
         assert cfg.mesh.rows == 4 and cfg.modes == ("analytic",)
 
 
@@ -335,3 +334,46 @@ def test_negative_seed_exits_config_error(tmp_path, capsys, argv):
     path.write_text("mesh_rows = 4\nmesh_cols = 4\nlayers = conv3\np_override = 4\nseed = -1\n")
     assert main([a.format(cfg=path) for a in argv]) == 2
     assert "configuration error: seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "1e999"])
+def test_infinite_energy_coefficient_exits_config_error(tmp_path, capsys, value):
+    # inf passes a `>= 0` check, and no result file can hold the energy it
+    # gives; analytic mode shows the check happens before any run
+    path = tmp_path / "run.cfg"
+    path.write_text(f"energy_link_traversal = {value}\n")
+    assert main(["run", "--config", str(path), "--modes", "analytic",
+                 "--output", str(tmp_path / "out")]) == 2
+    assert ("configuration error: energy_link_traversal: energy coefficients must be "
+            f"finite and non-negative, got {value}") in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--layers", "conv1,CONV1", "--modes", "ru,ru,gather"], "mode ru is given twice"),
+    (["--layers", "conv1,CONV1", "--modes", "analytic"], "layer alexnet/conv1 is given twice"),
+    (["--model", "vgg16", "--layers", "conv2,conv1,Conv2", "--modes", "gather,analytic"],
+     "layer vgg16/conv2 is given twice"),
+], ids=["modes", "layers", "layers-of-model"])
+def test_duplicate_modes_or_layers_exit_config_error(tmp_path, capsys, argv, message):
+    # a run would repeat the rows in its result file and the column in its table
+    assert main(["run", "--mesh", "4x4", "--p-override", "4",
+                 "--output", str(tmp_path / "out"), *argv]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("p_override", [0, -3])
+def test_p_override_below_one_rejected(p_override):
+    with pytest.raises(ConfigError, match=f"p_override must be >= 1, got {p_override}"):
+        RunConfig(modes=("analytic",), p_override=p_override)
+
+
+def test_grid_script_p_override_below_one_exits_config_error(tmp_path, capsys, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
+    grid_main = runpy.run_path(str(script))["main"]
+    monkeypatch.setattr(sys, "argv", ["reproduce_results.py", "--p-override", "0",
+                                      "--outdir", str(tmp_path / "out")])
+    assert grid_main() == 2
+    assert capsys.readouterr().err == "configuration error: p_override must be >= 1, got 0\n"
+    assert not (tmp_path / "out").exists()

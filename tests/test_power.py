@@ -94,6 +94,12 @@ def test_nan_coefficient_rejected():
         EnergyCoefficients(buffer_write=float("nan"))
 
 
+def test_infinite_coefficient_rejected():
+    # inf passes `>= 0`, and every energy it touches comes out inf
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        EnergyCoefficients(link_traversal=float("inf"))
+
+
 def test_gather_saves_energy_and_sign_matches_hops():
     cfg = MeshConfig(rows=6, cols=6)
     ru = run_ready_row(cfg, 2, "ru")

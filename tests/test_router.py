@@ -5,7 +5,6 @@ from gathernoc.errors import SimulationError
 from gathernoc.packet import PacketType, build_packet
 from gathernoc.router import (
     GatherPayload,
-    GatherStatus,
     GatherUnit,
     gather_load_check,
     upload_payload,
@@ -81,8 +80,9 @@ class TestUpload:
         assert len(body.payload_slots) == 2   # room for one more slot
         assert upload_payload(body, unit, CFG) is True
         assert body.payload_slots[-1] == (NodeId(0, 2), 42)
-        assert unit.status == GatherStatus.ACKED
         assert unit.pending is None
+        assert unit.reserved_by is None
+        assert not unit.expired(100)
 
     def test_tail_without_load_is_nack_and_timer_keeps_counting(self):
         tail = _gather_flits()[3]
@@ -136,8 +136,8 @@ class TestGatherUnitTimer:
         unit = _pending_unit(now=0)
         payload = unit.take_for_self()
         assert payload.value == 42
-        assert unit.status == GatherStatus.TIMED_OUT
         assert unit.pending is None
+        assert not unit.expired(100)
 
     def test_double_post_rejected(self):
         unit = _pending_unit()

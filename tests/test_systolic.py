@@ -15,9 +15,7 @@ from gathernoc.systolic import (
     RoundSchedule,
     build_round_schedules,
     input_vector,
-    last_operand_cycle,
     partial_conv_oracle,
-    post_cycle,
     round_accumulators,
     run_convolution,
     run_ready_row,
@@ -196,13 +194,25 @@ def test_oracle_length_mismatch_is_a_config_error(xs, ws):
 
 
 class TestStreamSchedule:
-    def test_conv1_last_operand_reaches_far_corner(self):
-        # 8x8 mesh, 363-operand stream: skew is one cycle per hop
-        assert last_operand_cycle(363, 7, 7) == 363 + 14
-
-    def test_one_by_one_mesh_zero_skew(self):
-        assert last_operand_cycle(5, 0, 0) == 5
-        assert post_cycle(5, 0, 0, mac_latency=5) == 10
+    def test_every_pe_posts_after_its_skewed_stream(self):
+        # PE (r, c) receives its last operand stream_len + r + c cycles after
+        # its round starts and posts mac_latency cycles later; ragged blocks
+        # on both sides give rounds of four shapes
+        layer = _layer(c=2, r=2, q=6, p=7)
+        cfg = MeshConfig(rows=4, cols=4, mac_latency=3)
+        log: list[str] = []
+        stats = run_convolution(layer, cfg, "gather", replay=False, event_log=log)
+        posts = [line.split() for line in log if line.endswith(" post")]
+        start = 0
+        for schedule, latency in zip(build_round_schedules(layer, cfg),
+                                     stats.per_round_latency, strict=True):
+            count = schedule.active_rows * schedule.active_cols
+            got, posts = posts[:count], posts[count:]
+            assert sorted((int(cycle), node) for cycle, node, _ in got) == sorted(
+                (start + schedule.stream_len + r + c + cfg.mac_latency, f"({r},{c})")
+                for r in range(schedule.active_rows) for c in range(schedule.active_cols))
+            start += latency
+        assert posts == []
 
     def test_cycle_level_stream_matches_engine_and_oracle(self):
         layer = _layer(c=2, r=2, q=3, p=4)
@@ -342,6 +352,15 @@ class TestRunConvolution:
         assert fast.counter_totals == slow.counter_totals
         assert fast.hops == slow.hops and fast.flits == slow.flits
 
+    @pytest.mark.parametrize("replay", [True, False])
+    def test_give_up_budget_longer_than_the_drain_allowance(self, replay):
+        # the row-start packet is full after two payloads, so PE (0, 2) waits
+        # out its whole budget, longer than the network's fixed allowance
+        cfg = MeshConfig(rows=4, cols=4, gather_capacity=2)
+        stats = run_convolution(_layer(q=4, p=4), cfg, "gather",
+                                timeout_table={(0, 2): 20_000}, replay=replay)
+        assert stats.per_round_collection == [20_015]
+
     def test_mesh_full_round_deltas_nonnegative(self):
         cfg = MeshConfig()
         stats = run_convolution(_layer(q=8, p=8), cfg, "ru", seed=3)
@@ -371,6 +390,11 @@ class TestReadyRowScenario:
             monkeypatch.setattr(f"gathernoc.systolic.{name}", _not_simulated)
         with pytest.raises(ConfigError, match=message):
             run_ready_row(MeshConfig(rows=4, cols=4), 0, mode, timeout_table=table)
+
+    def test_give_up_budget_longer_than_the_drain_allowance(self):
+        cfg = MeshConfig(rows=4, cols=4, gather_capacity=2)
+        stats = run_ready_row(cfg, 0, "gather", timeout_table={(0, 2): 20_000})
+        assert stats.per_round_collection == [20_013]
 
     def test_ready_row_payloads_survive(self):
         cfg = MeshConfig(rows=6, cols=6)

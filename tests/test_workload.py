@@ -4,12 +4,10 @@ from gathernoc.config import MeshConfig
 from gathernoc.errors import ConfigError
 from gathernoc.workload import (
     LayerConfig,
-    builtin_layer_db,
     load_layer,
     model_layers,
     parse_layer_db,
     round_count,
-    serialize_layer_db,
     stream_length,
 )
 
@@ -39,10 +37,6 @@ class TestDatabase:
             "conv1", "conv2", "conv3", "conv4", "conv5"]
         assert [l.layer for l in model_layers("vgg16")] == [
             "conv1", "conv2", "conv3", "conv4"]
-
-    def test_db_roundtrips_through_file_format(self):
-        db = builtin_layer_db()
-        assert parse_layer_db(serialize_layer_db(db)) == db
 
     def test_duplicate_entry_rejected(self):
         text = "m l 1 1 1 1\nm l 2 2 2 2\n"
