@@ -13,8 +13,8 @@ round latency.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from .config import MeshConfig
@@ -68,6 +68,11 @@ def improvement(p: AnalyticParams) -> Fraction:
 
 def improvement_pct(p: AnalyticParams) -> float:
     """Improvement as a percentage rounded half-up to two decimals."""
-    frac = improvement(p)
-    pct = Decimal(frac.numerator * 100) / Decimal(frac.denominator)
-    return float(pct.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    return pct_half_up(improvement(p))
+
+
+def pct_half_up(frac: Fraction) -> float:
+    """``frac`` as a percentage rounded half-up (ties away from zero) to two
+    decimals, from the exact ratio, so a tie is never lost to a float."""
+    hundredths = math.floor(abs(frac) * 10_000 + Fraction(1, 2))
+    return math.copysign(hundredths / 100, frac)

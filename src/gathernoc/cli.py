@@ -44,16 +44,9 @@ def _flag_settings(args: argparse.Namespace) -> dict[str, str]:
         kv["model"], kv["layers"] = args.model, args.layers or "all"
     elif args.layers:
         kv["layers"] = args.layers
-    if args.modes:
-        kv["modes"] = args.modes
-    if args.seed is not None:
-        kv["seed"] = str(args.seed)
-    if args.p_override is not None:
-        kv["p_override"] = str(args.p_override)
-    if args.output:
-        kv["output"] = args.output
-    if args.format:
-        kv["format"] = args.format
+    for key in ("modes", "seed", "p_override", "output", "format"):
+        if value := getattr(args, key):
+            kv[key] = value
     if args.event_log:
         kv["event_log"] = "true"
     return kv
@@ -126,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--model", help="model name from the layer database")
     p_run.add_argument("--layers", help="comma list of layer names, or 'all'")
     p_run.add_argument("--modes", help="comma subset of ru,gather,analytic")
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--p-override", type=int, dest="p_override",
+    p_run.add_argument("--seed")
+    p_run.add_argument("--p-override", dest="p_override",
                        help="truncate the per-layer input-vector count")
     p_run.add_argument("--output", help="output path stem for result files")
     p_run.add_argument("--format", choices=("csv", "json"))

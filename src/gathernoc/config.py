@@ -60,10 +60,10 @@ class MeshConfig:
         if eta is not None:
             if eta < 1:
                 raise ConfigError("gather_capacity must be >= 1")
-            if eta * self.gather_payload_bits > self.gather_payload_capacity_bits:
+            if eta > self.gather_payload_slots:
                 raise ConfigError(
-                    "gather_capacity * payload bits exceeds the packet's "
-                    "non-head flit capacity"
+                    f"gather_capacity {eta} exceeds the {self.gather_payload_slots} "
+                    "whole payloads the packet's non-head flits hold"
                 )
 
     @property
@@ -76,16 +76,20 @@ class MeshConfig:
         """Whole payloads that fit in one flit's payload field."""
         return self.flit_width // self.gather_payload_bits
 
+    @property
+    def gather_payload_slots(self) -> int:
+        """Whole payloads one gather packet can carry (non-head flits)."""
+        return (self.gather_len - 1) * self.payload_slots_per_flit
+
     def resolved_gather_capacity(self) -> int:
         """Payload budget per gather packet.
 
-        Defaults to one full row, clamped to what the packet's bit capacity
-        physically admits.
+        Defaults to one full row, clamped to the whole payloads the
+        packet's non-head flits hold.
         """
         if self.gather_capacity is not None:
             return self.gather_capacity
-        bit_bound = self.gather_payload_capacity_bits // self.gather_payload_bits
-        return max(1, min(self.cols, bit_bound))
+        return min(self.cols, self.gather_payload_slots)
 
 
 def check_timeout_table(config: MeshConfig, table: dict[tuple[int, int], int] | None) -> None:
@@ -118,7 +122,6 @@ def default_timeout_table(config: MeshConfig) -> dict[tuple[int, int], int]:
     return table
 
 
-def flat_timeout_table(config: MeshConfig, timeout: int | None = None) -> dict[tuple[int, int], int]:
+def flat_timeout_table(config: MeshConfig, timeout: int) -> dict[tuple[int, int], int]:
     """Uniform per-node budget; mainly for protocol stress tests."""
-    t = config.gather_timeout if timeout is None else timeout
-    return {(r, c): t for r in range(config.rows) for c in range(config.cols)}
+    return {(r, c): timeout for r in range(config.rows) for c in range(config.cols)}

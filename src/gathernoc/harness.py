@@ -6,16 +6,17 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, fields as dc_fields
-from decimal import ROUND_HALF_UP, Decimal
+from fractions import Fraction
 from pathlib import Path
 
-from .analytic import AnalyticParams, gather_collection_cycles, improvement_pct, latency_gather
+from .analytic import (AnalyticParams, gather_collection_cycles, improvement_pct,
+                       latency_gather, pct_half_up)
 from .config import MeshConfig, check_timeout_table
 from .errors import ConfigError
 from .power import EVENT_KINDS, EnergyCoefficients
 from .stats import RunStats
 from .systolic import check_payload_width, run_convolution
-from .workload import builtin_layer_db, load_layer, model_layers, round_count
+from .workload import builtin_layer_db, load_layer, model_layers, round_count, text_records
 
 MODES = ("ru", "gather", "analytic")
 
@@ -91,32 +92,27 @@ class RunResult:
     files: list[Path] = field(default_factory=list)
 
 
-def _pct(value: float) -> float:
-    return float(Decimal(value).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
-
-
 def simulated_improvement_pct(ru: RunStats, gather: RunStats) -> float:
-    """(RU - G) / RU on total cycles, as a percentage."""
-    return _pct(100.0 * (ru.total_cycles - gather.total_cycles) / ru.total_cycles)
+    """(RU - G) / RU on total cycles, as a percentage rounded like the
+    estimate's."""
+    return pct_half_up(Fraction(ru.total_cycles - gather.total_cycles, ru.total_cycles))
+
+
+def _record(**values) -> dict:
+    """A result-file record: every CSV column, blank unless given."""
+    return {**dict.fromkeys(CSV_COLUMNS, ""), **values}
 
 
 def stats_record(st: RunStats) -> dict:
-    """Result-file record of one simulated run."""
-    return {
-        "model": st.model, "layer": st.layer, "mesh": st.mesh, "mode": st.mode,
-        "total_cycles": st.total_cycles, "collection_cycles": st.collection_cycles,
-        "hops": st.hops, "flits": st.flits, "energy": st.energy, "improvement_pct": "",
-    }
+    """Result-file record of one simulated run; its improvement over the
+    other mode is a record of its own."""
+    return _record(**{col: getattr(st, col) for col in CSV_COLUMNS if col != "improvement_pct"})
 
 
 def improvement_record(ru: RunStats, gather: RunStats) -> dict:
     """Result-file record of the simulated improvement of gather over ru."""
-    return {
-        "model": ru.model, "layer": ru.layer, "mesh": ru.mesh,
-        "mode": "improvement", "total_cycles": "", "collection_cycles": "",
-        "hops": "", "flits": "", "energy": "",
-        "improvement_pct": simulated_improvement_pct(ru, gather),
-    }
+    return _record(model=ru.model, layer=ru.layer, mesh=ru.mesh, mode="improvement",
+                   improvement_pct=simulated_improvement_pct(ru, gather))
 
 
 def run(config: RunConfig) -> RunResult:
@@ -135,14 +131,11 @@ def run(config: RunConfig) -> RunResult:
             if mode == "analytic":
                 params = AnalyticParams.for_run(mesh, layer)
                 est = estimated[(model, layer_name)] = improvement_pct(params)
-                records.append({
-                    "model": model, "layer": layer_name, "mesh": f"{mesh.rows}x{mesh.cols}",
-                    "mode": "analytic",
-                    "total_cycles": latency_gather(params),
-                    "collection_cycles": gather_collection_cycles(mesh) * round_count(layer, mesh),
-                    "hops": "", "flits": "", "energy": "",
-                    "improvement_pct": est,
-                })
+                records.append(_record(
+                    model=model, layer=layer_name, mesh=f"{mesh.rows}x{mesh.cols}",
+                    mode="analytic", total_cycles=latency_gather(params),
+                    collection_cycles=gather_collection_cycles(mesh) * round_count(layer, mesh),
+                    improvement_pct=est))
                 continue
             event_lines: list[str] | None = [] if config.event_log else None
             st = run_convolution(
@@ -268,10 +261,7 @@ _MESH_KEYS = {
 
 def parse_kv_text(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_records(text):
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
@@ -283,10 +273,7 @@ def parse_kv_text(text: str) -> dict[str, str]:
 
 def parse_timeout_table(text: str) -> dict[tuple[int, int], int]:
     table: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_records(text):
         parts = line.split()
         if len(parts) != 3:
             raise ConfigError(f"timeout table line {lineno}: expected 'row col cycles'")

@@ -549,22 +549,14 @@ class MeshNetwork:
             self._queued += 1
             self.flits_injected += 1
             counts[rid] += 1
-            pid = flit.packet_id
-            unit = router.unit
             if flit.ft == _HEAD:
+                # an initiator carries its own payload from birth, so the
+                # gather handshake runs only at routers the packet arrives at
+                pid = flit.packet_id
                 self._meta[pid].inject_cycle = t
                 router.route_cache[pid] = xy_route(
                     router.node, flit.dst, cfg.cols, sink_is_buffer=flit.to_buffer
                 )
-                # a locally injected gather can still pick up this node's
-                # own pending payload (not the usual path: initiators carry
-                # their payload from birth)
-                if flit.pt == PacketType.GATHER and gather_load_check(flit, unit, cfg):
-                    self._log(t, router.node, f"load pid={pid}")
-            elif flit.pt == PacketType.GATHER and unit.reserved_by == pid:
-                if upload_payload(flit, unit, cfg):
-                    self._holding -= 1
-                    self.counters.record("payload_upload", rid)
 
     def _watchdog(self, t: int, progressed: bool) -> None:
         if progressed or not self._queued:

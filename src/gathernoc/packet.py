@@ -91,19 +91,11 @@ def build_packet(
     bit capacity of the non-head flits.
     """
     length = packet_length(pt, config)
-    n_payload_flits = length - 1
-    capacity_bits = n_payload_flits * config.flit_width
-    used_bits = len(payloads) * config.gather_payload_bits
-    if used_bits > capacity_bits:
-        raise CapacityError(
-            f"{len(payloads)} payloads ({used_bits} bits) exceed the "
-            f"{capacity_bits}-bit capacity of a {length}-flit packet"
-        )
     slots_per_flit = config.payload_slots_per_flit
-    if slots_per_flit == 0 and payloads:
-        raise CapacityError("payload does not fit in a single flit")
-    if payloads and len(payloads) > n_payload_flits * slots_per_flit:
-        raise CapacityError("payloads exceed whole-slot packing of the packet")
+    slots = (length - 1) * slots_per_flit
+    if len(payloads) > slots:
+        raise CapacityError(f"{len(payloads)} payloads exceed the {slots} whole "
+                            f"payload slots of a {length}-flit packet")
     for origin, value in payloads:
         if not 0 <= value < (1 << config.gather_payload_bits):
             raise CapacityError(f"payload value {value} exceeds the payload width")
@@ -113,7 +105,8 @@ def build_packet(
     if not 0 <= vc < config.vc_count:
         raise ConfigError(f"vc {vc} out of range for {config.vc_count} VCs")
 
-    aspace = capacity_bits - used_bits if pt == PacketType.GATHER else 0
+    aspace = (config.gather_payload_capacity_bits - payload_bits(payloads, config)
+              if pt == PacketType.GATHER else 0)
     flits = [
         Flit(ft=FlitType.HEAD, pt=pt, src=src, dst=dst, packet_id=packet_id,
              vc=vc, aspace=aspace)

@@ -367,34 +367,38 @@ def _simulate_round(
     schedule: RoundSchedule,
     ready_base: int,
 ) -> _RoundMeasurement:
-    """Collect one round of ``schedule``'s shape.  Each active PE posts its
-    flat index ``r * cols + c`` as a stand-in result, distinct per PE, so
-    the measurement never depends on operand values."""
-    results = [(NodeId(r, c), r * config.cols + c, ready_base + r + c)
-               for r in range(schedule.active_rows)
-               for c in range(schedule.active_cols)]
+    """Collect one round of ``schedule``'s shape, PE ``(r, c)`` ready
+    ``r + c`` cycles after ``ready_base``."""
+    ready = [(NodeId(r, c), ready_base + r + c)
+             for r in range(schedule.active_rows)
+             for c in range(schedule.active_cols)]
     full = schedule.active_rows == config.rows and schedule.active_cols == config.cols
-    return _collect(net, config, mode, results, ready_base, full, f"round {schedule.index}")
+    return _collect(net, config, mode, ready, ready_base, full, f"round {schedule.index}")
 
 
 def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
-             results: list[tuple[NodeId, int, int]], ready_base: int,
+             ready: list[tuple[NodeId, int]], ready_base: int,
              full_round: bool, what: str) -> _RoundMeasurement:
-    """Post every ``(node, value, ready cycle)`` result, drain them to the
+    """Post a result of every ``(node, ready cycle)``, drain them to the
     buffer, check each was delivered exactly once and the network drained,
-    and measure the round.  ``ready_base`` is the earliest ready cycle."""
+    and measure the round.  ``ready_base`` is the earliest ready cycle.
+    Each node posts its flat index ``row * cols + col`` as a stand-in
+    result, distinct per node, so the measurement never depends on operand
+    values."""
     delivered_before = len(net.delivered)
     counters_before = net.counters.totals()
     flits_before = net.flits_injected
     timeout_before = net.timeout_packets
 
+    expected = [(node, node.index(config.cols)) for node, _ in ready]
     prev_pid: dict[int, int] = {}  # each row's in-order unicast chain
-    for node, value, ready in results:
+    for node, cycle in ready:
+        value = node.index(config.cols)
         if mode == CollectionMode.RU:
             prev_pid[node.row] = net.schedule_unicast_result(
-                node, value, ready, prev_pid.get(node.row))
+                node, value, cycle, prev_pid.get(node.row))
         else:
-            net.schedule_post(ready, node, value)
+            net.schedule_post(cycle, node, value)
 
     if net.cycle < ready_base:
         net.jump_to(ready_base)
@@ -406,7 +410,6 @@ def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
 
     round_delivered = net.delivered[delivered_before:]
     delivered_payloads = [p for pkt in round_delivered for p in pkt.payloads]
-    expected = [(node, value) for node, value, _ in results]
     if sorted(delivered_payloads) != sorted(expected):
         missing = set(expected) - set(delivered_payloads)
         raise LostPayloadError(
@@ -433,9 +436,7 @@ def run_ready_row(
     config: MeshConfig,
     row: int,
     mode: CollectionMode | str,
-    values: list[int] | None = None,
     timeout_table: dict[tuple[int, int], int] | None = None,
-    coefficients: EnergyCoefficients | None = None,
 ) -> RunStats:
     """One row of PEs, all with a result ready at cycle 0 (motivating demo).
 
@@ -446,17 +447,13 @@ def run_ready_row(
     check_timeout_table(config, timeout_table)
     if not 0 <= row < config.rows:
         raise ConfigError(f"row {row} outside the {config.rows}-row mesh")
-    values = values if values is not None else [101 + c for c in range(config.cols)]
-    if len(values) != config.cols:
-        raise ConfigError("need one value per column")
-    results = [(NodeId(row, c), v, 0) for c, v in enumerate(values)]
     m = _collect(MeshNetwork(config, timeout_table=timeout_table), config, mode,
-                 results, ready_base=0, full_round=False,
-                 what=f"ready row {row}")
+                 [(NodeId(row, c), 0) for c in range(config.cols)], ready_base=0,
+                 full_round=False, what=f"ready row {row}")
     stats = RunStats(model="demo", layer=f"ready-row-{row}", mode=mode.value,
                      rows=config.rows, cols=config.cols, seed=0, rounds=1,
                      ideal_collection=ideal_collection_cycles(config, mode))
-    return _fold_rounds(stats, [([m], 1)], coefficients, ready_offset=0)
+    return _fold_rounds(stats, [([m], 1)], None, ready_offset=0)
 
 
 def _oracle_pes(schedule: RoundSchedule, oracle_mode: str) -> list[tuple[int, int]]:

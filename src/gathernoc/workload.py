@@ -51,12 +51,18 @@ def round_count(layer: LayerConfig, config: MeshConfig) -> int:
     return math.ceil(layer.vectors / config.rows) * math.ceil(layer.kernels / config.cols)
 
 
-def parse_layer_db(text: str) -> dict[tuple[str, str], LayerConfig]:
-    db: dict[tuple[str, str], LayerConfig] = {}
+def text_records(text: str):
+    """``(line number, line)`` of every line of a record file that holds
+    more than a ``#`` comment, stripped of the comment and outer blanks."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line:
+            yield lineno, line
+
+
+def parse_layer_db(text: str) -> dict[tuple[str, str], LayerConfig]:
+    db: dict[tuple[str, str], LayerConfig] = {}
+    for lineno, line in text_records(text):
         parts = line.split()
         if len(parts) != 6:
             raise ConfigError(f"layer db line {lineno}: expected 6 fields, got {len(parts)}")

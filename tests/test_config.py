@@ -36,6 +36,17 @@ class TestValidation:
         assert cfg.gather_payload_capacity_bits == 294
         assert cfg.payload_slots_per_flit == 3
 
+    def test_capacity_counts_whole_payload_slots(self):
+        # 64-bit flits hold one 40-bit payload each: three per 4-flit packet,
+        # though the 192 bits would pass for four
+        cfg = MeshConfig(flit_width=64, gather_payload_bits=40)
+        assert cfg.resolved_gather_capacity() == 3
+        with pytest.raises(ConfigError, match="gather_capacity 4 exceeds the 3 whole payloads"):
+            MeshConfig(flit_width=64, gather_payload_bits=40, gather_capacity=4)
+        assert MeshConfig(flit_width=64, gather_payload_bits=40,
+                          gather_capacity=3).resolved_gather_capacity() == 3
+        assert cfg.gather_payload_slots == 3
+
 
 class TestTimeoutTables:
     def test_staircase_shape(self):

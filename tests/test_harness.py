@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import runpy
 import sys
@@ -16,7 +17,9 @@ from gathernoc.harness import (
     parse_timeout_table,
     run,
     run_config_from_kv,
+    simulated_improvement_pct,
 )
+from gathernoc.stats import RunStats
 
 DESK = dict(p_override=8, seed=7)
 
@@ -46,6 +49,14 @@ class TestRun:
         ru, g = by_mode["ru"], by_mode["gather"]
         expect = round(100 * (ru["total_cycles"] - g["total_cycles"]) / ru["total_cycles"], 2)
         assert by_mode["improvement"]["improvement_pct"] == pytest.approx(expect, abs=0.01)
+
+    def test_simulated_improvement_rounds_the_exact_ratio_half_up(self):
+        # 30 / 200 000 is 0.015 % exactly; the float 0.015 lies just below it
+        ru = RunStats(model="t", layer="t", mode="ru", rows=4, cols=4, seed=0,
+                      total_cycles=200_000)
+        g = dataclasses.replace(ru, mode="gather", total_cycles=199_970)
+        assert simulated_improvement_pct(ru, g) == 0.02
+        assert simulated_improvement_pct(g, ru) == -0.02
 
     def test_analytic_only_runs_no_simulation(self, tmp_path):
         result = run(_desk_config(tmp_path, modes=("analytic",)))
@@ -160,6 +171,24 @@ class TestCli:
 
     def test_unknown_layer_exits_config_error(self, capsys):
         assert main(["run", "--layers", "conv99", "--modes", "analytic"]) == 2
+
+    def test_invariant_violation_exits_simulation_error(self, monkeypatch, capsys):
+        # every gather upload is dropped, so the first reserved load fails
+        monkeypatch.setattr("gathernoc.network.upload_payload",
+                            lambda flit, unit, config: False)
+        assert main(["run", "--mesh", "4x4", "--layers", "conv3", "--p-override", "4",
+                     "--modes", "gather"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "simulation invariant violated: reserved upload never completed at (0,1)"]
+
+    def test_unwritable_output_exits_io_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x"
+        assert main(["run", "--modes", "analytic", "--output", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error:")
+        assert str(out) in err[0]
 
 
 def test_fig1_output_rows_show_hop_counts(tmp_path, capsys):

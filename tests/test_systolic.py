@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from gathernoc.config import MeshConfig, flat_timeout_table
 from gathernoc.errors import ConfigError, SimulationError
+from gathernoc.network import MeshNetwork
+from gathernoc.packet import PacketType
 from gathernoc.systolic import (
     CollectionMode,
     RoundSchedule,
@@ -21,6 +23,7 @@ from gathernoc.systolic import (
     run_ready_row,
     weight_vector,
 )
+from gathernoc.topology import NodeId
 from gathernoc.workload import LayerConfig, load_layer
 
 
@@ -367,6 +370,49 @@ class TestRunConvolution:
         assert stats.delta_measured and all(d >= 0 for d in stats.delta_measured)
 
 
+class TestPayloadWidthNotDividingFlit:
+    """64-bit flits carry one 40-bit payload each, so a 4-flit gather packet
+    holds three payloads although its 192 payload bits would pass for four."""
+
+    CFG = dict(flit_width=64, gather_payload_bits=40)
+
+    @staticmethod
+    def _spy_networks(monkeypatch) -> list:
+        nets = []
+
+        class Spy(MeshNetwork):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                nets.append(self)
+
+        monkeypatch.setattr("gathernoc.systolic.MeshNetwork", Spy)
+        return nets
+
+    @staticmethod
+    def _gather_loads(nets) -> list[int]:
+        return [len(pkt.payloads) for net in nets for pkt in net.delivered
+                if pkt.pt == PacketType.GATHER]
+
+    @pytest.mark.parametrize("size", [4, 8])
+    def test_convolution_delivers_every_payload(self, monkeypatch, size):
+        nets = self._spy_networks(monkeypatch)
+        cfg = MeshConfig(rows=size, cols=size, **self.CFG)
+        layer = _layer(q=size + 1, p=size + 1)   # all four round classes
+        stats = run_convolution(layer, cfg, "gather")
+        assert stats.payloads_delivered == layer.vectors * layer.kernels
+        loads = self._gather_loads(nets)
+        assert loads and max(loads) <= 3
+
+    @pytest.mark.parametrize("size", [4, 8])
+    def test_ready_row_delivers_every_payload(self, monkeypatch, size):
+        nets = self._spy_networks(monkeypatch)
+        cfg = MeshConfig(rows=size, cols=size, **self.CFG)
+        stats = run_ready_row(cfg, 1, "gather")
+        assert stats.payloads_delivered == size
+        loads = self._gather_loads(nets)
+        assert sum(loads) == size and max(loads) <= 3
+
+
 class TestReadyRowScenario:
     def test_fig1_hop_counts(self):
         cfg = MeshConfig(rows=6, cols=6)
@@ -396,11 +442,22 @@ class TestReadyRowScenario:
         stats = run_ready_row(cfg, 0, "gather", timeout_table={(0, 2): 20_000})
         assert stats.per_round_collection == [20_013]
 
-    def test_ready_row_payloads_survive(self):
+    def test_ready_row_payloads_survive(self, monkeypatch):
+        # every PE's stand-in result, its flat index, arrives exactly once
+        nets = []
+
+        class Spy(MeshNetwork):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                nets.append(self)
+
+        monkeypatch.setattr("gathernoc.systolic.MeshNetwork", Spy)
         cfg = MeshConfig(rows=6, cols=6)
-        values = [7, 8, 9, 10, 11, 12]
-        g = run_ready_row(cfg, 0, CollectionMode.GATHER, values=values)
-        assert g.payloads_delivered == 6
+        for mode in ("ru", "gather"):
+            stats = run_ready_row(cfg, 2, mode)
+            delivered = [p for pkt in nets[-1].delivered for p in pkt.payloads]
+            assert sorted(delivered) == [(NodeId(2, c), 12 + c) for c in range(6)]
+            assert stats.payloads_delivered == 6
 
     # every RunStats field of the ready-row demo, keyed "size/row/mode" with a
     # "/flat5" suffix for a flat give-up budget of 5 cycles
