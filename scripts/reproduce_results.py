@@ -5,9 +5,9 @@ write per-mesh result files and comparison tables.
 
 At full scale the identical-round replay, which simulates each round shape
 once per mesh and mode, and one oracle check of each layer per mesh keep
-this to about 0.6 seconds (0.57-0.71 s on a 2-vCPU Xeon, Python 3.11,
-process start included); pass --p-override to truncate the per-layer input
-count for a quick look.
+this to about 0.4 seconds (0.34-0.49 s on a 2-vCPU AMD EPYC, Python
+3.11, process start included); pass --p-override to truncate the
+per-layer input count for a quick look.
 """
 import argparse
 import sys

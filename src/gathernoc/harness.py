@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import math
@@ -116,6 +117,13 @@ def improvement_record(ru: RunStats, gather: RunStats) -> dict:
 
 
 def run(config: RunConfig) -> RunResult:
+    if config.output:
+        # the result and event files all go next to the output stem: fail
+        # before the first layer is simulated, not after the last
+        directory = Path(config.output).parent
+        if not directory.is_dir():
+            raise FileNotFoundError(errno.ENOENT, f"output directory {directory} does not exist",
+                                    config.output)
     db = builtin_layer_db()
     records: list[dict] = []
     stats: dict[tuple[str, str, str], RunStats] = {}

@@ -26,6 +26,7 @@ checked to be drained at every round boundary.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -44,6 +45,12 @@ from .workload import LayerConfig, round_count, stream_length
 
 _INPUT_TAG = 0
 _WEIGHT_TAG = 1
+
+# splitmix64's increment (2**64 / golden ratio) and output multipliers
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
 
 # Work bound (rounds x PEs x operands) under which every PE of every round
 # is checked against the reference dot product; above it a deterministic
@@ -141,10 +148,60 @@ def build_round_schedules(layer: LayerConfig, config: MeshConfig) -> list[RoundS
     return [plan.schedule(i) for i in range(plan.rounds)]
 
 
+def _mix64(z: int) -> int:
+    """splitmix64's output mix (Steele, Lea and Flood, OOPSLA 2014), a
+    bijection on 64-bit words, of a Python int in 0..2**64-1."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _mix64_words(z: np.ndarray) -> np.ndarray:
+    """``_mix64`` of every word of the uint64 array ``z``, in place: array
+    arithmetic wraps modulo 2**64 by itself (numpy uint64 scalars would warn)."""
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    return z
+
+
+def _seed_key(seed: int) -> int:
+    """``seed``, any non-negative int, folded into a 64-bit key one 64-bit
+    limb at a time, low limb first; seeds below 2**64 get distinct keys."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    key = 0
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = _mix64((key + _GOLDEN + ((seed >> shift) & _MASK64)) & _MASK64)
+    return key
+
+
+def operand_block(seed: int, tag: int, vec_ids, length: int) -> np.ndarray:
+    """The 8-bit operand vectors ``vec_ids`` of side ``tag``, one per row: a
+    ``(len(vec_ids), length)`` int64 array of values in 0..255.
+
+    A counter-based splitmix64: each vector's key mixes the seed's key, the
+    tag and the vector id; word ``j`` of the vector is the mix of ``key +
+    (j + 1) * golden`` modulo 2**64, and gives 8 operands, its bytes in
+    little-endian order.  So every value is a pure function of (seed, tag,
+    id, index), the same on any byte order, and row ``k`` equals
+    ``operand_vector(seed, tag, vec_ids[k], length)`` whatever the other ids.
+    """
+    tag_key = _mix64((_seed_key(seed) + (tag + 1) * _GOLDEN) & _MASK64)
+    keys = np.array([_mix64((tag_key + (i + 1) * _GOLDEN) & _MASK64) for i in vec_ids],
+                    dtype=np.uint64)
+    words = np.arange(1, (length + 7) // 8 + 1, dtype=np.uint64) * _GOLDEN
+    z = _mix64_words(words + keys[:, None])
+    return z.astype("<u8", copy=False).view(np.uint8)[:, :length].astype(np.int64)
+
+
 def operand_vector(seed: int, tag: int, vec_id: int, length: int) -> np.ndarray:
-    """Deterministic 8-bit operand vector, independent of round order."""
-    rng = np.random.default_rng((seed, tag, vec_id))
-    return rng.integers(0, 256, size=length, dtype=np.int64)
+    """Deterministic 8-bit operand vector, independent of round order: the
+    one-row ``operand_block``."""
+    return operand_block(seed, tag, (vec_id,), length)[0]
 
 
 def input_vector(seed: int, vec_id: int, length: int) -> np.ndarray:
@@ -160,8 +217,8 @@ def round_accumulators(schedule: RoundSchedule, seed: int):
     accumulator of every active PE (rows x cols) and the stacked operand
     vectors of the round's rows and columns, so the oracle can check
     against them without generating them again."""
-    ins = np.stack([input_vector(seed, i, schedule.stream_len) for i in schedule.input_ids])
-    wts = np.stack([weight_vector(seed, k, schedule.stream_len) for k in schedule.filter_ids])
+    ins = operand_block(seed, _INPUT_TAG, schedule.input_ids, schedule.stream_len)
+    wts = operand_block(seed, _WEIGHT_TAG, schedule.filter_ids, schedule.stream_len)
     return ins @ wts.T, ins, wts
 
 
@@ -224,6 +281,19 @@ def check_payload_width(config: MeshConfig, layer: LayerConfig) -> None:
         )
 
 
+def _check_stand_in_width(config: MeshConfig) -> None:
+    """Reject a mesh whose largest stand-in result, the flat PE index
+    ``rows * cols - 1`` that ``_collect`` posts, does not fit in a result
+    payload, before any cycle is stepped: ru would fail mid-run on it and
+    gather would carry it unchecked."""
+    largest = config.rows * config.cols - 1
+    if largest >= 1 << config.gather_payload_bits:
+        raise ConfigError(
+            f"stand-in results up to {largest} of the {config.rows}x{config.cols} mesh "
+            f"need more than gather_payload_bits = {config.gather_payload_bits}"
+        )
+
+
 def run_convolution(
     layer: LayerConfig,
     config: MeshConfig,
@@ -269,6 +339,7 @@ def run_convolution(
         raise ConfigError(f"unknown oracle {oracle!r}; choose auto, full or sample")
     check_timeout_table(config, timeout_table)
     check_payload_width(config, layer)
+    _check_stand_in_width(config)
     plan = RoundPlan(layer, config)
     stats = RunStats(model=layer.model, layer=layer.layer, mode=mode.value,
                      rows=config.rows, cols=config.cols, seed=seed, rounds=plan.rounds,
@@ -445,6 +516,7 @@ def run_ready_row(
     """
     mode = _collection_mode(mode)
     check_timeout_table(config, timeout_table)
+    _check_stand_in_width(config)
     if not 0 <= row < config.rows:
         raise ConfigError(f"row {row} outside the {config.rows}-row mesh")
     m = _collect(MeshNetwork(config, timeout_table=timeout_table), config, mode,

@@ -190,6 +190,20 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("i/o error:")
         assert str(out) in err[0]
 
+    def test_missing_output_directory_fails_before_any_simulation(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        def simulated(*args, **kwargs):
+            raise AssertionError("a layer was simulated")
+
+        monkeypatch.setattr("gathernoc.harness.run_convolution", simulated)
+        out = tmp_path / "missing" / "x"
+        assert main(["run", "--mesh", "4x4", "--layers", "conv3", "--p-override", "4",
+                     "--modes", "ru,gather", "--event-log", "--output", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"i/o error: [Errno 2] output directory {out.parent} does not exist: "
+                       f"'{out}'"]
+        assert not out.parent.exists()
+
 
 def test_fig1_output_rows_show_hop_counts(tmp_path, capsys):
     out = tmp_path / "fig1"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import operator
+import warnings
 from itertools import product
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gathernoc import systolic
 from gathernoc.config import MeshConfig, flat_timeout_table
 from gathernoc.errors import ConfigError, SimulationError
 from gathernoc.network import MeshNetwork
@@ -15,8 +17,12 @@ from gathernoc.packet import PacketType
 from gathernoc.systolic import (
     CollectionMode,
     RoundSchedule,
+    _mix64,
+    _mix64_words,
     build_round_schedules,
     input_vector,
+    operand_block,
+    operand_vector,
     partial_conv_oracle,
     round_accumulators,
     run_convolution,
@@ -196,6 +202,83 @@ def test_oracle_length_mismatch_is_a_config_error(xs, ws):
         partial_conv_oracle(xs, ws)
 
 
+# seeds at and around every 64-bit limb boundary
+EDGE_SEEDS = [0, 1, 2, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 2**128 + 5, 3**200]
+
+
+class TestOperandGenerator:
+    def test_pinned_golden(self):
+        # any change to the generator changes these
+        assert input_vector(12345, 0, 8).tolist() == [148, 164, 104, 232, 109, 250, 80, 43]
+        assert weight_vector(12345, 0, 8).tolist() == [213, 35, 65, 28, 188, 171, 168, 171]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**130), tag=st.integers(0, 1),
+           ids=st.lists(st.integers(0, 2**40), min_size=1, max_size=12),
+           length=st.integers(0, 41), cut=st.integers(0, 12), data=st.data())
+    def test_block_rows_equal_single_vectors(self, seed, tag, ids, length, cut, data):
+        shuffled = data.draw(st.permutations(ids))
+        block = operand_block(seed, tag, shuffled, length)
+        assert block.dtype == np.int64 and block.shape == (len(ids), length)
+        for k, vec_id in enumerate(shuffled):
+            assert block[k].tolist() == operand_vector(seed, tag, vec_id, length).tolist()
+        # the same ids in two calls give the same rows
+        cut = min(cut, len(ids))
+        halves = [operand_block(seed, tag, shuffled[:cut], length),
+                  operand_block(seed, tag, shuffled[cut:], length)]
+        assert (np.concatenate(halves) == block).all()
+        # a longer vector starts with the shorter one
+        assert (operand_block(seed, tag, shuffled, length + 9)[:, :length] == block).all()
+
+    def test_every_byte_value_over_2_to_the_18_draws(self):
+        values = operand_block(7, 0, range(64), 4096)
+        assert values.size == 2**18
+        assert values.min() >= 0 and values.max() <= 255
+        counts = np.bincount(values.ravel(), minlength=256)
+        # 1024 expected per value, standard deviation about 32
+        assert len(counts) == 256 and counts.min() > 850 and counts.max() < 1200
+
+    def test_streams_differ_by_tag_id_and_seed(self):
+        base = operand_vector(1, 0, 5, 64)
+        assert (base != operand_vector(1, 1, 5, 64)).any()
+        assert (base != operand_vector(1, 0, 6, 64)).any()
+        assert (base != operand_vector(2, 0, 5, 64)).any()
+        assert (base != operand_vector(2**64 + 1, 0, 5, 64)).any()
+        assert (operand_vector(0, 0, 5, 64) != operand_vector(2**64, 0, 5, 64)).any()
+        rows = {tuple(operand_vector(seed, tag, i, 16)) for seed in EDGE_SEEDS
+                for tag in (0, 1) for i in (0, 1, 2**63)}
+        assert len(rows) == len(EDGE_SEEDS) * 2 * 3
+
+    def test_no_overflow_warning_for_any_seed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in EDGE_SEEDS:
+                block = operand_block(seed, 1, [0, 2**64 - 1, 2**70], 100)
+                assert block.min() >= 0 and block.max() <= 255
+
+    def test_word_mix_on_arrays_equals_the_mix_on_python_ints(self):
+        words = [0, 1, 2**63, 2**64 - 1] + [(k * 0x9E3779B97F4A7C15) % 2**64 for k in range(60)]
+        mixed = _mix64_words(np.array(words, dtype=np.uint64))
+        assert [int(z) for z in mixed] == [_mix64(z) for z in words]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            operand_block(-1, 0, [0], 8)
+
+    def test_round_accumulators_make_one_generator_call_per_side(self, monkeypatch):
+        calls = []
+
+        def spy(seed, tag, vec_ids, length):
+            calls.append((seed, tag, tuple(vec_ids), length))
+            return operand_block(seed, tag, vec_ids, length)
+
+        monkeypatch.setattr(systolic, "operand_block", spy)
+        schedule = build_round_schedules(_layer(c=2, r=2, q=3, p=4), MeshConfig(rows=4, cols=3))[0]
+        accs, ins, wts = systolic.round_accumulators(schedule, seed=11)
+        assert calls == [(11, 0, (0, 1, 2, 3), 8), (11, 1, (0, 1, 2), 8)]
+        assert accs.shape == (4, 3) and ins.shape == (4, 8) and wts.shape == (3, 8)
+
+
 class TestStreamSchedule:
     def test_every_pe_posts_after_its_skewed_stream(self):
         # PE (r, c) receives its last operand stream_len + r + c cycles after
@@ -334,6 +417,16 @@ class TestRunConvolution:
             run_convolution(load_layer("alexnet", "conv3").with_vectors(4), cfg, mode,
                             replay=replay)
 
+    @pytest.mark.parametrize("mode", ["ru", "gather"])
+    @pytest.mark.parametrize("replay", [True, False])
+    def test_stand_in_width_checked_before_any_cycle(self, monkeypatch, mode, replay):
+        # results of a one-operand layer fit 16 bits, the stand-in flat
+        # index 257 * 256 - 1 does not
+        monkeypatch.setattr(MeshNetwork, "step", _not_simulated)
+        cfg = MeshConfig(rows=257, cols=256, gather_payload_bits=16)
+        with pytest.raises(ConfigError, match="stand-in results up to 65791"):
+            run_convolution(_layer(r=1, q=1, p=1), cfg, mode, replay=replay)
+
     @pytest.mark.parametrize("table, message", BAD_TIMEOUT_TABLES)
     @pytest.mark.parametrize("mode", ["ru", "gather"])
     @pytest.mark.parametrize("replay", [True, False])
@@ -436,6 +529,19 @@ class TestReadyRowScenario:
             monkeypatch.setattr(f"gathernoc.systolic.{name}", _not_simulated)
         with pytest.raises(ConfigError, match=message):
             run_ready_row(MeshConfig(rows=4, cols=4), 0, mode, timeout_table=table)
+
+    @pytest.mark.parametrize("mode", ["ru", "gather"])
+    def test_stand_in_width_checked_before_any_cycle(self, monkeypatch, mode):
+        # the 6x6 stand-ins reach 35, which 4 payload bits cannot hold: both
+        # modes refuse alike, before the network steps
+        monkeypatch.setattr(MeshNetwork, "step", _not_simulated)
+        with pytest.raises(ConfigError, match="stand-in results up to 35"):
+            run_ready_row(MeshConfig(rows=6, cols=6, gather_payload_bits=4), 2, mode)
+
+    @pytest.mark.parametrize("mode", ["ru", "gather"])
+    def test_stand_ins_at_the_payload_width_run(self, mode):
+        stats = run_ready_row(MeshConfig(rows=4, cols=4, gather_payload_bits=4), 3, mode)
+        assert stats.payloads_delivered == 4
 
     def test_give_up_budget_longer_than_the_drain_allowance(self):
         cfg = MeshConfig(rows=4, cols=4, gather_capacity=2)
