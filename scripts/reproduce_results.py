@@ -5,7 +5,7 @@ write per-mesh result files and comparison tables.
 
 At full scale the identical-round replay, which simulates each round shape
 once per mesh and mode, and one oracle check of each layer per mesh keep
-this to about 0.4 seconds (0.34-0.49 s on a 2-vCPU AMD EPYC, Python
+this to about 0.4 seconds (0.35-0.40 s on a 2-vCPU AMD EPYC, Python
 3.11, process start included); pass --p-override to truncate the
 per-layer input count for a quick look.
 """

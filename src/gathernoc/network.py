@@ -41,9 +41,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
 
-from .config import MeshConfig, default_timeout_table
+from .config import MeshConfig, check_timeout_table, default_timeout_table
 from .errors import DeadlockError, DrainError, SimulationError
 from .packet import Flit, FlitType, PacketType, build_packet, payload_bits
 from .power import ActivityCounters
@@ -98,6 +99,37 @@ class _PacketMeta:
     timeout_init: bool = False
 
 
+@dataclass(frozen=True)
+class _MeshTables:
+    """The read-only tables of one ``MeshConfig``, shared by all its
+    networks: the node of each router id, the downstream link of each
+    (router, output port) as ``(router id, queue key of the opposite input
+    port's VC 0)``, None for the sinks, and the default give-up budget of
+    each router id."""
+
+    nodes: tuple[NodeId, ...]
+    down: tuple[tuple[tuple[int, int] | None, ...], ...]
+    budgets: tuple[int, ...]
+
+
+@lru_cache(maxsize=64)
+def mesh_tables(config: MeshConfig) -> _MeshTables:
+    """The tables of ``config``, built once per config and process."""
+    nodes = tuple(NodeId(r, c) for r in range(config.rows) for c in range(config.cols))
+    nq = len(INPUT_PORTS) * config.vc_count
+    down = []
+    for node in nodes:
+        links: list[tuple[int, int] | None] = [None] * len(Port)
+        for port, opposite in _OPPOSITE.items():
+            nxt = step_toward(node, port)
+            if 0 <= nxt.row < config.rows and 0 <= nxt.col < config.cols:
+                nrid = nxt.index(config.cols)
+                links[port] = (nrid, nrid * nq + opposite * config.vc_count)
+        down.append(tuple(links))
+    table = default_timeout_table(config)
+    return _MeshTables(nodes, tuple(down), tuple(table[n.row, n.col] for n in nodes))
+
+
 class MeshNetwork:
     def __init__(
         self,
@@ -109,15 +141,17 @@ class MeshNetwork:
     ) -> None:
         self.config = config
         self.cycle = 0
+        tables = mesh_tables(config)
         # per-node give-up budgets: explicit entries overlay the default
         # distance staircase
-        table = default_timeout_table(config)
+        budgets = tables.budgets
         if timeout_table:
-            table.update(timeout_table)
+            check_timeout_table(config, timeout_table)
+            budgets = list(budgets)
+            for (r, c), budget in timeout_table.items():
+                budgets[r * config.cols + c] = budget
         self.routers: list[Router] = [
-            Router(NodeId(r, c), config, table[(r, c)])
-            for r in range(config.rows)
-            for c in range(config.cols)
+            Router(node, config, budget) for node, budget in zip(tables.nodes, budgets)
         ]
         self.counters = ActivityCounters()
         self.counters.reserve(len(self.routers))
@@ -126,20 +160,12 @@ class MeshNetwork:
         self.trace_links = trace_links
         self.link_trace: dict[tuple[int, Port, int], list[tuple[int, int]]] = {}
 
-        # queue key of an (input port, vc) queue: rid * _nq + port * vc_count + vc
+        # queue key of an (input port, vc) queue: rid * _nq + port * vc_count + vc;
+        # _queues lists every router's queues by key
         self._vcs = config.vc_count
         self._nq = len(INPUT_PORTS) * config.vc_count
-        # downstream of each (router, output port): (router id, router, base
-        # queue index of the opposite input port), None for the sinks
-        self._down: list[list[tuple[int, Router, int] | None]] = []
-        for router in self.routers:
-            links: list[tuple[int, Router, int] | None] = [None] * len(Port)
-            for port, opposite in _OPPOSITE.items():
-                nxt = step_toward(router.node, port)
-                if 0 <= nxt.row < config.rows and 0 <= nxt.col < config.cols:
-                    nrid = nxt.index(config.cols)
-                    links[port] = (nrid, self.routers[nrid], opposite * self._vcs)
-            self._down.append(links)
+        self._queues = [queue for router in self.routers for queue in router.queues]
+        self._down = tables.down
 
         self._next_packet_id = 0
         self._meta: dict[int, _PacketMeta] = {}
@@ -283,7 +309,7 @@ class MeshNetwork:
         if not ready:
             return []
         nq, vcs, depth = self._nq, self._vcs, self.config.buffer_depth
-        routers, down = self.routers, self._down
+        routers, down, queues = self.routers, self._down, self._queues
         n_out = len(OUTPUT_PORTS)
         # eligible heads as (router, output rank, queue) packed into one int,
         # so that sorting lists them in grant order
@@ -301,7 +327,7 @@ class MeshNetwork:
             if owner != pid and (owner is not None or flit.ft != _HEAD):
                 continue          # wormhole: the output VC belongs to another packet
             link = down[rid][out]
-            if link is not None and len(link[1].queues[link[2] + vc]) >= depth:
+            if link is not None and len(queues[link[1] + vc]) >= depth:
                 continue          # no credit downstream
             eligible.append((rid * n_out + _OUT_RANK[out]) * nq + q)
         eligible.sort()
@@ -332,7 +358,7 @@ class MeshNetwork:
         arrivals = []
         if not moves:
             return arrivals
-        routers, nq, vcs, down = self.routers, self._nq, self._vcs, self._down
+        routers, nq, vcs, down, queues = self.routers, self._nq, self._vcs, self._down, self._queues
         pipeline, depth = self.config.pipeline_depth, self.config.buffer_depth
         wake, ready, meta, watch = self._wake, self._ready, self._meta, self._tail_watch
         trace = self.link_trace if self.trace_links else None
@@ -368,13 +394,15 @@ class MeshNetwork:
                 self._queued -= 1
                 self._eject(flit, rid, out, t)
                 continue
-            nrid, nrouter, base = link
-            nqueue = nrouter.queues[base + vc]
+            nrid, nkey = link
+            nkey += vc
+            nqueue = queues[nkey]
             if len(nqueue) >= depth:
                 raise SimulationError("credit discipline violated")
             if not nqueue:
-                heappush(wake, (t + pipeline, nrid * nq + base + vc))
+                heappush(wake, (t + pipeline, nkey))
             nqueue.append((t, flit))
+            nrouter = routers[nrid]
             writes[nrid] += 1
             links[rid] += 1
             arrivals.append((nrouter, flit))

@@ -28,9 +28,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -57,6 +57,10 @@ _MASK64 = (1 << 64) - 1
 # sample is checked instead to keep big runs fast.
 FULL_ORACLE_WORK_LIMIT = 2_000_000
 
+# Operands per side (checked pairs x stream length) one oracle chunk holds at
+# most, unless a single pair is longer; bounds the check's working memory.
+ORACLE_CHUNK_ELEMENTS = 1 << 16
+
 
 class CollectionMode(Enum):
     RU = "ru"
@@ -67,17 +71,18 @@ def partial_conv_oracle(inputs, weights) -> int | list[int]:
     """Reference dot products, kept independent of the engine's arithmetic.
 
     ``inputs`` and ``weights`` are one vector each, or a stack of vectors
-    on one side, all of length ``L``.  Both are widened to int64 here, so
-    the operands' own dtype never sets the precision; the products are
-    elementwise and summed along the last axis, never a matrix product.
+    on one side, all of length ``L``.  The products are taken in int64, so
+    the operands' own dtype never sets the precision: an integer array that
+    int64 holds exactly is widened inside the multiply, anything else is
+    converted to int64 first.  The products are elementwise and summed
+    along the last axis, never a matrix product.
     The result is exact: ``max|x| * max|w| * L < 2**63`` bounds every
     partial sum, and an operand pair outside that bound raises
     ``SimulationError``.  Returns an ``int`` for two vectors, a list of
     ints for a stack.
     """
     try:
-        x = np.asarray(inputs, dtype=np.int64)
-        w = np.asarray(weights, dtype=np.int64)
+        x, w = _int64_exact(inputs), _int64_exact(weights)
     except OverflowError:
         raise SimulationError("oracle operands do not fit in int64") from None
     length = x.shape[-1]
@@ -85,7 +90,20 @@ def partial_conv_oracle(inputs, weights) -> int | list[int]:
         raise ConfigError("oracle operands must have equal length")
     if _magnitude(x) * _magnitude(w) * length >= 1 << 63:
         raise SimulationError(f"oracle dot products of length {length} could overflow int64")
-    return (x * w).sum(axis=-1).tolist()
+    return np.multiply(x, w, dtype=np.int64).sum(axis=-1).tolist()
+
+
+def _int64_exact(a) -> np.ndarray:
+    """``a`` as an array of values int64 holds: an integer array of a dtype
+    that int64 holds exactly as it is, anything else converted to int64.
+    Raises ``OverflowError`` for a value int64 does not hold, which a
+    uint64 array would otherwise wrap silently."""
+    if isinstance(a, np.ndarray) and a.dtype.kind in "iu":
+        if np.can_cast(a.dtype, np.int64):
+            return a
+        if a.size and int(a.max()) >= 1 << 63:
+            raise OverflowError("operand does not fit in int64")
+    return np.asarray(a, dtype=np.int64)
 
 
 def _magnitude(a: np.ndarray) -> int:
@@ -181,7 +199,8 @@ def _seed_key(seed: int) -> int:
 
 def operand_block(seed: int, tag: int, vec_ids, length: int) -> np.ndarray:
     """The 8-bit operand vectors ``vec_ids`` of side ``tag``, one per row: a
-    ``(len(vec_ids), length)`` int64 array of values in 0..255.
+    ``(len(vec_ids), length)`` uint8 array, so whoever multiplies them
+    must widen them (uint8 products wrap).
 
     A counter-based splitmix64: each vector's key mixes the seed's key, the
     tag and the vector id; word ``j`` of the vector is the mix of ``key +
@@ -191,11 +210,12 @@ def operand_block(seed: int, tag: int, vec_ids, length: int) -> np.ndarray:
     ``operand_vector(seed, tag, vec_ids[k], length)`` whatever the other ids.
     """
     tag_key = _mix64((_seed_key(seed) + (tag + 1) * _GOLDEN) & _MASK64)
-    keys = np.array([_mix64((tag_key + (i + 1) * _GOLDEN) & _MASK64) for i in vec_ids],
-                    dtype=np.uint64)
+    # an id enters the key modulo 2**64, as in Python-int arithmetic
+    ids = np.array([i & _MASK64 for i in vec_ids], dtype=np.uint64)
+    keys = _mix64_words((ids + 1) * _GOLDEN + tag_key)
     words = np.arange(1, (length + 7) // 8 + 1, dtype=np.uint64) * _GOLDEN
     z = _mix64_words(words + keys[:, None])
-    return z.astype("<u8", copy=False).view(np.uint8)[:, :length].astype(np.int64)
+    return z.astype("<u8", copy=False).view(np.uint8)[:, :length]
 
 
 def operand_vector(seed: int, tag: int, vec_id: int, length: int) -> np.ndarray:
@@ -212,25 +232,18 @@ def weight_vector(seed: int, vec_id: int, length: int) -> np.ndarray:
     return operand_vector(seed, _WEIGHT_TAG, vec_id, length)
 
 
-def round_accumulators(schedule: RoundSchedule, seed: int):
-    """``(accumulators, inputs, weights)`` of one round: the final
-    accumulator of every active PE (rows x cols) and the stacked operand
-    vectors of the round's rows and columns, so the oracle can check
-    against them without generating them again."""
-    ins = operand_block(seed, _INPUT_TAG, schedule.input_ids, schedule.stream_len)
-    wts = operand_block(seed, _WEIGHT_TAG, schedule.filter_ids, schedule.stream_len)
-    return ins @ wts.T, ins, wts
-
-
-def sampled_accumulators(schedule: RoundSchedule, seed: int, pes: list[tuple[int, int]]):
-    """``round_accumulators`` on only the rows and columns of ``pes``: the
-    accumulators by ``(row, col)``, the operand vectors by row and by column."""
-    rows, cols = sorted({r for r, _ in pes}), sorted({c for _, c in pes})
-    accs, ins, wts = round_accumulators(replace(
-        schedule, input_ids=tuple(schedule.input_ids[r] for r in rows),
-        filter_ids=tuple(schedule.filter_ids[c] for c in cols)), seed)
-    return ({(r, c): accs[rows.index(r), cols.index(c)] for r, c in pes},
-            dict(zip(rows, ins)), dict(zip(cols, wts)))
+def round_accumulators(seed: int, input_ids, filter_ids, length: int):
+    """``(accumulators, inputs, weights)`` of the PEs that pair input vector
+    ``input_ids[k]`` with filter ``filter_ids[k]``, from any rounds, ids
+    repeating or not: the engine's final accumulator of each PE and the
+    operand vectors stacked one row per PE, so the oracle can check against
+    them without generating them again.  The engine is a batched dot
+    product by contraction (``einsum``, accumulating in int64), never the
+    oracle's elementwise multiply and sum; it widens the 8-bit operands as
+    it goes, so no int64 copy of them is made."""
+    ins = operand_block(seed, _INPUT_TAG, input_ids, length)
+    wts = operand_block(seed, _WEIGHT_TAG, filter_ids, length)
+    return np.einsum("ij,ij->i", ins, wts, dtype=np.int64), ins, wts
 
 
 # --------------------------------------------------------------------- runs
@@ -310,10 +323,10 @@ def run_convolution(
 
     The oracle runs first, before any network is built: ``oracle`` is
     ``full``, ``sample`` (at most four PEs of every ``rounds // 32``-th
-    round) or ``auto``, and each checked round generates the operands of
-    its checked PEs only.  The network then carries no operands: each PE
-    posts a stand-in payload, so a round's measurement depends on the
-    mesh, mode, timeout table and the round's shape alone.
+    round) or ``auto``, and ``_check_oracle`` generates the operands of the
+    checked PEs only, a bounded chunk at a time.  The network then carries
+    no operands: each PE posts a stand-in payload, so a round's measurement
+    depends on the mesh, mode, timeout table and the round's shape alone.
 
     With ``replay`` each round class ``(active_rows, active_cols)`` of the
     layer's ``RoundPlan`` is measured once, in a network of its own that
@@ -351,10 +364,7 @@ def run_convolution(
     shared = {} if shared is None else shared
     verdict = ("oracle passed", layer, config, seed, oracle)
     if verdict not in shared:  # else an earlier call passed every check of this layer
-        stride = 1 if oracle == "full" else max(1, plan.rounds // 32)
-        for schedule in map(plan.schedule, range(0, plan.rounds, stride)):
-            pes = _oracle_pes(schedule, oracle)
-            _check_oracle(schedule, pes, *sampled_accumulators(schedule, seed, pes))
+        _check_oracle(plan, oracle, seed)
         shared[verdict] = True
 
     # a round's ready cycle, counted from its start
@@ -537,20 +547,30 @@ def _oracle_pes(schedule: RoundSchedule, oracle_mode: str) -> list[tuple[int, in
     return [divmod(k, schedule.active_cols) for k in pes]
 
 
-def _check_oracle(schedule: RoundSchedule, pes: list[tuple[int, int]], accs, ins, wts) -> None:
-    """Check the engine accumulators ``accs[r, c]`` of ``pes`` against the
-    reference dot products of the operand vectors ``ins[r]`` and ``wts[c]``,
-    one oracle call per column against the stack of its checked rows."""
-    rows_of: dict[int, list[int]] = {}
-    for r, c in pes:
-        rows_of.setdefault(c, []).append(r)
-    refs = {}
-    for c, rows in rows_of.items():
-        col = partial_conv_oracle(np.stack([ins[r] for r in rows]), wts[c])
-        refs.update(zip(((r, c) for r in rows), col))
-    for r, c in pes:
-        if refs[r, c] != int(accs[r, c]):
-            raise OracleMismatchError(
-                f"round {schedule.index} PE ({r},{c}): engine accumulator "
-                f"{int(accs[r, c])} != reference {refs[r, c]}"
-            )
+def _oracle_pairs(plan: RoundPlan, oracle_mode: str):
+    """The layer's checked pairs ``(round, row, col, input id, filter id)``
+    in round-then-PE order: ``_oracle_pes`` of every round under ``full``,
+    of every ``rounds // 32``-th round under ``sample``."""
+    stride = 1 if oracle_mode == "full" else max(1, plan.rounds // 32)
+    for schedule in map(plan.schedule, range(0, plan.rounds, stride)):
+        for r, c in _oracle_pes(schedule, oracle_mode):
+            yield schedule.index, r, c, schedule.input_ids[r], schedule.filter_ids[c]
+
+
+def _check_oracle(plan: RoundPlan, oracle_mode: str, seed: int) -> None:
+    """Check the engine accumulator of every pair of ``_oracle_pairs``
+    against the reference dot product of its operand vectors.  The pairs go
+    in chunks of at most ``ORACLE_CHUNK_ELEMENTS`` operands per side (one
+    pair at least), each with one ``round_accumulators`` and one oracle
+    call; the first mismatch in round-then-PE order raises."""
+    pairs = _oracle_pairs(plan, oracle_mode)
+    size = max(1, ORACLE_CHUNK_ELEMENTS // plan.stream_len)
+    while chunk := list(islice(pairs, size)):
+        _, _, _, input_ids, filter_ids = zip(*chunk)
+        accs, ins, wts = round_accumulators(seed, input_ids, filter_ids, plan.stream_len)
+        refs = partial_conv_oracle(ins, wts)
+        for (index, r, c, _, _), acc, ref in zip(chunk, accs.tolist(), refs):
+            if acc != ref:
+                raise OracleMismatchError(
+                    f"round {index} PE ({r},{c}): engine accumulator {acc} != reference {ref}"
+                )

@@ -13,8 +13,9 @@ from gathernoc.topology import NodeId, Port
 _STALL_PORTS = (Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH, Port.BUFFER, Port.LOCAL)
 
 
-def run_safety_scenario(seed: int, rows: int = 4, cols: int = 4) -> None:
-    """One randomized scenario; raises on any protocol violation."""
+def run_safety_scenario(seed: int, rows: int = 4, cols: int = 4) -> MeshNetwork:
+    """One randomized scenario; raises on any protocol violation, else
+    returns the drained network, its event log kept."""
     rng = random.Random(seed)
     cfg = MeshConfig(
         rows=rows,
@@ -43,7 +44,7 @@ def run_safety_scenario(seed: int, rows: int = 4, cols: int = 4) -> None:
         (r, c): rng.randrange(0, 30) for r in range(rows) for c in range(cols)
     }
     net = MeshNetwork(cfg, timeout_table=timeout_table, stall_fn=stall_fn,
-                      trace_links=True)
+                      event_log=[], trace_links=True)
 
     # at most one payload per node, random subset, random post times
     nodes = [NodeId(r, c) for r in range(rows) for c in range(cols)]
@@ -89,3 +90,16 @@ def run_safety_scenario(seed: int, rows: int = 4, cols: int = 4) -> None:
                 if current is not None:
                     finished.add(current)
                 current = pid
+    return net
+
+
+def scenario_outcome(net: MeshNetwork) -> dict:
+    """What a drained network observed, as JSON values: the final cycle,
+    delivered records, per-router counters, event lines and link trace."""
+    return {
+        "cycle": net.cycle,
+        "delivered": [repr(vars(pkt)) for pkt in net.delivered],
+        "counters": net.counters.per_router,
+        "events": net.event_log,
+        "link_trace": repr(sorted(net.link_trace.items())),
+    }

@@ -1,10 +1,17 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from gathernoc.config import MeshConfig, flat_timeout_table
+from gathernoc.config import MeshConfig, default_timeout_table, flat_timeout_table
 from gathernoc.errors import DeadlockError
-from gathernoc.network import MeshNetwork
+from gathernoc.network import MeshNetwork, mesh_tables
 from gathernoc.packet import PacketType, build_packet
 from gathernoc.topology import NodeId, Port
+from scenario_utils import run_safety_scenario, scenario_outcome
 
 
 def _drain(net, limit=5000):
@@ -193,3 +200,40 @@ class TestGatherProtocolOnMesh:
         pkt = net.delivered[0]
         total_bits = len(pkt.payloads) * cfg.gather_payload_bits
         assert total_bits <= cfg.gather_payload_capacity_bits
+
+
+class TestSharedTables:
+    def test_networks_of_one_config_share_the_tables(self):
+        cfg = MeshConfig(rows=3, cols=5)
+        a, b = MeshNetwork(cfg), MeshNetwork(MeshConfig(rows=3, cols=5),
+                                             timeout_table={(1, 2): 7})
+        tables = mesh_tables(cfg)
+        assert mesh_tables(MeshConfig(rows=3, cols=5)) is tables
+        assert a._down is b._down is tables.down
+        assert all(ra.node is rb.node is node
+                   for ra, rb, node in zip(a.routers, b.routers, tables.nodes))
+        # queues, owners, pointers and gather units stay per network
+        for ra, rb in zip(a.routers, b.routers):
+            assert ra.queues is not rb.queues and ra.link_owner is not rb.link_owner
+            assert ra.rr is not rb.rr and ra.unit is not rb.unit
+        # an explicit budget overlays the shared defaults of one network only
+        assert [r.unit.timeout for r in b.routers][7] == 7
+        defaults = default_timeout_table(cfg)
+        assert tables.budgets == tuple(defaults[r, c] for r in range(3) for c in range(5))
+        assert [r.unit.timeout for r in a.routers] == list(tables.budgets)
+
+    def test_a_network_built_after_another_ran_steps_as_in_a_fresh_process(self):
+        seeds = range(8)
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tests.parent / "src"), str(tests)]))
+        script = ("import json, sys; from scenario_utils import run_safety_scenario, "
+                  "scenario_outcome; print(json.dumps([scenario_outcome("
+                  "run_safety_scenario(int(s))) for s in sys.argv[1:]]))")
+        fresh = subprocess.run([sys.executable, "-c", script, *map(str, seeds)], env=env,
+                               capture_output=True, text=True, check=True)
+        for seed, expected in zip(seeds, json.loads(fresh.stdout), strict=True):
+            first = run_safety_scenario(seed)
+            second = run_safety_scenario(seed)
+            assert second._down is first._down
+            assert json.loads(json.dumps(scenario_outcome(second))) == expected

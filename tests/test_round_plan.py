@@ -13,7 +13,7 @@ from gathernoc import harness, systolic
 from gathernoc.config import MeshConfig
 from gathernoc.errors import OracleMismatchError
 from gathernoc.systolic import RoundPlan, RoundSchedule, build_round_schedules, run_convolution
-from gathernoc.workload import LayerConfig, stream_length
+from gathernoc.workload import LayerConfig, load_layer, stream_length
 
 
 def nested_round_schedules(layer: LayerConfig, config: MeshConfig) -> list[RoundSchedule]:
@@ -34,8 +34,9 @@ def nested_round_schedules(layer: LayerConfig, config: MeshConfig) -> list[Round
 
 
 def explicit_oracle_checks(schedules: list[RoundSchedule], oracle: str):
-    """``(round, PE)`` pairs the oracle checks, by the rule on explicit lists:
-    every ``len // 32``-th round and ``pairs[::len // 4][:4]`` under ``sample``."""
+    """``(round, PE)`` pairs the oracle checks, in order, by the rule on
+    explicit lists: every ``len // 32``-th round and ``pairs[::len // 4][:4]``
+    under ``sample``."""
     stride = max(1, len(schedules) // 32) if oracle == "sample" else 1
     checks = []
     for s in schedules[::stride]:
@@ -44,6 +45,29 @@ def explicit_oracle_checks(schedules: list[RoundSchedule], oracle: str):
             pairs = pairs[:: max(1, len(pairs) // 4)][:4]
         checks += [(s.index, pe) for pe in pairs]
     return checks
+
+
+def pe_of_vectors(layer: LayerConfig, config: MeshConfig) -> dict:
+    """``(input id, filter id) -> (round, PE)`` of the explicit enumeration:
+    each pair of vectors of a layer meets at exactly one PE of one round."""
+    return {(s.input_ids[r], s.filter_ids[c]): (s.index, (r, c))
+            for s in nested_round_schedules(layer, config)
+            for r in range(s.active_rows) for c in range(s.active_cols)}
+
+
+def spy_engine(monkeypatch) -> list[list[tuple]]:
+    """Record every ``round_accumulators`` call as a list of ``(input id,
+    filter id, input vector, weight vector, accumulator)``, one per PE."""
+    calls, engine = [], systolic.round_accumulators
+
+    def spy(seed, input_ids, filter_ids, length):
+        accs, ins, wts = engine(seed, input_ids, filter_ids, length)
+        calls.append([(i, f, tuple(x.tolist()), tuple(w.tolist()), int(a))
+                      for i, f, x, w, a in zip(input_ids, filter_ids, ins, wts, accs)])
+        return accs, ins, wts
+
+    monkeypatch.setattr(systolic, "round_accumulators", spy)
+    return calls
 
 
 @st.composite
@@ -81,17 +105,12 @@ def test_plan_expands_to_the_nested_enumeration(shape):
        st.sampled_from(("sample", "full")), st.booleans())
 def test_oracle_checks_the_pairs_of_the_explicit_rule(shape, oracle, replay):
     cfg, layer = shape
-    checked = []
-    check = systolic._check_oracle
-
-    def spy(schedule, pes, *rest):
-        checked.extend((schedule.index, pe) for pe in pes)
-        return check(schedule, pes, *rest)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(systolic, "_check_oracle", spy)
+        calls = spy_engine(mp)
         run_convolution(layer, cfg, "gather", seed=4, oracle=oracle, replay=replay)
-    assert sorted(checked) == explicit_oracle_checks(nested_round_schedules(layer, cfg), oracle)
+    pe_of = pe_of_vectors(layer, cfg)
+    checked = [pe_of[i, f] for call in calls for i, f, *_ in call]
+    assert checked == explicit_oracle_checks(nested_round_schedules(layer, cfg), oracle)
 
 
 # 2x2 mesh, 32 input vectors x 8 filters: 64 rounds of one class, so the
@@ -102,16 +121,25 @@ GUARD_LAYER = LayerConfig("t", "t", in_channels=2, kernels=8, kernel_side=1,
 GUARD_ROUND = 2
 
 
-def off_by_one_at_guard_round(engine):
-    """``engine`` (``round_accumulators``) with the accumulator of PE (0, 0)
-    one too high in round ``GUARD_ROUND``."""
-    def off_by_one(schedule, seed):
-        out = engine(schedule, seed)
-        if schedule.index == GUARD_ROUND:
-            # the first PE of the arrays is PE (0, 0), which every rule samples
-            out[0][0, 0] += 1
-        return out
+def off_by_one_at(engine, faults):
+    """``engine`` (``round_accumulators``) with the accumulator one too high
+    at every PE that pairs the vectors ``(input id, filter id)`` in
+    ``faults``."""
+    def off_by_one(seed, input_ids, filter_ids, length):
+        accs, ins, wts = engine(seed, input_ids, filter_ids, length)
+        for k, pair in enumerate(zip(input_ids, filter_ids)):
+            if pair in faults:
+                accs[k] += 1
+        return accs, ins, wts
     return off_by_one
+
+
+def off_by_one_at_guard_round(engine):
+    """``engine`` with the accumulator of PE (0, 0), which every rule
+    samples, one too high in round ``GUARD_ROUND`` of ``GUARD_LAYER`` on
+    the 2x2 mesh."""
+    guard = RoundPlan(GUARD_LAYER, MeshConfig(rows=2, cols=2)).schedule(GUARD_ROUND)
+    return off_by_one_at(engine, {(guard.input_ids[0], guard.filter_ids[0])})
 
 
 @pytest.mark.parametrize("replay", [True, False])
@@ -164,11 +192,11 @@ def uint8_engine(engine):
     """``engine`` (``round_accumulators``) with its operands cast to uint8
     and multiplied in uint8, so every accumulator wraps modulo 256; an
     oracle that took the dtype of the operands it is given, through a
-    matrix product as the engine does, would agree with it."""
-    def narrow(schedule, seed):
-        _, ins, wts = engine(schedule, seed)
+    matrix product, would agree with it."""
+    def narrow(seed, input_ids, filter_ids, length):
+        _, ins, wts = engine(seed, input_ids, filter_ids, length)
         ins, wts = ins.astype(np.uint8), wts.astype(np.uint8)
-        return ins @ wts.T, ins, wts
+        return (ins[:, None, :] @ wts[:, :, None])[:, 0, 0], ins, wts
     return narrow
 
 
@@ -198,16 +226,18 @@ def use_layers(monkeypatch, layers: list[LayerConfig]) -> list[tuple[str, str]]:
 
 
 def spy_oracle_checks(monkeypatch) -> Counter:
-    """Count every PE check ``_check_oracle`` makes as (layer, round, PE,
-    input vector, weight vector, accumulator); the layer is the one of the
+    """Count every PE check the oracle makes as (layer, input id, filter id,
+    input vector, weight vector, accumulator); the pair of ids names the
+    PE and round within the layer, and the layer is the one of the
     ``harness.run`` call in progress, or ``None`` outside one."""
     checks, layer_of_call = Counter(), [None]
-    check, convolve = systolic._check_oracle, harness.run_convolution
+    engine, convolve = systolic.round_accumulators, harness.run_convolution
 
-    def spy(schedule, pes, accs, ins, wts):
-        checks.update((layer_of_call[0], schedule.index, (r, c), tuple(ins[r].tolist()),
-                       tuple(wts[c].tolist()), int(accs[r, c])) for r, c in pes)
-        return check(schedule, pes, accs, ins, wts)
+    def spy(seed, input_ids, filter_ids, length):
+        accs, ins, wts = engine(seed, input_ids, filter_ids, length)
+        checks.update((layer_of_call[0], i, f, tuple(x.tolist()), tuple(w.tolist()), int(a))
+                      for i, f, x, w, a in zip(input_ids, filter_ids, ins, wts, accs))
+        return accs, ins, wts
 
     def tagged(layer, *args, **kwargs):
         layer_of_call[0] = layer.layer
@@ -216,7 +246,7 @@ def spy_oracle_checks(monkeypatch) -> Counter:
         finally:
             layer_of_call[0] = None
 
-    monkeypatch.setattr(systolic, "_check_oracle", spy)
+    monkeypatch.setattr(systolic, "round_accumulators", spy)
     monkeypatch.setattr(harness, "run_convolution", tagged)
     return checks
 
@@ -311,3 +341,61 @@ def test_a_failed_check_leaves_no_verdict(monkeypatch):
         with pytest.raises(OracleMismatchError, match=rf"round {GUARD_ROUND} PE \(0,0\)"):
             run_convolution(GUARD_LAYER, MeshConfig(rows=2, cols=2), mode, seed=3,
                             shared=shared)
+
+
+# ------------------------------------------------- the oracle's chunk budget
+
+@pytest.mark.parametrize("oracle", ["full", "sample"])
+@pytest.mark.parametrize("pairs_per_chunk", [1, 3, 7])
+@pytest.mark.parametrize("layer", [GUARD_LAYER, *VERDICT_LAYERS])
+def test_chunked_oracle_checks_what_the_unchunked_one_does(monkeypatch, layer, oracle,
+                                                          pairs_per_chunk):
+    cfg, length = MeshConfig(rows=3, cols=4), stream_length(layer)
+    runs = {}
+    for budget in (10**12, pairs_per_chunk * length + length - 1):
+        monkeypatch.setattr(systolic, "ORACLE_CHUNK_ELEMENTS", budget)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_engine(mp)
+            shared = {}
+            run_convolution(layer, cfg, "ru", seed=6, oracle=oracle, shared=shared)
+        runs[budget] = calls, {k: v for k, v in shared.items() if v is True}
+    (whole, verdict), (chunks, chunked_verdict) = runs.values()
+    assert len(whole) == 1 and chunked_verdict == verdict and len(verdict) == 1
+    assert [check for call in chunks for check in call] == whole[0]
+    assert [len(call) for call in chunks[:-1]] == [pairs_per_chunk] * (len(chunks) - 1)
+    assert 1 <= len(chunks[-1]) <= pairs_per_chunk
+
+
+def test_a_fault_in_a_later_chunk_names_its_own_round_and_pe(monkeypatch):
+    # 64 rounds of four PEs, three pairs a chunk: round 40 PE (1,1) and
+    # round 41 PE (0,0) are pairs 163 and 164, both in chunk 54 of 86
+    cfg = MeshConfig(rows=2, cols=2)
+    monkeypatch.setattr(systolic, "ORACLE_CHUNK_ELEMENTS", 3 * stream_length(GUARD_LAYER))
+    plan = RoundPlan(GUARD_LAYER, cfg)
+    faults = {(plan.schedule(40).input_ids[1], plan.schedule(40).filter_ids[1]),
+              (plan.schedule(41).input_ids[0], plan.schedule(41).filter_ids[0])}
+    calls = spy_engine(monkeypatch)
+    monkeypatch.setattr(systolic, "round_accumulators",
+                        off_by_one_at(systolic.round_accumulators, faults))
+    with pytest.raises(OracleMismatchError, match=r"^round 40 PE \(1,1\): "):
+        run_convolution(GUARD_LAYER, cfg, "gather", seed=3, oracle="full")
+    assert len(calls) == 55
+
+
+def test_every_generator_call_of_the_check_stays_within_the_budget(monkeypatch):
+    # full scale: 1 600 rounds of 8x8 PEs, 4 608 operands per PE
+    layer, cfg = load_layer("vgg16", "conv4"), MeshConfig(rows=8, cols=8)
+    assert stream_length(layer) == 4608
+    calls, generate = [], systolic.operand_block
+
+    def spy(seed, tag, vec_ids, length):
+        calls.append(len(vec_ids) * length)
+        return generate(seed, tag, vec_ids, length)
+
+    monkeypatch.setattr(systolic, "operand_block", spy)
+    run_convolution(layer, cfg, "ru", seed=2)
+    assert calls and max(calls) <= systolic.ORACLE_CHUNK_ELEMENTS
+    # one call per side per chunk: the sampled rule checks 4 PEs of every
+    # 50th round, 128 pairs
+    chunks = math.ceil(128 / (systolic.ORACLE_CHUNK_ELEMENTS // 4608))
+    assert len(calls) == 2 * chunks

@@ -16,8 +16,10 @@ from gathernoc.network import MeshNetwork
 from gathernoc.packet import PacketType
 from gathernoc.systolic import (
     CollectionMode,
+    RoundPlan,
     RoundSchedule,
     _mix64,
+    _seed_key,
     _mix64_words,
     build_round_schedules,
     input_vector,
@@ -186,6 +188,15 @@ def test_oracle_rejects_operands_that_could_overflow(xs, ws):
         partial_conv_oracle(xs, ws)
 
 
+def test_oracle_rejects_uint64_operands_beyond_int64():
+    # converting them to int64 would wrap them to small or negative values
+    with pytest.raises(SimulationError, match="do not fit in int64"):
+        partial_conv_oracle(np.array([2**63 + 1], np.uint64), [1])
+    with pytest.raises(SimulationError, match="do not fit in int64"):
+        partial_conv_oracle([1, 1], np.array([[3, 2**64 - 1]], np.uint64))
+    assert partial_conv_oracle(np.array([2**32], np.uint64), [2**30 - 1]) == 2**62 - 2**32
+
+
 def test_oracle_is_exact_just_inside_the_bound():
     assert partial_conv_oracle([2**32 - 1], [-2**31]) == -(2**63) + 2**31
     assert partial_conv_oracle([-2**63], [0]) == 0
@@ -219,7 +230,7 @@ class TestOperandGenerator:
     def test_block_rows_equal_single_vectors(self, seed, tag, ids, length, cut, data):
         shuffled = data.draw(st.permutations(ids))
         block = operand_block(seed, tag, shuffled, length)
-        assert block.dtype == np.int64 and block.shape == (len(ids), length)
+        assert block.dtype == np.uint8 and block.shape == (len(ids), length)
         for k, vec_id in enumerate(shuffled):
             assert block[k].tolist() == operand_vector(seed, tag, vec_id, length).tolist()
         # the same ids in two calls give the same rows
@@ -261,11 +272,26 @@ class TestOperandGenerator:
         mixed = _mix64_words(np.array(words, dtype=np.uint64))
         assert [int(z) for z in mixed] == [_mix64(z) for z in words]
 
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_block_equals_the_generator_on_python_ints(self, seed):
+        # the reference: every key and word mixed one at a time in Python
+        # ints, ids entering modulo 2**64 (so -1 and 2**64 - 1 agree)
+        golden, mask = 0x9E3779B97F4A7C15, 2**64 - 1
+        ids, length = [0, 1, 7, 2**63, 2**64 - 1, 2**64, 2**70 + 3, -1], 21
+        for tag in (0, 1):
+            tag_key = _mix64((_seed_key(seed) + (tag + 1) * golden) & mask)
+            expected = []
+            for i in ids:
+                key = _mix64((tag_key + (i + 1) * golden) & mask)
+                words = [_mix64((key + (j + 1) * golden) & mask) for j in range(3)]
+                expected.append(list(b"".join(w.to_bytes(8, "little") for w in words))[:length])
+            assert operand_block(seed, tag, ids, length).tolist() == expected
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             operand_block(-1, 0, [0], 8)
 
-    def test_round_accumulators_make_one_generator_call_per_side(self, monkeypatch):
+    def test_oracle_makes_one_generator_call_per_side_per_chunk(self, monkeypatch):
         calls = []
 
         def spy(seed, tag, vec_ids, length):
@@ -273,10 +299,15 @@ class TestOperandGenerator:
             return operand_block(seed, tag, vec_ids, length)
 
         monkeypatch.setattr(systolic, "operand_block", spy)
-        schedule = build_round_schedules(_layer(c=2, r=2, q=3, p=4), MeshConfig(rows=4, cols=3))[0]
-        accs, ins, wts = systolic.round_accumulators(schedule, seed=11)
-        assert calls == [(11, 0, (0, 1, 2, 3), 8), (11, 1, (0, 1, 2), 8)]
-        assert accs.shape == (4, 3) and ins.shape == (4, 8) and wts.shape == (3, 8)
+        # one round of 4x3 PEs, 8 operands each: five pairs a chunk
+        monkeypatch.setattr(systolic, "ORACLE_CHUNK_ELEMENTS", 5 * 8 + 7)
+        plan = RoundPlan(_layer(c=2, r=2, q=3, p=4), MeshConfig(rows=4, cols=3))
+        systolic._check_oracle(plan, "full", seed=11)
+        assert calls == [(11, 0, (0, 0, 0, 1, 1), 8), (11, 1, (0, 1, 2, 0, 1), 8),
+                         (11, 0, (1, 2, 2, 2, 3), 8), (11, 1, (2, 0, 1, 2, 0), 8),
+                         (11, 0, (3, 3), 8), (11, 1, (1, 2), 8)]
+        accs, ins, wts = systolic.round_accumulators(11, (0, 3), (2, 1), 8)
+        assert accs.shape == (2,) and ins.shape == (2, 8) and wts.shape == (2, 8)
 
 
 class TestStreamSchedule:
@@ -305,7 +336,10 @@ class TestStreamSchedule:
         cfg = MeshConfig(rows=4, cols=3)
         schedule = build_round_schedules(layer, cfg)[0]
         stepped = simulate_stream(schedule, seed=11)
-        engine, _, _ = round_accumulators(schedule, seed=11)
+        pes = list(product(range(schedule.active_rows), range(schedule.active_cols)))
+        engine, _, _ = round_accumulators(11, [schedule.input_ids[r] for r, _ in pes],
+                                          [schedule.filter_ids[c] for _, c in pes], 8)
+        engine = engine.reshape(schedule.active_rows, schedule.active_cols)
         assert (stepped == engine).all()
         ref = partial_conv_oracle(
             input_vector(11, schedule.input_ids[2], 8).tolist(),
