@@ -1,6 +1,6 @@
 """Mesh NoC simulator with gather-packet collection for systolic CNN traffic."""
 
-from .analytic import AnalyticParams, improvement, improvement_pct, latency_gather, latency_ru
+from .analytic import AnalyticParams, improvement, improvement_pct, latency_gather
 from .config import MeshConfig, default_timeout_table
 from .errors import (
     CapacityError,
@@ -51,7 +51,6 @@ __all__ = [
     "improvement",
     "improvement_pct",
     "latency_gather",
-    "latency_ru",
     "load_layer",
     "model_layers",
     "partial_conv_oracle",

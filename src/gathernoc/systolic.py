@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .config import MeshConfig, check_timeout_table
 from .errors import ConfigError, LostPayloadError, OracleMismatchError, SimulationError
 from .network import MeshNetwork
 from .power import ActivityCounters, EnergyCoefficients, total_energy
-from .stats import RunStats
+from .stats import RoundClass, RoundMeasurement, RunStats
 from .topology import NodeId
 from .workload import LayerConfig, round_count, stream_length
 
@@ -206,8 +205,8 @@ def operand_block(seed: int, tag: int, vec_ids, length: int) -> np.ndarray:
     tag and the vector id; word ``j`` of the vector is the mix of ``key +
     (j + 1) * golden`` modulo 2**64, and gives 8 operands, its bytes in
     little-endian order.  So every value is a pure function of (seed, tag,
-    id, index), the same on any byte order, and row ``k`` equals
-    ``operand_vector(seed, tag, vec_ids[k], length)`` whatever the other ids.
+    id, index), the same on any byte order, and row ``k`` depends on
+    ``vec_ids[k]`` alone, not on the other ids.
     """
     tag_key = _mix64((_seed_key(seed) + (tag + 1) * _GOLDEN) & _MASK64)
     # an id enters the key modulo 2**64, as in Python-int arithmetic
@@ -216,20 +215,6 @@ def operand_block(seed: int, tag: int, vec_ids, length: int) -> np.ndarray:
     words = np.arange(1, (length + 7) // 8 + 1, dtype=np.uint64) * _GOLDEN
     z = _mix64_words(words + keys[:, None])
     return z.astype("<u8", copy=False).view(np.uint8)[:, :length]
-
-
-def operand_vector(seed: int, tag: int, vec_id: int, length: int) -> np.ndarray:
-    """Deterministic 8-bit operand vector, independent of round order: the
-    one-row ``operand_block``."""
-    return operand_block(seed, tag, (vec_id,), length)[0]
-
-
-def input_vector(seed: int, vec_id: int, length: int) -> np.ndarray:
-    return operand_vector(seed, _INPUT_TAG, vec_id, length)
-
-
-def weight_vector(seed: int, vec_id: int, length: int) -> np.ndarray:
-    return operand_vector(seed, _WEIGHT_TAG, vec_id, length)
 
 
 def round_accumulators(seed: int, input_ids, filter_ids, length: int):
@@ -247,26 +232,6 @@ def round_accumulators(seed: int, input_ids, filter_ids, length: int):
 
 
 # --------------------------------------------------------------------- runs
-
-@dataclass(eq=False)
-class _RoundMeasurement:
-    """What one simulated round measured, with cycles counted from its ready
-    cycle (when its first result is posted); compared and hashed by
-    identity, so that replayed rounds can be counted per measurement.
-    ``events`` holds the round's event lines, cycles counted from the ready
-    cycle too, when its class was measured with an event log."""
-
-    collection: int
-    packets: int
-    flits: int
-    hops: int
-    payloads: int
-    timeout_packets: int
-    full_round: bool
-    head_latencies: list[int]
-    counter_delta: dict[str, int]
-    events: list[str] | None = None
-
 
 def ideal_collection_cycles(config: MeshConfig, mode: CollectionMode) -> int:
     """The closed-form full-row collection term of ``mode`` (no congestion or
@@ -330,22 +295,19 @@ def run_convolution(
 
     With ``replay`` each round class ``(active_rows, active_cols)`` of the
     layer's ``RoundPlan`` is measured once, in a network of its own that
-    starts drained, relative to the class's ready cycle; every round of the
-    class reuses that measurement, and its events are logged shifted to
-    the true ready cycle of the class's first round.  ``replay=False``
-    simulates every round of ``build_round_schedules`` back to back in one
-    network that carries its state: the reference the replay differential
-    tests compare against.
+    starts drained, relative to the class's ready cycle; its events are
+    logged shifted to the true ready cycle of the class's first round.
+    ``replay=False``, the reference the replay differential tests compare
+    against, simulates every round back to back in one network that
+    carries its state, and checks each against its class's first.
 
     ``shared`` holds what several calls can reuse: the class measurements,
     keyed by everything a class simulation depends on, and the oracle's
     verdict on a layer, keyed by the layer, mesh, seed and resolved oracle
-    mode (the checked pairs and operand values depend on nothing else, not
-    on the collection mode).  A verdict is stored only once every check of
-    the layer has passed; a call that finds one does no operand work.
+    mode (nothing else sets the checked pairs and operand values).  A
+    verdict is stored only once every check of the layer has passed.
     ``harness.run`` passes one mapping to all its calls, so it measures
-    each class once and checks each layer once per run.  By default each
-    call measures and checks afresh.
+    each class once and checks each layer once per run.
     """
     mode = _collection_mode(mode)
     if oracle not in ("auto", "full", "sample"):
@@ -367,69 +329,55 @@ def run_convolution(
         _check_oracle(plan, oracle, seed)
         shared[verdict] = True
 
-    # a round's ready cycle, counted from its start
-    ready_offset = plan.stream_len + config.mac_latency
-    # rows: (the measurements of one row of rounds, how many rows repeat it)
-    if replay:
-        table = tuple(sorted(timeout_table.items())) if timeout_table else ()
-        rows, row_start = [], 0
-        for _, row_count, ib in plan.row_blocks:
-            row, start = [], row_start
-            for _, col_count, fb in plan.col_blocks:
-                schedule = plan.schedule(ib * plan.col_count + fb)
-                key = (config, mode, table, schedule.active_rows, schedule.active_cols,
-                       event_log is not None)
-                m = shared.get(key)
-                if m is None:
-                    events = None if event_log is None else []
-                    m = shared[key] = _simulate_round(
-                        MeshNetwork(config, timeout_table=timeout_table, event_log=events),
-                        config, mode, schedule, 0)
-                    m.events = events
-                if event_log is not None:
-                    event_log.extend(_shifted(m.events, start + ready_offset))
-                row += [m] * col_count
-                start += col_count * (ready_offset + m.collection)
-            rows.append((row, row_count))
-            row_start += row_count * (start - row_start)
-    else:
+    ready_offset = plan.stream_len + config.mac_latency  # a round's ready cycle, from its start
+    if not replay:  # the first measurement of each class, every round checked against it
         net = MeshNetwork(config, timeout_table=timeout_table, event_log=event_log)
-        row, start = [], 0
+        firsts: dict[tuple[int, int], tuple[int, RoundMeasurement]] = {}
+        start = 0
         for schedule in build_round_schedules(layer, config):
-            row.append(_simulate_round(net, config, mode, schedule, start + ready_offset))
-            start += ready_offset + row[-1].collection
-        rows = [(row, 1)]
-    return _fold_rounds(stats, rows, coefficients, ready_offset)
+            m = _simulate_round(net, config, mode, schedule, start + ready_offset)
+            shape = (schedule.active_rows, schedule.active_cols)
+            first_round, expected = firsts.setdefault(shape, (schedule.index, m))
+            if m != expected:
+                raise SimulationError(
+                    f"round {schedule.index} measured otherwise than round {first_round}, the "
+                    f"first of its {shape[0]}x{shape[1]} class: rounds are not independent")
+            start += ready_offset + m.collection
+    timeouts = tuple(sorted(timeout_table.items())) if timeout_table else ()
+    table = []
+    for _, row_count, ib in plan.row_blocks:
+        for _, col_count, fb in plan.col_blocks:
+            first = plan.schedule(ib * plan.col_count + fb)
+            shape = (first.active_rows, first.active_cols)
+            key = (config, mode, timeouts, *shape, event_log is not None)
+            if not replay:
+                m = firsts[shape][1]
+            elif (m := shared.get(key)) is None:
+                events = None if event_log is None else []
+                m = shared[key] = replace(_simulate_round(
+                    MeshNetwork(config, timeout_table=timeout_table, event_log=events),
+                    config, mode, first, 0), events=events)
+            table.append(RoundClass(*shape, row_count, col_count, first.index,
+                                    ready_offset + m.collection, m))
+    _fold_rounds(stats, table, coefficients)
+    if replay and event_log is not None:
+        starts = list(accumulate(stats.per_round_latency, initial=0))
+        for c in table:  # each class's lines "<cycle> <rest>", shifted to its first round
+            shift = starts[c.first_round] + ready_offset
+            for cycle, rest in (line.split(" ", 1) for line in c.measurement.events):
+                event_log.append(f"{int(cycle) + shift} {rest}")
+    return stats
 
 
-def _shifted(events: list[str], offset: int):
-    """Event lines ``"<cycle> <rest>"`` with ``offset`` added to each cycle."""
-    for line in events:
-        cycle, rest = line.split(" ", 1)
-        yield f"{int(cycle) + offset} {rest}"
-
-
-def _fold_rounds(stats: RunStats, rows: list[tuple[list[_RoundMeasurement], int]],
-                 coefficients: EnergyCoefficients | None, ready_offset: int) -> RunStats:
-    """Fill ``stats`` from ``rows``: (measurements of a row of rounds, times
-    the row repeats).  A round's latency is ``ready_offset`` plus its
-    collection.  A replayed round is its class's measurement object, so
-    scalars and counters are folded once per measurement, times its count."""
-    def per_round(values) -> list[int]:
-        return list(chain.from_iterable(values(row) * times for row, times in rows))
-
-    stats.per_round_latency = per_round(lambda row: [ready_offset + m.collection for m in row])
-    stats.per_round_collection = per_round(lambda row: [m.collection for m in row])
-    stats.delta_measured = per_round(lambda row: [m.collection - stats.ideal_collection
-                                                  for m in row if m.full_round])
-    stats.total_cycles = sum(stats.per_round_latency)
-    stats.head_latencies = list(rows[0][0][0].head_latencies)
-    counts = Counter()
-    for row, times in rows:
-        for m in row:
-            counts[m] += times
+def _fold_rounds(stats: RunStats, table: list[RoundClass],
+                 coefficients: EnergyCoefficients | None) -> RunStats:
+    """Put ``table`` on ``stats`` and fold each class's measurement into it
+    times the class's round count."""
+    stats.round_classes = table
     counters = ActivityCounters()
-    for m, count in counts.items():
+    for c in table:
+        m, count = c.measurement, c.rounds
+        stats.total_cycles += count * c.latency
         stats.packets += count * m.packets
         stats.flits += count * m.flits
         stats.hops += count * m.hops
@@ -441,13 +389,8 @@ def _fold_rounds(stats: RunStats, rows: list[tuple[list[_RoundMeasurement], int]
     return stats
 
 
-def _simulate_round(
-    net: MeshNetwork,
-    config: MeshConfig,
-    mode: CollectionMode,
-    schedule: RoundSchedule,
-    ready_base: int,
-) -> _RoundMeasurement:
+def _simulate_round(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
+                    schedule: RoundSchedule, ready_base: int) -> RoundMeasurement:
     """Collect one round of ``schedule``'s shape, PE ``(r, c)`` ready
     ``r + c`` cycles after ``ready_base``."""
     ready = [(NodeId(r, c), ready_base + r + c)
@@ -459,7 +402,7 @@ def _simulate_round(
 
 def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
              ready: list[tuple[NodeId, int]], ready_base: int,
-             full_round: bool, what: str) -> _RoundMeasurement:
+             full_round: bool, what: str) -> RoundMeasurement:
     """Post a result of every ``(node, ready cycle)``, drain them to the
     buffer, check each was delivered exactly once and the network drained,
     and measure the round.  ``ready_base`` is the earliest ready cycle.
@@ -473,8 +416,7 @@ def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
 
     expected = [(node, node.index(config.cols)) for node, _ in ready]
     prev_pid: dict[int, int] = {}  # each row's in-order unicast chain
-    for node, cycle in ready:
-        value = node.index(config.cols)
+    for (node, cycle), (_, value) in zip(ready, expected):
         if mode == CollectionMode.RU:
             prev_pid[node.row] = net.schedule_unicast_result(
                 node, value, cycle, prev_pid.get(node.row))
@@ -500,7 +442,7 @@ def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
 
     net.assert_drained()
     round_end = max(pkt.commit_cycle for pkt in round_delivered)
-    return _RoundMeasurement(
+    return RoundMeasurement(
         collection=round_end - ready_base,
         packets=len(round_delivered),
         flits=net.flits_injected - flits_before,
@@ -519,11 +461,8 @@ def run_ready_row(
     mode: CollectionMode | str,
     timeout_table: dict[tuple[int, int], int] | None = None,
 ) -> RunStats:
-    """One row of PEs, all with a result ready at cycle 0 (motivating demo).
-
-    Returns stats for draining that single row's results to the buffer in
-    the requested mode, as a one-round run.
-    """
+    """One row of PEs, all with a result ready at cycle 0 (motivating demo),
+    drained to the buffer in ``mode``: the stats of a one-round run."""
     mode = _collection_mode(mode)
     check_timeout_table(config, timeout_table)
     _check_stand_in_width(config)
@@ -535,25 +474,20 @@ def run_ready_row(
     stats = RunStats(model="demo", layer=f"ready-row-{row}", mode=mode.value,
                      rows=config.rows, cols=config.cols, seed=0, rounds=1,
                      ideal_collection=ideal_collection_cycles(config, mode))
-    return _fold_rounds(stats, [([m], 1)], None, ready_offset=0)
-
-
-def _oracle_pes(schedule: RoundSchedule, oracle_mode: str) -> list[tuple[int, int]]:
-    """PEs ``(row, col)`` the oracle checks in a round: every active PE, or
-    under ``sample`` at most four, evenly spaced in row-major order."""
-    pes = range(schedule.active_rows * schedule.active_cols)
-    if oracle_mode == "sample":
-        pes = pes[:: max(1, len(pes) // 4)][:4]
-    return [divmod(k, schedule.active_cols) for k in pes]
+    return _fold_rounds(stats, [RoundClass(1, config.cols, 1, 1, 0, m.collection, m)], None)
 
 
 def _oracle_pairs(plan: RoundPlan, oracle_mode: str):
     """The layer's checked pairs ``(round, row, col, input id, filter id)``
-    in round-then-PE order: ``_oracle_pes`` of every round under ``full``,
-    of every ``rounds // 32``-th round under ``sample``."""
+    in round-then-PE order: every active PE of every round under ``full``;
+    under ``sample`` at most four PEs, evenly spaced in row-major order, of
+    every ``rounds // 32``-th round."""
     stride = 1 if oracle_mode == "full" else max(1, plan.rounds // 32)
     for schedule in map(plan.schedule, range(0, plan.rounds, stride)):
-        for r, c in _oracle_pes(schedule, oracle_mode):
+        pes = range(schedule.active_rows * schedule.active_cols)
+        if oracle_mode == "sample":
+            pes = pes[:: max(1, len(pes) // 4)][:4]
+        for r, c in (divmod(k, schedule.active_cols) for k in pes):
             yield schedule.index, r, c, schedule.input_ids[r], schedule.filter_ids[c]
 
 

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Simulated runs use the default configuration with the per-layer input-vector
-count truncated to 64 so the grid finishes in minutes.
+count truncated to 64; the grid fixture takes well under a second.
 """
 from __future__ import annotations
 

@@ -90,6 +90,17 @@ class TestRun:
         assert ru["per_round_collection"]
         assert set(CSV_COLUMNS) <= set(ru)
 
+    def test_json_matches_golden(self, tmp_path):
+        # 4x5 mesh, 11 input vectors: every layer has four round classes,
+        # ragged in rows and in columns, so the per-round arrays interleave
+        # them; the golden pins every array entry, byte for byte
+        cfg = RunConfig(mesh=MeshConfig(rows=4, cols=5), modes=("ru", "gather"),
+                        layers=[("alexnet", f"conv{i}") for i in (2, 3, 4, 5)],
+                        p_override=11, output=str(tmp_path / "golden"), out_format="json")
+        run(cfg)
+        golden = Path(__file__).parent / "data" / "json_golden.json"
+        assert (tmp_path / "golden.json").read_bytes() == golden.read_bytes()
+
 
 class TestEmit:
     def test_csv_schema_and_header_only_when_empty(self, tmp_path):

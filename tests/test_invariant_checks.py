@@ -6,12 +6,13 @@ import dataclasses
 
 import pytest
 
-from gathernoc import network as network_module
+from gathernoc import network as network_module, systolic
 from gathernoc.config import MeshConfig
 from gathernoc.errors import DrainError, LostPayloadError, SimulationError
 from gathernoc.network import MeshNetwork
-from gathernoc.systolic import run_ready_row
+from gathernoc.systolic import run_convolution, run_ready_row
 from gathernoc.topology import NodeId
+from gathernoc.workload import LayerConfig
 
 CFG = MeshConfig(rows=4, cols=4)
 
@@ -159,3 +160,21 @@ def test_arbitration_without_credits(monkeypatch):
     monkeypatch.setattr(MeshNetwork, "_arbitrate", patched)
     with pytest.raises(SimulationError, match=r"^credit discipline violated$"):
         run_ready_row(dataclasses.replace(CFG, buffer_depth=1), 0, "ru")
+
+
+def test_round_measured_unlike_its_class(monkeypatch):
+    # 4x4 mesh, 16 input vectors x 6 filters: rounds 0, 2, 4 and 6 form the
+    # 4x4 class; round 4 collects one cycle later than the others
+    layer = LayerConfig("t", "t", in_channels=2, kernels=6, kernel_side=1,
+                        layer_side=1, input_vectors=16)
+    simulate = systolic._simulate_round
+
+    def patched(net, config, mode, schedule, ready_base):
+        m = simulate(net, config, mode, schedule, ready_base)
+        return dataclasses.replace(m, collection=m.collection + (schedule.index == 4))
+
+    monkeypatch.setattr(systolic, "_simulate_round", patched)
+    with pytest.raises(SimulationError, match=(
+            r"^round 4 measured otherwise than round 0, the first of its 4x4 class: "
+            r"rounds are not independent$")):
+        run_convolution(layer, CFG, "ru", replay=False)

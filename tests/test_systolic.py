@@ -14,22 +14,22 @@ from gathernoc.config import MeshConfig, flat_timeout_table
 from gathernoc.errors import ConfigError, SimulationError
 from gathernoc.network import MeshNetwork
 from gathernoc.packet import PacketType
+from gathernoc.stats import RunStats
 from gathernoc.systolic import (
     CollectionMode,
     RoundPlan,
     RoundSchedule,
+    _INPUT_TAG,
+    _WEIGHT_TAG,
     _mix64,
     _seed_key,
     _mix64_words,
     build_round_schedules,
-    input_vector,
     operand_block,
-    operand_vector,
     partial_conv_oracle,
     round_accumulators,
     run_convolution,
     run_ready_row,
-    weight_vector,
 )
 from gathernoc.topology import NodeId
 from gathernoc.workload import LayerConfig, load_layer
@@ -67,8 +67,8 @@ def simulate_stream(schedule: RoundSchedule, seed: int) -> np.ndarray:
     to pin the closed-form skew and the engine arithmetic.
     """
     n, m, length = schedule.active_rows, schedule.active_cols, schedule.stream_len
-    ins = [input_vector(seed, i, length).tolist() for i in schedule.input_ids]
-    wts = [weight_vector(seed, k, length).tolist() for k in schedule.filter_ids]
+    ins = operand_block(seed, _INPUT_TAG, schedule.input_ids, length).tolist()
+    wts = operand_block(seed, _WEIGHT_TAG, schedule.filter_ids, length).tolist()
     # each PE's accumulator and operand count; h[r][c] and v[r][c] hold the
     # operands on the links into PE (r, c)
     acc = [[0] * m for _ in range(n)]
@@ -213,6 +213,9 @@ def test_oracle_length_mismatch_is_a_config_error(xs, ws):
         partial_conv_oracle(xs, ws)
 
 
+# RunStats's per-round lists, views of its class table
+VIEWS = ("per_round_latency", "per_round_collection", "delta_measured", "head_latencies")
+
 # seeds at and around every 64-bit limb boundary
 EDGE_SEEDS = [0, 1, 2, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 2**128 + 5, 3**200]
 
@@ -220,8 +223,10 @@ EDGE_SEEDS = [0, 1, 2, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 2**128 + 5
 class TestOperandGenerator:
     def test_pinned_golden(self):
         # any change to the generator changes these
-        assert input_vector(12345, 0, 8).tolist() == [148, 164, 104, 232, 109, 250, 80, 43]
-        assert weight_vector(12345, 0, 8).tolist() == [213, 35, 65, 28, 188, 171, 168, 171]
+        assert operand_block(12345, _INPUT_TAG, [0], 8).tolist() == [
+            [148, 164, 104, 232, 109, 250, 80, 43]]
+        assert operand_block(12345, _WEIGHT_TAG, [0], 8).tolist() == [
+            [213, 35, 65, 28, 188, 171, 168, 171]]
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**130), tag=st.integers(0, 1),
@@ -232,7 +237,7 @@ class TestOperandGenerator:
         block = operand_block(seed, tag, shuffled, length)
         assert block.dtype == np.uint8 and block.shape == (len(ids), length)
         for k, vec_id in enumerate(shuffled):
-            assert block[k].tolist() == operand_vector(seed, tag, vec_id, length).tolist()
+            assert block[k].tolist() == operand_block(seed, tag, [vec_id], length)[0].tolist()
         # the same ids in two calls give the same rows
         cut = min(cut, len(ids))
         halves = [operand_block(seed, tag, shuffled[:cut], length),
@@ -250,14 +255,14 @@ class TestOperandGenerator:
         assert len(counts) == 256 and counts.min() > 850 and counts.max() < 1200
 
     def test_streams_differ_by_tag_id_and_seed(self):
-        base = operand_vector(1, 0, 5, 64)
-        assert (base != operand_vector(1, 1, 5, 64)).any()
-        assert (base != operand_vector(1, 0, 6, 64)).any()
-        assert (base != operand_vector(2, 0, 5, 64)).any()
-        assert (base != operand_vector(2**64 + 1, 0, 5, 64)).any()
-        assert (operand_vector(0, 0, 5, 64) != operand_vector(2**64, 0, 5, 64)).any()
-        rows = {tuple(operand_vector(seed, tag, i, 16)) for seed in EDGE_SEEDS
-                for tag in (0, 1) for i in (0, 1, 2**63)}
+        base = operand_block(1, 0, [5, 6], 64)
+        assert (base[0] != base[1]).any()
+        assert (base[0] != operand_block(1, 1, [5], 64)[0]).any()
+        assert (base[0] != operand_block(2, 0, [5], 64)[0]).any()
+        assert (base[0] != operand_block(2**64 + 1, 0, [5], 64)[0]).any()
+        assert (operand_block(0, 0, [5], 64) != operand_block(2**64, 0, [5], 64)).any()
+        rows = {tuple(row) for seed in EDGE_SEEDS for tag in (0, 1)
+                for row in operand_block(seed, tag, [0, 1, 2**63], 16)}
         assert len(rows) == len(EDGE_SEEDS) * 2 * 3
 
     def test_no_overflow_warning_for_any_seed(self):
@@ -342,8 +347,8 @@ class TestStreamSchedule:
         engine = engine.reshape(schedule.active_rows, schedule.active_cols)
         assert (stepped == engine).all()
         ref = partial_conv_oracle(
-            input_vector(11, schedule.input_ids[2], 8).tolist(),
-            weight_vector(11, schedule.filter_ids[1], 8).tolist(),
+            operand_block(11, _INPUT_TAG, schedule.input_ids, 8)[2].tolist(),
+            operand_block(11, _WEIGHT_TAG, schedule.filter_ids, 8)[1].tolist(),
         )
         assert engine[2][1] == ref
 
@@ -497,6 +502,30 @@ class TestRunConvolution:
         assert stats.delta_measured and all(d >= 0 for d in stats.delta_measured)
 
 
+def _longest_container(value) -> int:
+    """The most entries any list, tuple or dict in ``value`` holds."""
+    if isinstance(value, dict):
+        return max([len(value), *map(_longest_container, value.values())])
+    if isinstance(value, (list, tuple)):
+        return max([len(value), *map(_longest_container, value)])
+    return 0
+
+
+@pytest.mark.parametrize("mode", ["ru", "gather"])
+def test_full_scale_stats_hold_one_row_per_class(mode):
+    # 8x8 vgg16/conv1 at full scale is 50 176 full rounds, all of one class;
+    # only the views, built on demand, hold an entry per round (every round
+    # is full, so delta_measured too)
+    cfg = MeshConfig(rows=8, cols=8)
+    stats = run_convolution(load_layer("vgg16", "conv1"), cfg, mode)
+    assert stats.rounds == 50_176 and len(stats.round_classes) == 1
+    assert _longest_container(dataclasses.asdict(stats)) <= cfg.rows * cfg.cols
+    for name in VIEWS[:3]:
+        assert len(getattr(stats, name)) == stats.rounds, name
+    assert sum(stats.per_round_latency) == stats.total_cycles
+    assert sum(stats.per_round_collection) == stats.collection_cycles
+
+
 class TestPayloadWidthNotDividingFlit:
     """64-bit flits carry one 40-bit payload each, so a 4-flit gather packet
     holds three payloads although its 192 payload bits would pass for four."""
@@ -599,8 +628,9 @@ class TestReadyRowScenario:
             assert sorted(delivered) == [(NodeId(2, c), 12 + c) for c in range(6)]
             assert stats.payloads_delivered == 6
 
-    # every RunStats field of the ready-row demo, keyed "size/row/mode" with a
-    # "/flat5" suffix for a flat give-up budget of 5 cycles
+    # every RunStats field of the ready-row demo but the class table, and the
+    # four per-round views of it, keyed "size/row/mode" with a "/flat5" suffix
+    # for a flat give-up budget of 5 cycles
     GOLDEN = json.loads((Path(__file__).parent / "data" / "ready_row_golden.json").read_text())
 
     @pytest.mark.parametrize("key", sorted(GOLDEN))
@@ -609,4 +639,6 @@ class TestReadyRowScenario:
         cfg = MeshConfig(rows=int(size), cols=int(size))
         table = flat_timeout_table(cfg, 5) if flat else None
         stats = run_ready_row(cfg, int(row), mode, timeout_table=table)
-        assert dataclasses.asdict(stats) == self.GOLDEN[key]
+        recorded = {f.name for f in dataclasses.fields(RunStats)} - {"round_classes"}
+        assert set(self.GOLDEN[key]) == recorded | set(VIEWS)
+        assert {k: getattr(stats, k) for k in self.GOLDEN[key]} == self.GOLDEN[key]
