@@ -30,12 +30,20 @@ at most one flit, decided on the pre-cycle state:
 * grants are listed router by router in id order, and within a router in
   ``OUTPUT_PORTS`` order; they are committed afterwards, in that order.
 
+A head is routed where it lands: at injection, and in the commit phase at
+the router it enters, so the phase after the commit sees only gather flits
+and runs their load/upload/nack handshake.  Every packet sent to the
+buffer is addressed to the buffer column (``schedule_injection`` checks the
+packets it is handed), so routing never fails partway through a commit.
+
 A cycle costs time in proportion to what is present, not to the size of the
 mesh: arbitration visits only queue heads whose pipeline delay has passed
-(heads still in the pipeline wait in a wake-up heap), gather units are
-looked at only once their give-up deadline has passed, and only non-empty
-NI queues and due sends are touched.  ``stall_fn`` must be a pure function
-of its arguments: it is consulted only for outputs that have a candidate.
+(heads still in the pipeline wait in per-cycle wake-up buckets), gather
+units are looked at only once their give-up deadline has passed, and only
+non-empty NI queues and due sends are touched.  Event-log lines are
+formatted only when a log is attached.  ``stall_fn`` must be a pure
+function of its arguments: it is consulted only for outputs that have a
+candidate.
 """
 from __future__ import annotations
 
@@ -45,7 +53,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 
 from .config import MeshConfig, check_timeout_table, default_timeout_table
-from .errors import DeadlockError, DrainError, SimulationError
+from .errors import ConfigError, DeadlockError, DrainError, SimulationError
 from .packet import Flit, FlitType, PacketType, build_packet, payload_bits
 from .power import ActivityCounters
 from .router import GatherPayload, Router, gather_load_check, upload_payload
@@ -64,6 +72,7 @@ _OPPOSITE = {
 
 _HEAD = FlitType.HEAD
 _TAIL = FlitType.TAIL
+_GATHER = PacketType.GATHER
 
 
 @dataclass
@@ -170,7 +179,7 @@ class MeshNetwork:
         self._next_packet_id = 0
         self._meta: dict[int, _PacketMeta] = {}
         self._queued = 0                                  # flits in router queues
-        self._wake: list[tuple[int, int]] = []            # (ready cycle, queue key) heap
+        self._wake: dict[int, list[int]] = {}             # ready cycle -> queue keys
         self._ready: set[int] = set()                     # keys of heads past the pipeline
         self._ni: list[deque[Flit]] = [deque() for _ in self.routers]
         self._ni_busy: set[int] = set()                   # rids with a non-empty NI queue
@@ -235,9 +244,14 @@ class MeshNetwork:
                            to_buffer: bool = False) -> None:
         """Low-level: push a pre-built packet into a node's injection queue
         at a given cycle (used by protocol tests)."""
+        pid, dst = flits[0].packet_id, flits[0].dst
+        if to_buffer and dst.col != self.config.cols - 1:
+            raise ConfigError(
+                f"packet {pid} is sent to the buffer at {dst}, but the buffer is "
+                f"attached to column {self.config.cols - 1} only"
+            )
         for f in flits:
             f.to_buffer = to_buffer
-        pid = flits[0].packet_id
         if pid >= self._next_packet_id:
             self._next_packet_id = pid + 1
         self._meta[pid] = _PacketMeta()
@@ -262,6 +276,8 @@ class MeshNetwork:
             raise SimulationError("cannot jump backwards")
         if self._queued or self._ni_busy or self._commit_queue or self._staging:
             raise SimulationError("jump requested while the network is busy")
+        if self._holding:
+            raise SimulationError("jump would skip a held payload's give-up deadline")
         if any(t < cycle for t in self._posts):
             raise SimulationError("jump would skip scheduled payload posts")
         if any(s.ready_at < cycle for s in self._pending_sends.values()):
@@ -303,9 +319,10 @@ class MeshNetwork:
 
     # phase 1: read-only arbitration over the ready queue heads
     def _arbitrate(self, t: int):
-        wake, ready = self._wake, self._ready
-        while wake and wake[0][0] <= t:
-            ready.add(heappop(wake)[1])
+        ready = self._ready
+        woken = self._wake.pop(t, None)
+        if woken is not None:
+            ready.update(woken)
         if not ready:
             return []
         nq, vcs, depth = self._nq, self._vcs, self.config.buffer_depth
@@ -353,13 +370,15 @@ class MeshNetwork:
             i = j
         return moves
 
-    # phase 2: commit all granted moves simultaneously
+    # phase 2: commit all granted moves simultaneously, routing each head at
+    # the router it enters
     def _commit(self, moves, t: int):
         arrivals = []
         if not moves:
             return arrivals
         routers, nq, vcs, down, queues = self.routers, self._nq, self._vcs, self._down, self._queues
-        pipeline, depth = self.config.pipeline_depth, self.config.buffer_depth
+        cfg = self.config
+        pipeline, depth, cols = cfg.pipeline_depth, cfg.buffer_depth, cfg.cols
         wake, ready, meta, watch = self._wake, self._ready, self._meta, self._tail_watch
         trace = self.link_trace if self.trace_links else None
         per = self.counters.per_router
@@ -370,9 +389,14 @@ class MeshNetwork:
             queue = router.queues[q]
             flit = queue.popleft()[1]
             key = rid * nq + q
-            ready.discard(key)
             if queue:
-                heappush(wake, (queue[0][0] + pipeline, key))
+                # the next head stays ready if its delay has already passed
+                at = queue[0][0] + pipeline
+                if at > t:
+                    ready.discard(key)
+                    wake.setdefault(at, []).append(key)
+            else:
+                ready.discard(key)
             pid, ft = flit.packet_id, flit.ft
             vc = q % vcs
             reads[rid] += 1
@@ -400,14 +424,16 @@ class MeshNetwork:
             if len(nqueue) >= depth:
                 raise SimulationError("credit discipline violated")
             if not nqueue:
-                heappush(wake, (t + pipeline, nkey))
+                wake.setdefault(t + pipeline, []).append(nkey)
             nqueue.append((t, flit))
             nrouter = routers[nrid]
             writes[nrid] += 1
             links[rid] += 1
-            arrivals.append((nrouter, flit))
+            if flit.pt == _GATHER:
+                arrivals.append((nrouter, flit))
             if ft == _HEAD:
                 meta[pid].hops += 1
+                nrouter.route_cache[pid] = xy_route(nrouter.node, flit.dst, cols, flit.to_buffer)
             elif ft == _TAIL and pid in watch:
                 node, seq = watch[pid]
                 if node == nrouter.node:
@@ -417,14 +443,14 @@ class MeshNetwork:
         return arrivals
 
     def _eject(self, flit: Flit, rid: int, out_port: Port, t: int) -> None:
-        pid = flit.packet_id
+        pid, ft = flit.packet_id, flit.ft
         self.flits_ejected += 1
-        meta = self._meta[pid]
-        if flit.ft == _HEAD:
-            meta.head_arrival = t
+        if ft == _HEAD:
+            self._meta[pid].head_arrival = t
         self._staging.setdefault(pid, []).append(flit)
-        self._log(t, self.routers[rid].node, f"eject pid={pid} {flit.ft.name.lower()}")
-        if flit.ft == _TAIL:
+        if self.event_log is not None:
+            self._log(t, self.routers[rid].node, f"eject pid={pid} {ft.name.lower()}")
+        if ft == _TAIL:
             if out_port == Port.BUFFER:
                 self._commit_queue.append((t, rid, pid))
             else:
@@ -460,17 +486,11 @@ class MeshNetwork:
             )
         )
 
-    # phase 3: route freshly arrived heads, run the gather handshake
+    # phase 3: the gather handshake of the gather flits that arrived
     def _process_arrivals(self, arrivals, t: int) -> None:
         cfg = self.config
         for router, flit in arrivals:
             pid = flit.packet_id
-            if flit.ft == _HEAD:
-                router.route_cache[pid] = xy_route(
-                    router.node, flit.dst, cfg.cols, sink_is_buffer=flit.to_buffer
-                )
-            if flit.pt != PacketType.GATHER:
-                continue
             unit = router.unit
             if flit.ft == _HEAD:
                 if gather_load_check(flit, unit, cfg):
@@ -522,7 +542,8 @@ class MeshNetwork:
                 rid = send.node.index(cfg.cols)
                 self._ni[rid].extend(send.flits)
                 self._ni_busy.add(rid)
-                self._log(t, send.node, f"send pid={send.flits[0].packet_id}")
+                if self.event_log is not None:
+                    self._log(t, send.node, f"send pid={send.flits[0].packet_id}")
 
         deadlines, expiring = self._deadlines, self._expiring
         while deadlines and deadlines[0][0] <= t:
@@ -572,7 +593,7 @@ class MeshNetwork:
             if not queue:
                 self._ni_busy.discard(rid)
             if not local:
-                heappush(self._wake, (t + pipeline, rid * nq + q))
+                self._wake.setdefault(t + pipeline, []).append(rid * nq + q)
             local.append((t, flit))
             self._queued += 1
             self.flits_injected += 1

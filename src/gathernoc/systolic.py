@@ -433,7 +433,10 @@ def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
 
     round_delivered = net.delivered[delivered_before:]
     delivered_payloads = [p for pkt in round_delivered for p in pkt.payloads]
-    if sorted(delivered_payloads) != sorted(expected):
+    # stand-in values are distinct per node, so ordering by value alone puts
+    # two lists of the same payloads in the same order
+    value = operator.itemgetter(1)
+    if sorted(delivered_payloads, key=value) != sorted(expected, key=value):
         missing = set(expected) - set(delivered_payloads)
         raise LostPayloadError(
             f"{what}: delivered payloads do not match posted ones "

@@ -39,23 +39,26 @@ class NodeId:
 def xy_route(current: NodeId, dst: NodeId, cols: int, sink_is_buffer: bool = False) -> Port:
     """Dimension-ordered next-port decision: resolve the column first, then
     the row.  At the destination, deliver locally or, for result traffic, out
-    the buffer port (right edge only)."""
-    if current == dst:
-        if sink_is_buffer:
-            if current.col != cols - 1:
-                raise ConfigError(
-                    f"buffer port requested at {current}, but the buffer is "
-                    f"attached to column {cols - 1} only"
-                )
-            return Port.BUFFER
-        return Port.LOCAL
-    if dst.col > current.col:
+    the buffer port (right edge only).  Compares the integer coordinates, not
+    the ``NodeId``s, because the cycle kernel routes every head it moves."""
+    col, dst_col = current.col, dst.col
+    if dst_col > col:
         return Port.EAST
-    if dst.col < current.col:
+    if dst_col < col:
         return Port.WEST
-    if dst.row > current.row:
+    row, dst_row = current.row, dst.row
+    if dst_row > row:
         return Port.SOUTH
-    return Port.NORTH
+    if dst_row < row:
+        return Port.NORTH
+    if sink_is_buffer:
+        if col != cols - 1:
+            raise ConfigError(
+                f"buffer port requested at {current}, but the buffer is "
+                f"attached to column {cols - 1} only"
+            )
+        return Port.BUFFER
+    return Port.LOCAL
 
 
 def step_toward(current: NodeId, port: Port) -> NodeId:

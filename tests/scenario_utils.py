@@ -1,6 +1,7 @@
 """Randomized protocol-safety scenarios shared by the safety and acceptance
 suites: random payload postings, per-node timeout budgets, and link-stall
-windows on a small mesh, with every delivery invariant checked."""
+windows on a small mesh, with every delivery invariant checked.  Also the
+ragged benchmark-size layer the differential suites share."""
 from __future__ import annotations
 
 import random
@@ -9,6 +10,7 @@ from gathernoc.config import MeshConfig
 from gathernoc.network import MeshNetwork
 from gathernoc.packet import PacketType
 from gathernoc.topology import NodeId, Port
+from gathernoc.workload import LayerConfig
 
 _STALL_PORTS = (Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH, Port.BUFFER, Port.LOCAL)
 
@@ -103,3 +105,12 @@ def scenario_outcome(net: MeshNetwork) -> dict:
         "events": net.event_log,
         "link_trace": repr(sorted(net.link_trace.items())),
     }
+
+
+def ragged_case(side: int, mode: str) -> tuple[MeshConfig, LayerConfig, str]:
+    """A layer on the default ``side`` x ``side`` mesh, one of the benchmark's
+    sizes, whose last row block and last column block are three PEs wide:
+    nine rounds in four classes."""
+    layer = LayerConfig("ragged", "conv", in_channels=3, kernels=2 * side + 3,
+                        kernel_side=1, layer_side=1, input_vectors=2 * side + 3)
+    return MeshConfig(rows=side, cols=side), layer, mode

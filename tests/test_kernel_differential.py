@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import seed_kernel
 from gathernoc import systolic
@@ -22,6 +22,7 @@ from gathernoc.network import MeshNetwork
 from gathernoc.packet import PacketType, build_packet
 from gathernoc.topology import NodeId, Port
 from gathernoc.workload import LayerConfig
+from scenario_utils import ragged_case
 
 _STALL_PORTS = (Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH, Port.BUFFER, Port.LOCAL)
 
@@ -156,6 +157,11 @@ def _run_convolution(network_cls, case):
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(convolution_cases())
+# the benchmark's mesh sizes, with ragged final blocks
+@example(ragged_case(8, "ru"))
+@example(ragged_case(8, "gather"))
+@example(ragged_case(16, "ru"))
+@example(ragged_case(16, "gather"))
 def test_kernel_matches_seed_kernel_on_convolutions(case):
     assert _run_convolution(MeshNetwork, case) == \
         _run_convolution(seed_kernel.MeshNetwork, case)

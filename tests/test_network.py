@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from gathernoc.config import MeshConfig, default_timeout_table, flat_timeout_table
-from gathernoc.errors import DeadlockError
+from gathernoc.errors import ConfigError, DeadlockError, SimulationError
 from gathernoc.network import MeshNetwork, mesh_tables
 from gathernoc.packet import PacketType, build_packet
 from gathernoc.topology import NodeId, Port
@@ -148,6 +148,37 @@ class TestConservation:
                 net.step()
                 net.routers[0].route_cache.clear()
                 net.routers[1].route_cache.clear()
+
+
+class TestClockAndScheduling:
+    def test_jump_over_a_held_payloads_deadline_is_refused(self):
+        # 1x4 row: (0,2) posts at cycle 0 and no packet passes it, so its
+        # payload is held until its give-up deadline launches a packet
+        cfg = MeshConfig(rows=1, cols=4)
+        net = MeshNetwork(cfg)
+        net.schedule_post(0, NodeId(0, 2), 5)
+        net.step()
+        unit = net.routers[2].unit
+        assert net._holding == 1 and unit.posted_at + unit.timeout == 15
+        with pytest.raises(SimulationError, match="give-up deadline"):
+            net.jump_to(100)
+        assert net.cycle == 1
+        _drain(net)
+        assert [p.inject_cycle for p in net.delivered] == [15]
+        assert net.timeout_packets == 1
+        net.jump_to(100)
+        assert net.cycle == 100
+
+    def test_buffer_traffic_off_the_buffer_column_is_refused_when_scheduled(self):
+        # routing such a packet would fail only once it reached its
+        # destination, in the middle of a cycle's commits
+        cfg = MeshConfig(rows=2, cols=3)
+        net = MeshNetwork(cfg)
+        flits = build_packet(PacketType.UNICAST, NodeId(0, 0), NodeId(1, 1),
+                             [(NodeId(0, 0), 1)], cfg, 0)
+        with pytest.raises(ConfigError, match="column 2 only"):
+            net.schedule_injection(0, NodeId(0, 0), flits, to_buffer=True)
+        assert not net.busy()
 
 
 class TestGatherProtocolOnMesh:

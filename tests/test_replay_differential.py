@@ -11,7 +11,7 @@ from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gathernoc import harness, systolic
 from gathernoc.config import MeshConfig
@@ -19,6 +19,7 @@ from gathernoc.power import ActivityCounters
 from gathernoc.stats import RunStats
 from gathernoc.systolic import build_round_schedules, run_convolution
 from gathernoc.workload import LayerConfig, load_layer
+from scenario_utils import ragged_case
 
 # every RunStats field, the class table included, and the four per-round
 # views of the table
@@ -64,6 +65,11 @@ def cases(draw):
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
+# the benchmark's mesh sizes, with ragged final blocks
+@example((*ragged_case(8, "ru"), None))
+@example((*ragged_case(8, "gather"), None))
+@example((*ragged_case(16, "ru"), None))
+@example((*ragged_case(16, "gather"), None))
 def test_replay_matches_full_simulation(case):
     cfg, layer, mode, timeouts = case
     replayed = run_convolution(layer, cfg, mode, seed=5, timeout_table=timeouts, replay=True)
@@ -92,6 +98,10 @@ def _round_events(log: list[str], latencies: list[int]) -> dict[int, list[str]]:
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
+@example((*ragged_case(8, "ru"), None))
+@example((*ragged_case(8, "gather"), None))
+@example((*ragged_case(16, "ru"), None))
+@example((*ragged_case(16, "gather"), None))
 def test_replay_event_log_matches_full_simulation(case):
     # replay logs the first round of each class, measured from its ready
     # cycle and shifted to the round's true one: the same lines, but for
