@@ -381,9 +381,8 @@ class MeshNetwork:
         pipeline, depth, cols = cfg.pipeline_depth, cfg.buffer_depth, cfg.cols
         wake, ready, meta, watch = self._wake, self._ready, self._meta, self._tail_watch
         trace = self.link_trace if self.trace_links else None
-        per = self.counters.per_router
-        reads, xbar, sa = per["buffer_read"], per["xbar_traversal"], per["sa_arb"]
-        va, writes, links = per["va_arb"], per["buffer_write"], per["link_traversal"]
+        moved, rec = self.counters.moves, self.counters.recorded
+        va, writes, links = rec["va_arb"], rec["buffer_write"], rec["link_traversal"]
         for rid, q, out in moves:
             router = routers[rid]
             queue = router.queues[q]
@@ -399,9 +398,7 @@ class MeshNetwork:
                 ready.discard(key)
             pid, ft = flit.packet_id, flit.ft
             vc = q % vcs
-            reads[rid] += 1
-            xbar[rid] += 1
-            sa[rid] += 1
+            moved[rid] += 1
             owners, slot = router.link_owner, out * vcs + vc
             if ft == _HEAD:
                 if owners[slot] is None:
@@ -512,6 +509,11 @@ class MeshNetwork:
 
     # phase 4: shared buffer write port commits queued packet transactions
     def _commit_buffer_transactions(self, t: int) -> None:
+        """Commit this cycle's share of the buffer port's queue, by the
+        port rule that ``buffer_commits`` states: tails queue in (eject
+        cycle, router id) order, and the port commits them first in, first
+        out, ``buffer_commit_rate`` per cycle, each at the earliest in its
+        eject cycle."""
         budget = self.config.buffer_commit_rate
         while budget and self._commit_queue and self._commit_queue[0][0] <= t:
             arrival, _rid, pid = self._commit_queue.popleft()
@@ -580,7 +582,7 @@ class MeshNetwork:
         if not self._ni_busy:
             return
         nq, pipeline, depth = self._nq, cfg.pipeline_depth, cfg.buffer_depth
-        counts = self.counters.per_router["buffer_write"]
+        counts = self.counters.recorded["buffer_write"]
         for rid in sorted(self._ni_busy):
             queue = self._ni[rid]
             flit = queue[0]
@@ -626,3 +628,27 @@ class MeshNetwork:
     def _log(self, cycle: int, node: NodeId, kind: str) -> None:
         if self.event_log is not None:
             self.event_log.append(f"{cycle} {node} {kind}")
+
+
+def buffer_commits(ejects, rate: int) -> list[tuple[int, tuple]]:
+    """Replay the buffer's shared write port over ``ejects``, tuples that
+    start with the eject cycle and the router id of a packet's tail, and
+    return ``(commit cycle, eject)`` pairs in commit order.
+
+    The port rule, which ``MeshNetwork._commit_buffer_transactions`` applies
+    cycle by cycle: tails queue in (eject cycle, router id) order, at most
+    one per router per cycle, and the port commits them first in, first
+    out, ``rate`` per cycle, each at the earliest in its eject cycle.  The
+    port never holds a flit back, so the network's timing does not depend
+    on it.
+    """
+    commits: list[tuple[int, tuple]] = []
+    t, used = -1, 0
+    for eject in sorted(ejects):
+        if eject[0] > t:
+            t, used = eject[0], 0
+        elif used == rate:
+            t, used = t + 1, 0
+        commits.append((t, eject))
+        used += 1
+    return commits

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import zip_longest
 
 EVENT_KINDS = (
     "buffer_write",
@@ -20,24 +21,42 @@ EVENT_KINDS = (
 )
 
 
+# the events of one flit move through a router: a buffer read, a crossbar
+# traversal and a switch allocation
+MOVE_KINDS = ("buffer_read", "xbar_traversal", "sa_arb")
+
+
 class ActivityCounters:
     """Per-router event counts, monotonically non-decreasing during a run.
 
-    ``per_router[kind]`` is a flat list indexed by router id that grows to
-    cover every id recorded by a network.  ``replayed`` holds the counts
-    folded in by ``add_scaled``: a run folds each distinct round
+    ``recorded[kind]`` and ``moves`` are flat lists indexed by router id
+    that grow to cover every id recorded by a network.  ``moves`` counts
+    flit moves, each one event of every kind in ``MOVE_KINDS``, so a
+    network counts a move with one increment instead of three.
+    ``per_router[kind]`` reports each router's count of a kind: the
+    recorded events plus, for a move kind, the moves.  ``replayed`` holds
+    the counts folded in by ``add_scaled``: a run folds each distinct round
     measurement into it once, scaled by the number of rounds it stands
     for, so a run's totals live there and belong to no single router.
     """
 
     def __init__(self) -> None:
-        self.per_router: dict[str, list[int]] = {k: [] for k in EVENT_KINDS}
+        self.recorded: dict[str, list[int]] = {k: [] for k in EVENT_KINDS}
+        self.moves: list[int] = []
         self.replayed: dict[str, int] = dict.fromkeys(EVENT_KINDS, 0)
+
+    @property
+    def per_router(self) -> dict[str, list[int]]:
+        """A new ``{kind: per-router counts}`` of every event kind."""
+        moves = self.moves
+        return {k: [n + m for n, m in zip_longest(counts, moves, fillvalue=0)]
+                if k in MOVE_KINDS else list(counts)
+                for k, counts in self.recorded.items()}
 
     def reserve(self, routers: int) -> None:
         """Make room for router ids below ``routers``, so that callers may
-        increment ``per_router[kind][rid]`` in place."""
-        for bucket in self.per_router.values():
+        increment ``recorded[kind][rid]`` and ``moves[rid]`` in place."""
+        for bucket in (*self.recorded.values(), self.moves):
             if len(bucket) < routers:
                 bucket.extend([0] * (routers - len(bucket)))
 
@@ -46,13 +65,14 @@ class ActivityCounters:
             raise ValueError("activity counters only move forward")
         if router < 0:
             raise ValueError("router ids are non-negative")
-        bucket = self.per_router[kind]
+        bucket = self.recorded[kind]
         if router >= len(bucket):
             bucket.extend([0] * (router + 1 - len(bucket)))
         bucket[router] += n
 
     def total(self, kind: str) -> int:
-        return sum(self.per_router[kind]) + self.replayed[kind]
+        n = sum(self.recorded[kind]) + self.replayed[kind]
+        return n + sum(self.moves) if kind in MOVE_KINDS else n
 
     def totals(self) -> dict[str, int]:
         return {k: self.total(k) for k in EVENT_KINDS}

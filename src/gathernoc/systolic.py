@@ -22,6 +22,12 @@ simulates, in one of two modes:
 Rounds run back to back: a round's streaming starts once the previous
 round's results have all been committed to the buffer, and the network is
 checked to be drained at every round boundary.
+
+In both modes a result goes to its own row's buffer port and XY routing
+keeps it in that row, and the buffer's commit port never pushes back into
+the network.  So rows are independent but for the order in which the port
+commits their packets, (eject cycle, router id), and replay measures a
+round class one row at a time (``_measure_class``).
 """
 from __future__ import annotations
 
@@ -34,10 +40,10 @@ from itertools import accumulate, islice
 import numpy as np
 
 from .analytic import gather_collection_cycles, ru_collection_cycles
-from .config import MeshConfig, check_timeout_table
+from .config import MeshConfig, check_timeout_table, default_timeout_table
 from .errors import ConfigError, LostPayloadError, OracleMismatchError, SimulationError
-from .network import MeshNetwork
-from .power import ActivityCounters, EnergyCoefficients, total_energy
+from .network import MeshNetwork, buffer_commits
+from .power import EVENT_KINDS, ActivityCounters, EnergyCoefficients, total_energy
 from .stats import RoundClass, RoundMeasurement, RunStats
 from .topology import NodeId
 from .workload import LayerConfig, round_count, stream_length
@@ -294,9 +300,14 @@ def run_convolution(
     depends on the mesh, mode, timeout table and the round's shape alone.
 
     With ``replay`` each round class ``(active_rows, active_cols)`` of the
-    layer's ``RoundPlan`` is measured once, in a network of its own that
-    starts drained, relative to the class's ready cycle; its events are
-    logged shifted to the true ready cycle of the class's first round.
+    layer's ``RoundPlan`` is measured once, in networks of its own that
+    start drained, relative to the class's ready cycle.  Without an event
+    log that is ``_measure_class``: one row network per distinct row of
+    give-up budgets (one under the default table), the rows merged at the
+    buffer commit port in (eject cycle, router id) order.  With one, the
+    class is one round on the whole mesh, because event lines name packets
+    by id and interleave the rows within a cycle; its events are logged
+    shifted to the true ready cycle of the class's first round.
     ``replay=False``, the reference the replay differential tests compare
     against, simulates every round back to back in one network that
     carries its state, and checks each against its class's first.
@@ -352,8 +363,10 @@ def run_convolution(
             key = (config, mode, timeouts, *shape, event_log is not None)
             if not replay:
                 m = firsts[shape][1]
-            elif (m := shared.get(key)) is None:
-                events = None if event_log is None else []
+            elif (m := shared.get(key)) is None and event_log is None:
+                m = shared[key] = _measure_class(config, mode, first, timeout_table)
+            elif m is None:
+                events = []
                 m = shared[key] = replace(_simulate_round(
                     MeshNetwork(config, timeout_table=timeout_table, event_log=events),
                     config, mode, first, 0), events=events)
@@ -398,6 +411,55 @@ def _simulate_round(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
              for c in range(schedule.active_cols)]
     full = schedule.active_rows == config.rows and schedule.active_cols == config.cols
     return _collect(net, config, mode, ready, ready_base, full, f"round {schedule.index}")
+
+
+def _measure_class(config: MeshConfig, mode: CollectionMode, schedule: RoundSchedule,
+                   timeout_table: dict[tuple[int, int], int] | None) -> RoundMeasurement:
+    """Measure a round of ``schedule``'s shape, as ``_simulate_round`` on a
+    fresh network of the whole mesh would, one mesh row at a time.
+
+    Every result goes to the buffer port at the right edge of its own row,
+    and XY routing keeps its flits in that row; the buffer's commit port,
+    the one thing rows share, never holds a flit back.  So a row's traffic
+    depends on its own PEs' give-up budgets alone (the explicit table laid
+    over the default staircase), and rows with equal budgets are copies of
+    each other, row ``r`` shifted by ``r`` cycles.  Each group of such rows
+    is collected once, on a one-row network with PE ``c`` ready at cycle
+    ``c``, through ``_collect`` and all its checks.  The commit port is then
+    replayed over every row's tail ejects by ``buffer_commits``: the last
+    commit is the collection and the head latencies come in commit order;
+    every other field sums over the rows.
+    """
+    cols = config.cols
+    table = {**default_timeout_table(config), **(timeout_table or {})}
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for r in range(schedule.active_rows):
+        groups.setdefault(tuple(table[r, c] for c in range(cols)), []).append(r)
+    row_config = replace(config, rows=1)
+    sums = dict.fromkeys(("packets", "flits", "hops", "payloads", "timeout_packets"), 0)
+    delta = dict.fromkeys(EVENT_KINDS, 0)
+    ejects = []
+    ready = [(NodeId(0, c), c) for c in range(schedule.active_cols)]
+    for budgets, rows in groups.items():
+        net = MeshNetwork(row_config, timeout_table={(0, c): b for c, b in enumerate(budgets)})
+        m = _collect(net, row_config, mode, ready, 0, False,
+                     f"round {schedule.index}, row {rows[0]}")
+        for name in sums:
+            sums[name] += len(rows) * getattr(m, name)
+        for kind, n in m.counter_delta.items():
+            delta[kind] += len(rows) * n
+        for r in rows:
+            rid = r * cols + cols - 1
+            ejects += [(pkt.tail_arrival + r, rid, pkt.head_arrival - pkt.inject_cycle)
+                       for pkt in net.delivered]
+    commits = buffer_commits(ejects, config.buffer_commit_rate)
+    return RoundMeasurement(
+        collection=commits[-1][0],
+        full_round=schedule.active_rows == config.rows and schedule.active_cols == cols,
+        head_latencies=[eject[2] for _, eject in commits],
+        counter_delta=delta,
+        **sums,
+    )
 
 
 def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,

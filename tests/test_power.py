@@ -4,6 +4,7 @@ from gathernoc.config import MeshConfig
 from gathernoc.network import MeshNetwork
 from gathernoc.packet import PacketType, build_packet
 from gathernoc.power import (
+    EVENT_KINDS,
     ActivityCounters,
     EnergyCoefficients,
     energy_improvement,
@@ -55,6 +56,16 @@ def test_fig1_scenario_link_and_upload_counts():
     # every node but the initiator uploads en route
     assert g.counter_totals["payload_upload"] == 5
     assert ru.counter_totals["payload_upload"] == 0
+
+
+def test_record_moves_only_its_kind():
+    # the network counts a flit move once for its three kinds; an event
+    # recorded by kind, a move kind included, still moves that kind alone
+    for kind in EVENT_KINDS:
+        counters = ActivityCounters()
+        counters.record(kind, 2, 3)
+        assert counters.totals() == {k: 3 if k == kind else 0 for k in EVENT_KINDS}
+        assert counters.per_router == {k: [0, 0, 3] if k == kind else [] for k in EVENT_KINDS}
 
 
 def test_zero_coefficients_zero_energy():

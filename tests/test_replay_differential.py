@@ -15,9 +15,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gathernoc import harness, systolic
 from gathernoc.config import MeshConfig
+from gathernoc.network import MeshNetwork
 from gathernoc.power import ActivityCounters
-from gathernoc.stats import RunStats
-from gathernoc.systolic import build_round_schedules, run_convolution
+from gathernoc.stats import RoundMeasurement, RunStats
+from gathernoc.systolic import CollectionMode, RoundSchedule, build_round_schedules, run_convolution
 from gathernoc.workload import LayerConfig, load_layer
 from scenario_utils import ragged_case
 
@@ -27,10 +28,11 @@ COMPARED = (*(f.name for f in dataclasses.fields(RunStats)), "per_round_latency"
             "per_round_collection", "delta_measured", "head_latencies")
 
 
-def _mesh_and_timeouts(draw):
-    """A mesh of up to 6x6 with random protocol knobs, and a random table of
-    per-node give-up budgets overlaid on the default staircase (or none)."""
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+def _mesh_and_timeouts(draw, side: int = 6, rates=st.integers(1, 3)):
+    """A mesh of up to ``side`` x ``side`` with random protocol knobs, its
+    commit rate drawn from ``rates``, and a random table of per-node give-up
+    budgets overlaid on the default staircase (or none)."""
+    rows, cols = draw(st.integers(1, side)), draw(st.integers(1, side))
     cfg = MeshConfig(
         rows=rows, cols=cols,
         vc_count=draw(st.integers(1, 4)),
@@ -40,7 +42,7 @@ def _mesh_and_timeouts(draw):
         pipeline_depth=draw(st.integers(1, 6)),
         gather_timeout=draw(st.integers(0, 8)),
         mac_latency=draw(st.integers(0, 6)),
-        buffer_commit_rate=draw(st.integers(1, 3)),
+        buffer_commit_rate=draw(rates),
     )
     timeouts = draw(st.none() | st.dictionaries(
         st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
@@ -76,6 +78,47 @@ def test_replay_matches_full_simulation(case):
     full = run_convolution(layer, cfg, mode, seed=5, timeout_table=timeouts, replay=False)
     for name in COMPARED:
         assert getattr(replayed, name) == getattr(full, name), name
+
+
+@st.composite
+def class_cases(draw):
+    """A mesh of up to 16x16, commit rates 1-4 and one that never queues
+    included, one round shape on it, a mode and a give-up table (or none)."""
+    cfg, timeouts = _mesh_and_timeouts(draw, 16, st.sampled_from((1, 2, 3, 4, 1024)))
+    shape = draw(st.integers(1, cfg.rows)), draw(st.integers(1, cfg.cols))
+    return cfg, shape, draw(st.sampled_from(("ru", "gather"))), timeouts
+
+
+def _rows_differ(side: int) -> dict[tuple[int, int], int]:
+    """A give-up table on a ``side`` x ``side`` mesh whose rows all differ."""
+    return {(r, c): (7 * r + 3 * c) % 23 for r in range(side) for c in range(side)}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(class_cases())
+# rows tie at a one-commit-per-cycle port
+@example((MeshConfig(rows=16, cols=16, buffer_commit_rate=1), (16, 16), "ru", None))
+# one gather packet per row at 7 flits, two chunks per row at the default 4
+@example((MeshConfig(rows=16, cols=16, gather_len=7), (16, 16), "gather", None))
+@example((MeshConfig(rows=16, cols=16), (16, 16), "gather", None))
+# a ragged shape on a mesh that is not square
+@example((MeshConfig(rows=7, cols=12), (5, 9), "ru", None))
+@example((MeshConfig(rows=7, cols=12), (5, 9), "gather", None))
+# one row network per row
+@example((MeshConfig(rows=6, cols=6), (6, 6), "gather", _rows_differ(6)))
+@example((MeshConfig(rows=6, cols=6, buffer_commit_rate=1), (6, 4), "ru", _rows_differ(6)))
+def test_row_merged_class_measurement_matches_full_mesh(case):
+    # a class measured one row at a time and merged at the commit port must
+    # equal one round of its shape on a fresh network of the whole mesh
+    cfg, (rows, cols), mode, timeouts = case
+    schedule = RoundSchedule(0, tuple(range(rows)), tuple(range(cols)), 1)
+    mode = CollectionMode(mode)
+    merged = systolic._measure_class(cfg, mode, schedule, timeouts)
+    full = systolic._simulate_round(MeshNetwork(cfg, timeout_table=timeouts), cfg, mode,
+                                    schedule, 0)
+    for f in dataclasses.fields(RoundMeasurement):
+        assert getattr(merged, f.name) == getattr(full, f.name), f.name
 
 
 def _round_events(log: list[str], latencies: list[int]) -> dict[int, list[str]]:
@@ -121,6 +164,35 @@ def test_replay_event_log_matches_full_simulation(case):
         assert lines == by_round[index], index
 
 
+def _spy_measurements(monkeypatch) -> list:
+    """Record each class measurement of ``run_convolution`` as ``(entry
+    point, shape, networks it ran on)``: ``_measure_class`` with the networks
+    built during the call, ``_simulate_round`` with the network it is given."""
+    calls, built = [], []
+    network, measure, simulate = (systolic.MeshNetwork, systolic._measure_class,
+                                  systolic._simulate_round)
+
+    def build(*args, **kwargs):
+        built.append(network(*args, **kwargs))
+        return built[-1]
+
+    def measure_spy(config, mode, schedule, *rest):
+        first = len(built)
+        m = measure(config, mode, schedule, *rest)
+        calls.append(("measure", mode.value, schedule.active_rows, schedule.active_cols,
+                      built[first:]))
+        return m
+
+    def simulate_spy(net, config, mode, schedule, *rest):
+        calls.append(("simulate", mode.value, schedule.active_rows, schedule.active_cols, [net]))
+        return simulate(net, config, mode, schedule, *rest)
+
+    monkeypatch.setattr(systolic, "MeshNetwork", build)
+    monkeypatch.setattr(systolic, "_measure_class", measure_spy)
+    monkeypatch.setattr(systolic, "_simulate_round", simulate_spy)
+    return calls
+
+
 def test_replay_simulates_each_round_class_once_in_its_own_network(monkeypatch):
     # 4x4 mesh, 16 input vectors x 6 filters: classes (4, 4) and (4, 2),
     # four rounds each
@@ -132,24 +204,45 @@ def test_replay_simulates_each_round_class_once_in_its_own_network(monkeypatch):
     assert len(classes) >= 2
     assert all(sum((s.active_rows, s.active_cols) == k for s in schedules) >= 3 for k in classes)
 
-    calls = []
-    simulate = systolic._simulate_round
-
-    def spy(net, config, mode, schedule, *rest):
-        calls.append((net, (schedule.active_rows, schedule.active_cols)))
-        return simulate(net, config, mode, schedule, *rest)
-
-    monkeypatch.setattr(systolic, "_simulate_round", spy)
+    calls = _spy_measurements(monkeypatch)
     for mode in ("ru", "gather"):
+        # without an event log, one row network per class: the default
+        # give-up table gives every row the same budgets
         calls.clear()
         run_convolution(layer, cfg, mode, seed=3, replay=True)
-        assert sorted(k for _, k in calls) == sorted(classes)
-        assert len({id(net) for net, _ in calls}) == len(calls)
+        assert sorted(c[2:4] for c in calls) == sorted(classes)
+        assert all(c[0] == "measure" and len(c[4]) == 1 and c[4][0].config.rows == 1
+                   for c in calls)
+        assert len({id(c[4][0]) for c in calls}) == len(calls)
+
+        # with one, the whole mesh, so that event lines name its packets
+        calls.clear()
+        run_convolution(layer, cfg, mode, seed=3, replay=True, event_log=[])
+        assert sorted(c[2:4] for c in calls) == sorted(classes)
+        assert all(c[0] == "simulate" and c[4][0].config == cfg for c in calls)
+        assert len({id(c[4][0]) for c in calls}) == len(calls)
 
         calls.clear()
         run_convolution(layer, cfg, mode, seed=3, replay=False)
         assert len(calls) == len(schedules)
-        assert len({id(net) for net, _ in calls}) == 1
+        assert all(c[0] == "simulate" for c in calls)
+        assert len({id(c[4][0]) for c in calls}) == 1
+
+
+def test_class_measurement_builds_one_row_network_per_row_of_budgets(monkeypatch):
+    # rows 0 and 2 share a row of budgets, rows 1 and 3 differ: three groups
+    cfg = MeshConfig(rows=4, cols=4)
+    layer = LayerConfig("t", "t", in_channels=2, kernels=4, kernel_side=1,
+                        layer_side=1, input_vectors=4)
+    timeouts = {(1, 2): 3, (3, 0): 9}
+    calls = _spy_measurements(monkeypatch)
+    stats = run_convolution(layer, cfg, "gather", seed=3, timeout_table=timeouts)
+    [(entry, _, _, _, nets)] = calls
+    assert entry == "measure" and len(nets) == 3
+    assert all(net.config.rows == 1 for net in nets)
+    full = run_convolution(layer, cfg, "gather", seed=3, timeout_table=timeouts, replay=False)
+    for name in COMPARED:
+        assert getattr(stats, name) == getattr(full, name), name
 
 
 def test_replay_folds_each_round_class_once_scaled_by_its_round_count(monkeypatch):
@@ -231,17 +324,11 @@ def test_run_simulates_each_round_class_once_per_run(monkeypatch):
                    load_layer(model, name).with_vectors(cfg.p_override), cfg.mesh)}
     assert len(classes) >= 4
 
-    calls = []
-    simulate = systolic._simulate_round
-
-    def spy(net, config, mode, schedule, *rest):
-        calls.append((mode.value, schedule.active_rows, schedule.active_cols))
-        return simulate(net, config, mode, schedule, *rest)
-
-    monkeypatch.setattr(systolic, "_simulate_round", spy)
-    expected = Counter((mode, *k) for mode in cfg.modes for k in classes)
+    calls = _spy_measurements(monkeypatch)
+    expected = Counter(("measure", mode, *k) for mode in cfg.modes for k in classes)
     # a second run measures its classes again: nothing is kept between runs
     for _ in range(2):
         calls.clear()
         harness.run(cfg)
-        assert Counter(calls) == expected
+        assert Counter(c[:4] for c in calls) == expected
+        assert len({id(net) for c in calls for net in c[4]}) == len(calls)

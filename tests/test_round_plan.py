@@ -163,7 +163,7 @@ def test_oracle_fails_before_any_round_is_simulated(monkeypatch, oracle, mode, r
     def simulated(*args, **kwargs):
         raise AssertionError("a round was simulated before the oracle finished")
 
-    monkeypatch.setattr(systolic, "_simulate_round", simulated)
+    monkeypatch.setattr(systolic, "_collect", simulated)
     with pytest.raises(OracleMismatchError, match=rf"round {GUARD_ROUND} PE \(0,0\)"):
         run_convolution(GUARD_LAYER, MeshConfig(rows=2, cols=2), mode, seed=3,
                         oracle=oracle, replay=replay)

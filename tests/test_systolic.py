@@ -432,7 +432,7 @@ class TestRunConvolution:
     def test_unknown_oracle_rejected_before_simulation(self, monkeypatch, oracle, replay):
         def simulated(*args, **kwargs):
             raise AssertionError("a round was simulated")
-        monkeypatch.setattr("gathernoc.systolic._simulate_round", simulated)
+        monkeypatch.setattr("gathernoc.systolic._collect", simulated)
         with pytest.raises(ConfigError, match="oracle"):
             run_convolution(_layer(), MeshConfig(rows=4, cols=4), "ru",
                             oracle=oracle, replay=replay)
@@ -440,7 +440,7 @@ class TestRunConvolution:
     @pytest.mark.parametrize("mode", ["unicast", "RU", "analytic", ""])
     @pytest.mark.parametrize("replay", [True, False])
     def test_unknown_mode_rejected_before_simulation(self, monkeypatch, mode, replay):
-        monkeypatch.setattr("gathernoc.systolic._simulate_round", _not_simulated)
+        monkeypatch.setattr("gathernoc.systolic._collect", _not_simulated)
         with pytest.raises(ConfigError, match="mode"):
             run_convolution(_layer(), MeshConfig(rows=4, cols=4), mode, replay=replay)
 
@@ -450,7 +450,7 @@ class TestRunConvolution:
         # alexnet/conv3 results reach 255*255*2304, more than 20 bits hold;
         # the library path rejects the layer as RunConfig does, whether or
         # not a simulated value would overflow
-        monkeypatch.setattr("gathernoc.systolic._simulate_round", _not_simulated)
+        monkeypatch.setattr("gathernoc.systolic._collect", _not_simulated)
         cfg = MeshConfig(rows=4, cols=4, gather_payload_bits=20)
         with pytest.raises(ConfigError, match="gather_payload_bits"):
             run_convolution(load_layer("alexnet", "conv3").with_vectors(4), cfg, mode,
