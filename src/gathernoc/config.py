@@ -122,6 +122,16 @@ def default_timeout_table(config: MeshConfig) -> dict[tuple[int, int], int]:
     return table
 
 
+def give_up_budgets(config: MeshConfig,
+                    timeout_table: dict[tuple[int, int], int] | None = None) -> list[int]:
+    """Every node's give-up budget, in router-id order (``row * cols +
+    col``): the explicit entries of ``timeout_table`` laid over the default
+    staircase of :func:`default_timeout_table`."""
+    check_timeout_table(config, timeout_table)
+    table = {**default_timeout_table(config), **(timeout_table or {})}
+    return [table[r, c] for r in range(config.rows) for c in range(config.cols)]
+
+
 def flat_timeout_table(config: MeshConfig, timeout: int) -> dict[tuple[int, int], int]:
     """Uniform per-node budget; mainly for protocol stress tests."""
     return {(r, c): timeout for r in range(config.rows) for c in range(config.cols)}

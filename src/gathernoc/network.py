@@ -44,6 +44,16 @@ non-empty NI queues and due sends are touched.  Event-log lines are
 formatted only when a log is attached.  ``stall_fn`` must be a pure
 function of its arguments: it is consulted only for outputs that have a
 candidate.
+
+State layout.  A network keeps every mutable per-router table as one flat
+list, indexed from the router id ``rid = row * cols + col`` one way each:
+the (input port, VC) queues of ``(enter cycle, flit)`` pairs at the queue
+key ``rid * len(INPUT_PORTS) * vc_count + port * vc_count + vc``; the
+wormhole owner of each output VC at ``(rid * len(Port) + out) * vc_count +
+vc``; the round-robin pointer of each arbitration group, one output of one
+router, at ``rid * len(OUTPUT_PORTS) + rank``; the routes, gather unit and
+NI queue at ``rid``.  Node ids and downstream links come from
+``mesh_tables``, shared by every network of one config.
 """
 from __future__ import annotations
 
@@ -52,16 +62,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 
-from .config import MeshConfig, check_timeout_table, default_timeout_table
+from .config import MeshConfig, give_up_budgets
 from .errors import ConfigError, DeadlockError, DrainError, SimulationError
 from .packet import Flit, FlitType, PacketType, build_packet, payload_bits
 from .power import ActivityCounters
-from .router import GatherPayload, Router, gather_load_check, upload_payload
+from .router import GatherPayload, GatherUnit, gather_load_check, upload_payload
 from .topology import INPUT_PORTS, NodeId, Port, step_toward, xy_route
 
 OUTPUT_PORTS = (Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH, Port.LOCAL, Port.BUFFER)
 # grant order of each output port (indexed by port value) within a router
 _OUT_RANK = [OUTPUT_PORTS.index(p) for p in Port]
+_N_PORTS = len(Port)   # an Enum's len() is slow enough to matter per cycle
 
 _OPPOSITE = {
     Port.EAST: Port.WEST,
@@ -111,14 +122,12 @@ class _PacketMeta:
 @dataclass(frozen=True)
 class _MeshTables:
     """The read-only tables of one ``MeshConfig``, shared by all its
-    networks: the node of each router id, the downstream link of each
+    networks: the node of each router id, and the downstream link of each
     (router, output port) as ``(router id, queue key of the opposite input
-    port's VC 0)``, None for the sinks, and the default give-up budget of
-    each router id."""
+    port's VC 0)``, None for the sinks."""
 
     nodes: tuple[NodeId, ...]
     down: tuple[tuple[tuple[int, int] | None, ...], ...]
-    budgets: tuple[int, ...]
 
 
 @lru_cache(maxsize=64)
@@ -135,8 +144,7 @@ def mesh_tables(config: MeshConfig) -> _MeshTables:
                 nrid = nxt.index(config.cols)
                 links[port] = (nrid, nrid * nq + opposite * config.vc_count)
         down.append(tuple(links))
-    table = default_timeout_table(config)
-    return _MeshTables(nodes, tuple(down), tuple(table[n.row, n.col] for n in nodes))
+    return _MeshTables(nodes, tuple(down))
 
 
 class MeshNetwork:
@@ -151,37 +159,32 @@ class MeshNetwork:
         self.config = config
         self.cycle = 0
         tables = mesh_tables(config)
-        # per-node give-up budgets: explicit entries overlay the default
-        # distance staircase
-        budgets = tables.budgets
-        if timeout_table:
-            check_timeout_table(config, timeout_table)
-            budgets = list(budgets)
-            for (r, c), budget in timeout_table.items():
-                budgets[r * config.cols + c] = budget
-        self.routers: list[Router] = [
-            Router(node, config, budget) for node, budget in zip(tables.nodes, budgets)
-        ]
+        n = len(tables.nodes)
         self.counters = ActivityCounters()
-        self.counters.reserve(len(self.routers))
+        self.counters.reserve(n)
         self.stall_fn = stall_fn          # (cycle, node, out_port) -> bool
         self.event_log = event_log
         self.trace_links = trace_links
         self.link_trace: dict[tuple[int, Port, int], list[tuple[int, int]]] = {}
 
-        # queue key of an (input port, vc) queue: rid * _nq + port * vc_count + vc;
-        # _queues lists every router's queues by key
+        # the per-router tables, laid out as the module docstring states
         self._vcs = config.vc_count
         self._nq = len(INPUT_PORTS) * config.vc_count
-        self._queues = [queue for router in self.routers for queue in router.queues]
+        self._nodes = tables.nodes
         self._down = tables.down
+        self._queues: list[deque[tuple[int, Flit]]] = [deque() for _ in range(n * self._nq)]
+        self._owners: list[int | None] = [None] * (n * len(Port) * self._vcs)
+        self._rr = [0] * (n * len(OUTPUT_PORTS))
+        self._routes: list[dict[int, Port]] = [{} for _ in range(n)]
+        self._ni: list[deque[Flit]] = [deque() for _ in range(n)]
+        self.units = [GatherUnit(node, budget) for node, budget
+                      in zip(self._nodes, give_up_budgets(config, timeout_table))]
 
         self._next_packet_id = 0
         self._meta: dict[int, _PacketMeta] = {}
         self._queued = 0                                  # flits in router queues
         self._wake: dict[int, list[int]] = {}             # ready cycle -> queue keys
         self._ready: set[int] = set()                     # keys of heads past the pipeline
-        self._ni: list[deque[Flit]] = [deque() for _ in self.routers]
         self._ni_busy: set[int] = set()                   # rids with a non-empty NI queue
         self._posts: dict[int, list[tuple[NodeId, GatherPayload]]] = {}
         self._holding = 0                                 # gather units holding a payload
@@ -190,7 +193,7 @@ class MeshNetwork:
         self._pending_sends: dict[int, _PendingSend] = {}  # by schedule order
         self._due_sends: list[tuple[int, int]] = []       # (eligible cycle, seq) heap
         self._send_seq = 0
-        self._tail_watch: dict[int, tuple[NodeId, int]] = {}
+        self._tail_watch: dict[int, tuple[int, int]] = {}  # pid -> (rid, send seq)
         self._staging: dict[int, list[Flit]] = {}
         self._commit_queue: deque[tuple[int, int, int]] = deque()  # (arrival, rid, pid)
         self.delivered: list[DeliveredPacket] = []
@@ -237,7 +240,7 @@ class MeshNetwork:
             heappush(self._due_sends, (ready_cycle, seq))
         else:
             # due once the predecessor's tail has reached this node (_commit)
-            self._tail_watch[after_packet] = (node, seq)
+            self._tail_watch[after_packet] = (node.index(self.config.cols), seq)
         return pid
 
     def schedule_injection(self, cycle: int, node: NodeId, flits: list[Flit],
@@ -312,7 +315,10 @@ class MeshNetwork:
         moves = self._arbitrate(t)
         arrivals = self._commit(moves, t)
         self._process_arrivals(arrivals, t)
-        self._commit_buffer_transactions(t)
+        if self._commit_queue:  # phase 4: the buffer's shared write port
+            for arrival, _rid, pid in port_commits(self._commit_queue, t,
+                                                   self.config.buffer_commit_rate):
+                self._finish_packet(pid, tail_arrival=arrival, commit=t, to_buffer=True)
         self._node_phase(t)
         self._watchdog(t, bool(moves))
         self.cycle = t + 1
@@ -326,21 +332,20 @@ class MeshNetwork:
         if not ready:
             return []
         nq, vcs, depth = self._nq, self._vcs, self.config.buffer_depth
-        routers, down, queues = self.routers, self._down, self._queues
+        routes, owners, down, queues = self._routes, self._owners, self._down, self._queues
         n_out = len(OUTPUT_PORTS)
         # eligible heads as (router, output rank, queue) packed into one int,
         # so that sorting lists them in grant order
         eligible = []
         for key in ready:
             rid, q = divmod(key, nq)
-            router = routers[rid]
-            flit = router.queues[q][0][1]
+            flit = queues[key][0][1]
             pid = flit.packet_id
-            out = router.route_cache.get(pid)
+            out = routes[rid].get(pid)
             if out is None:
                 continue
             vc = q % vcs
-            owner = router.link_owner[out * vcs + vc]
+            owner = owners[(rid * _N_PORTS + out) * vcs + vc]
             if owner != pid and (owner is not None or flit.ft != _HEAD):
                 continue          # wormhole: the output VC belongs to another packet
             link = down[rid][out]
@@ -349,7 +354,7 @@ class MeshNetwork:
             eligible.append((rid * n_out + _OUT_RANK[out]) * nq + q)
         eligible.sort()
 
-        stall_fn = self.stall_fn
+        stall_fn, nodes, rr = self.stall_fn, self._nodes, self._rr
         moves = []
         i, n = 0, len(eligible)
         while i < n:
@@ -359,13 +364,12 @@ class MeshNetwork:
                 j += 1
             rid, rank = divmod(group, n_out)
             out = OUTPUT_PORTS[rank]
-            router = routers[rid]
-            if stall_fn is None or not stall_fn(t, router.node, out):
+            if stall_fn is None or not stall_fn(t, nodes[rid], out):
                 if j > i + 1:
                     # first candidate at or after the pointer, cyclically
-                    start = group * nq + router.rr[out]
+                    start = group * nq + rr[group]
                     q = next((c for c in eligible[i:j] if c >= start), eligible[i]) - group * nq
-                router.rr[out] = (q + 1) % nq
+                rr[group] = (q + 1) % nq
                 moves.append((rid, q, out))
             i = j
         return moves
@@ -376,7 +380,8 @@ class MeshNetwork:
         arrivals = []
         if not moves:
             return arrivals
-        routers, nq, vcs, down, queues = self.routers, self._nq, self._vcs, self._down, self._queues
+        nq, vcs, down, queues = self._nq, self._vcs, self._down, self._queues
+        nodes, routes, owners = self._nodes, self._routes, self._owners
         cfg = self.config
         pipeline, depth, cols = cfg.pipeline_depth, cfg.buffer_depth, cfg.cols
         wake, ready, meta, watch = self._wake, self._ready, self._meta, self._tail_watch
@@ -384,10 +389,9 @@ class MeshNetwork:
         moved, rec = self.counters.moves, self.counters.recorded
         va, writes, links = rec["va_arb"], rec["buffer_write"], rec["link_traversal"]
         for rid, q, out in moves:
-            router = routers[rid]
-            queue = router.queues[q]
-            flit = queue.popleft()[1]
             key = rid * nq + q
+            queue = queues[key]
+            flit = queue.popleft()[1]
             if queue:
                 # the next head stays ready if its delay has already passed
                 at = queue[0][0] + pipeline
@@ -399,14 +403,14 @@ class MeshNetwork:
             pid, ft = flit.packet_id, flit.ft
             vc = q % vcs
             moved[rid] += 1
-            owners, slot = router.link_owner, out * vcs + vc
+            slot = (rid * _N_PORTS + out) * vcs + vc
             if ft == _HEAD:
                 if owners[slot] is None:
                     va[rid] += 1
                 owners[slot] = pid
             elif ft == _TAIL:
                 owners[slot] = None
-                router.route_cache.pop(pid, None)
+                routes[rid].pop(pid, None)
             if trace is not None:
                 trace.setdefault((rid, out, vc), []).append((t, pid))
 
@@ -423,17 +427,16 @@ class MeshNetwork:
             if not nqueue:
                 wake.setdefault(t + pipeline, []).append(nkey)
             nqueue.append((t, flit))
-            nrouter = routers[nrid]
             writes[nrid] += 1
             links[rid] += 1
             if flit.pt == _GATHER:
-                arrivals.append((nrouter, flit))
+                arrivals.append((nrid, flit))
             if ft == _HEAD:
                 meta[pid].hops += 1
-                nrouter.route_cache[pid] = xy_route(nrouter.node, flit.dst, cols, flit.to_buffer)
+                routes[nrid][pid] = xy_route(nodes[nrid], flit.dst, cols, flit.to_buffer)
             elif ft == _TAIL and pid in watch:
-                node, seq = watch[pid]
-                if node == nrouter.node:
+                watcher, seq = watch[pid]
+                if watcher == nrid:
                     del watch[pid]
                     ready_at = self._pending_sends[seq].ready_at
                     heappush(self._due_sends, (max(ready_at, t + 1), seq))
@@ -446,9 +449,10 @@ class MeshNetwork:
             self._meta[pid].head_arrival = t
         self._staging.setdefault(pid, []).append(flit)
         if self.event_log is not None:
-            self._log(t, self.routers[rid].node, f"eject pid={pid} {ft.name.lower()}")
+            self._log(t, self._nodes[rid], f"eject pid={pid} {ft.name.lower()}")
         if ft == _TAIL:
             if out_port == Port.BUFFER:
+                # in grant order, so in (eject cycle, router id) order
                 self._commit_queue.append((t, rid, pid))
             else:
                 self._finish_packet(pid, tail_arrival=t, commit=t, to_buffer=False)
@@ -486,49 +490,35 @@ class MeshNetwork:
     # phase 3: the gather handshake of the gather flits that arrived
     def _process_arrivals(self, arrivals, t: int) -> None:
         cfg = self.config
-        for router, flit in arrivals:
+        for rid, flit in arrivals:
             pid = flit.packet_id
-            unit = router.unit
+            unit = self.units[rid]
             if flit.ft == _HEAD:
                 if gather_load_check(flit, unit, cfg):
-                    self._log(t, router.node, f"load pid={pid}")
+                    self._log(t, unit.node, f"load pid={pid}")
             elif unit.reserved_by == pid:
                 if upload_payload(flit, unit, cfg):
                     self._holding -= 1
-                    rid = router.node.index(cfg.cols)
                     self.counters.record("payload_upload", rid)
-                    self._log(t, router.node, f"upload pid={pid} ack")
+                    self._log(t, unit.node, f"upload pid={pid} ack")
             if flit.ft == _TAIL:
                 if unit.reserved_by == pid:
                     raise SimulationError(
-                        f"reserved upload never completed at {router.node}"
+                        f"reserved upload never completed at {unit.node}"
                     )
                 if unit.has_unreserved_payload:
                     unit.nack()
-                    self._log(t, router.node, f"nack pid={pid}")
-
-    # phase 4: shared buffer write port commits queued packet transactions
-    def _commit_buffer_transactions(self, t: int) -> None:
-        """Commit this cycle's share of the buffer port's queue, by the
-        port rule that ``buffer_commits`` states: tails queue in (eject
-        cycle, router id) order, and the port commits them first in, first
-        out, ``buffer_commit_rate`` per cycle, each at the earliest in its
-        eject cycle."""
-        budget = self.config.buffer_commit_rate
-        while budget and self._commit_queue and self._commit_queue[0][0] <= t:
-            arrival, _rid, pid = self._commit_queue.popleft()
-            self._finish_packet(pid, tail_arrival=arrival, commit=t, to_buffer=True)
-            budget -= 1
+                    self._log(t, unit.node, f"nack pid={pid}")
 
     # phase 5: PE-side work: posts, drain chain, timeouts, injection
     def _node_phase(self, t: int) -> None:
         cfg = self.config
-        routers = self.routers
+        units = self.units
         posts = self._posts.pop(t, None)
         if posts:
             for node, payload in posts:
                 rid = node.index(cfg.cols)
-                unit = routers[rid].unit
+                unit = units[rid]
                 unit.post(payload, t)
                 self._holding += 1
                 heappush(self._deadlines, (t + unit.timeout, rid))
@@ -551,8 +541,7 @@ class MeshNetwork:
         while deadlines and deadlines[0][0] <= t:
             expiring.add(heappop(deadlines)[1])
         for rid in sorted(expiring):
-            router = routers[rid]
-            unit = router.unit
+            unit = units[rid]
             if not unit.expired(t):
                 # served, reserved, or re-posted with a deadline of its own
                 expiring.discard(rid)
@@ -564,7 +553,7 @@ class MeshNetwork:
             self._holding -= 1
             pid = self.next_packet_id()
             flits = build_packet(
-                PacketType.GATHER, router.node, payload.dst,
+                PacketType.GATHER, unit.node, payload.dst,
                 [(payload.origin, payload.value)], cfg, pid,
             )
             for f in flits:
@@ -577,7 +566,7 @@ class MeshNetwork:
             self._ni[rid].extend(flits)
             self._ni_busy.add(rid)
             kind = "timeout-init" if meta.timeout_init else "gather-init"
-            self._log(t, router.node, f"{kind} pid={pid}")
+            self._log(t, unit.node, f"{kind} pid={pid}")
 
         if not self._ni_busy:
             return
@@ -586,16 +575,15 @@ class MeshNetwork:
         for rid in sorted(self._ni_busy):
             queue = self._ni[rid]
             flit = queue[0]
-            router = routers[rid]
-            q = Port.LOCAL * self._vcs + flit.vc
-            local = router.queues[q]
+            key = rid * nq + Port.LOCAL * self._vcs + flit.vc
+            local = self._queues[key]
             if len(local) >= depth:
                 continue
             queue.popleft()
             if not queue:
                 self._ni_busy.discard(rid)
             if not local:
-                self._wake.setdefault(t + pipeline, []).append(rid * nq + q)
+                self._wake.setdefault(t + pipeline, []).append(key)
             local.append((t, flit))
             self._queued += 1
             self.flits_injected += 1
@@ -605,8 +593,8 @@ class MeshNetwork:
                 # gather handshake runs only at routers the packet arrives at
                 pid = flit.packet_id
                 self._meta[pid].inject_cycle = t
-                router.route_cache[pid] = xy_route(
-                    router.node, flit.dst, cfg.cols, sink_is_buffer=flit.to_buffer
+                self._routes[rid][pid] = xy_route(
+                    self._nodes[rid], flit.dst, cfg.cols, sink_is_buffer=flit.to_buffer
                 )
 
     def _watchdog(self, t: int, progressed: bool) -> None:
@@ -630,25 +618,26 @@ class MeshNetwork:
             self.event_log.append(f"{cycle} {node} {kind}")
 
 
-def buffer_commits(ejects, rate: int) -> list[tuple[int, tuple]]:
-    """Replay the buffer's shared write port over ``ejects``, tuples that
-    start with the eject cycle and the router id of a packet's tail, and
-    return ``(commit cycle, eject)`` pairs in commit order.
+def port_commits(queue: deque, t: int, rate: int) -> list:
+    """The buffer's shared write port in cycle ``t``: pop and return, first
+    in first out, at most ``rate`` tails from the front of ``queue`` whose
+    eject cycle (a tail's first item) is at most ``t``.  Tails queue in
+    (eject cycle, router id) order, and the port never holds a flit back,
+    so the network's timing does not depend on it."""
+    commits = []
+    while len(commits) < rate and queue and queue[0][0] <= t:
+        commits.append(queue.popleft())
+    return commits
 
-    The port rule, which ``MeshNetwork._commit_buffer_transactions`` applies
-    cycle by cycle: tails queue in (eject cycle, router id) order, at most
-    one per router per cycle, and the port commits them first in, first
-    out, ``rate`` per cycle, each at the earliest in its eject cycle.  The
-    port never holds a flit back, so the network's timing does not depend
-    on it.
-    """
-    commits: list[tuple[int, tuple]] = []
-    t, used = -1, 0
-    for eject in sorted(ejects):
-        if eject[0] > t:
-            t, used = eject[0], 0
-        elif used == rate:
-            t, used = t + 1, 0
-        commits.append((t, eject))
-        used += 1
+
+def buffer_commits(ejects, rate: int) -> list[tuple[int, tuple]]:
+    """Replay the buffer port over ``ejects``, tuples that start with the
+    eject cycle and the router id of a packet's tail, by ``port_commits``
+    cycle by cycle, skipping the cycles in which no tail waits; return
+    ``(commit cycle, eject)`` pairs in commit order."""
+    queue, commits, t = deque(sorted(ejects)), [], 0
+    while queue:
+        t = max(t, queue[0][0])
+        commits += [(t, eject) for eject in port_commits(queue, t, rate)]
+        t += 1
     return commits

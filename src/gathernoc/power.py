@@ -7,8 +7,11 @@ configurable, so only relative numbers are meaningful.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from itertools import zip_longest
+
+from .errors import ConfigError
 
 EVENT_KINDS = (
     "buffer_write",
@@ -114,9 +117,18 @@ class EnergyCoefficients:
 
 def total_energy(counters: ActivityCounters | dict[str, int],
                  coeffs: EnergyCoefficients | None = None) -> float:
+    """The energy of ``counters``' event totals under ``coeffs``; a
+    ``ConfigError`` if finite coefficients overflow it on these counts."""
     totals = counters.totals() if isinstance(counters, ActivityCounters) else counters
     c = (coeffs or EnergyCoefficients()).as_dict()
-    return float(sum(totals.get(k, 0) * c[k] for k in EVENT_KINDS))
+    energy = float(sum(totals.get(k, 0) * c[k] for k in EVENT_KINDS))
+    if not math.isfinite(energy):
+        # a sum of finite terms overflows only if one term exceeds its share
+        share = sys.float_info.max / len(EVENT_KINDS)
+        named = ", ".join(f"{k} = {c[k]:g} ({totals[k]} events)" for k in EVENT_KINDS
+                          if totals.get(k, 0) * c[k] > share)
+        raise ConfigError(f"energy overflows the float range: energy coefficients {named}")
+    return energy
 
 
 def energy_improvement(baseline: float, proposed: float) -> float:

@@ -1,20 +1,18 @@
-"""Router state and the gather collection protocol.
+"""The gather collection protocol: the PE-side gather unit of one node and
+the load/upload/timeout handshake between it and passing gather packets.
 
-Each router owns per-input-port, per-VC flit queues with credit-style
-backpressure, a wormhole ownership table per output VC, round-robin switch
-allocation state, and the PE-side gather unit that implements the
-load/upload/timeout handshake.  The cycle-by-cycle rules that act on this
-state live in :mod:`gathernoc.network`.
+A network keeps one ``GatherUnit`` per router, next to its flat switching
+tables; :mod:`gathernoc.network` holds those tables and the cycle-by-cycle
+rules that act on them.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .config import MeshConfig
 from .errors import SimulationError
 from .packet import Flit, FlitType, PacketType, flit_has_room
-from .topology import INPUT_PORTS, NodeId, Port
+from .topology import NodeId
 
 
 @dataclass(frozen=True)
@@ -127,24 +125,3 @@ def upload_payload(flit: Flit, unit: GatherUnit, config: MeshConfig) -> bool:
     flit.payload_slots.append((payload.origin, payload.value))
     return True
 
-
-class Router:
-    """Per-node switching state, laid out flat for the network's cycle loop.
-
-    ``queues[port * vc_count + vc]`` is the input queue of one (input port,
-    VC) pair and holds ``(enter_cycle, flit)`` pairs; ``link_owner[port *
-    vc_count + vc]`` is the wormhole owner (packet id or None) of one output
-    VC; ``rr[port]`` is the round-robin pointer of one output port over the
-    flat queue indices.
-    """
-
-    def __init__(self, node: NodeId, config: MeshConfig, timeout: int) -> None:
-        self.node = node
-        self.queues: list[deque[tuple[int, Flit]]] = [
-            deque() for _ in range(len(INPUT_PORTS) * config.vc_count)
-        ]
-        self.link_owner: list[int | None] = [None] * (len(Port) * config.vc_count)
-        # cached output port per packet id, set when the head is routed
-        self.route_cache: dict[int, Port] = {}
-        self.rr: list[int] = [0] * len(Port)
-        self.unit = GatherUnit(node, timeout)

@@ -40,7 +40,7 @@ from itertools import accumulate, islice
 import numpy as np
 
 from .analytic import gather_collection_cycles, ru_collection_cycles
-from .config import MeshConfig, check_timeout_table, default_timeout_table
+from .config import MeshConfig, check_timeout_table, give_up_budgets
 from .errors import ConfigError, LostPayloadError, OracleMismatchError, SimulationError
 from .network import MeshNetwork, buffer_commits
 from .power import EVENT_KINDS, ActivityCounters, EnergyCoefficients, total_energy
@@ -346,7 +346,7 @@ def run_convolution(
         firsts: dict[tuple[int, int], tuple[int, RoundMeasurement]] = {}
         start = 0
         for schedule in build_round_schedules(layer, config):
-            m = _simulate_round(net, config, mode, schedule, start + ready_offset)
+            m = _simulate_round(net, config, mode, schedule, start + ready_offset, timeout_table)
             shape = (schedule.active_rows, schedule.active_cols)
             first_round, expected = firsts.setdefault(shape, (schedule.index, m))
             if m != expected:
@@ -369,7 +369,7 @@ def run_convolution(
                 events = []
                 m = shared[key] = replace(_simulate_round(
                     MeshNetwork(config, timeout_table=timeout_table, event_log=events),
-                    config, mode, first, 0), events=events)
+                    config, mode, first, 0, timeout_table), events=events)
             table.append(RoundClass(*shape, row_count, col_count, first.index,
                                     ready_offset + m.collection, m))
     _fold_rounds(stats, table, coefficients)
@@ -403,14 +403,16 @@ def _fold_rounds(stats: RunStats, table: list[RoundClass],
 
 
 def _simulate_round(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
-                    schedule: RoundSchedule, ready_base: int) -> RoundMeasurement:
-    """Collect one round of ``schedule``'s shape, PE ``(r, c)`` ready
-    ``r + c`` cycles after ``ready_base``."""
+                    schedule: RoundSchedule, ready_base: int,
+                    timeout_table: dict[tuple[int, int], int] | None) -> RoundMeasurement:
+    """Collect one round of ``schedule``'s shape on ``net`` (built with
+    ``timeout_table``), PE ``(r, c)`` ready ``r + c`` cycles after ``ready_base``."""
     ready = [(NodeId(r, c), ready_base + r + c)
              for r in range(schedule.active_rows)
              for c in range(schedule.active_cols)]
     full = schedule.active_rows == config.rows and schedule.active_cols == config.cols
-    return _collect(net, config, mode, ready, ready_base, full, f"round {schedule.index}")
+    return _collect(net, config, mode, ready, ready_base, full, f"round {schedule.index}",
+                    timeout_table)
 
 
 def _measure_class(config: MeshConfig, mode: CollectionMode, schedule: RoundSchedule,
@@ -421,29 +423,30 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, schedule: RoundSche
     Every result goes to the buffer port at the right edge of its own row,
     and XY routing keeps its flits in that row; the buffer's commit port,
     the one thing rows share, never holds a flit back.  So a row's traffic
-    depends on its own PEs' give-up budgets alone (the explicit table laid
-    over the default staircase), and rows with equal budgets are copies of
-    each other, row ``r`` shifted by ``r`` cycles.  Each group of such rows
-    is collected once, on a one-row network with PE ``c`` ready at cycle
-    ``c``, through ``_collect`` and all its checks.  The commit port is then
+    depends on its own PEs' give-up budgets alone (``give_up_budgets``),
+    and rows with equal budgets are copies of each other, row ``r`` shifted
+    by ``r`` cycles.  Each group of such rows is collected once, on a
+    one-row network with PE ``c`` ready at cycle ``c``, through
+    ``_collect`` and all its checks.  The commit port is then
     replayed over every row's tail ejects by ``buffer_commits``: the last
     commit is the collection and the head latencies come in commit order;
     every other field sums over the rows.
     """
     cols = config.cols
-    table = {**default_timeout_table(config), **(timeout_table or {})}
+    budgets = give_up_budgets(config, timeout_table)
     groups: dict[tuple[int, ...], list[int]] = {}
     for r in range(schedule.active_rows):
-        groups.setdefault(tuple(table[r, c] for c in range(cols)), []).append(r)
+        groups.setdefault(tuple(budgets[r * cols:(r + 1) * cols]), []).append(r)
     row_config = replace(config, rows=1)
     sums = dict.fromkeys(("packets", "flits", "hops", "payloads", "timeout_packets"), 0)
     delta = dict.fromkeys(EVENT_KINDS, 0)
     ejects = []
     ready = [(NodeId(0, c), c) for c in range(schedule.active_cols)]
-    for budgets, rows in groups.items():
-        net = MeshNetwork(row_config, timeout_table={(0, c): b for c, b in enumerate(budgets)})
+    for row_budgets, rows in groups.items():
+        row_table = {(0, c): b for c, b in enumerate(row_budgets)}
+        net = MeshNetwork(row_config, timeout_table=row_table)
         m = _collect(net, row_config, mode, ready, 0, False,
-                     f"round {schedule.index}, row {rows[0]}")
+                     f"round {schedule.index}, row {rows[0]}", row_table)
         for name in sums:
             sums[name] += len(rows) * getattr(m, name)
         for kind, n in m.counter_delta.items():
@@ -464,13 +467,14 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, schedule: RoundSche
 
 def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
              ready: list[tuple[NodeId, int]], ready_base: int,
-             full_round: bool, what: str) -> RoundMeasurement:
+             full_round: bool, what: str,
+             timeout_table: dict[tuple[int, int], int] | None) -> RoundMeasurement:
     """Post a result of every ``(node, ready cycle)``, drain them to the
     buffer, check each was delivered exactly once and the network drained,
-    and measure the round.  ``ready_base`` is the earliest ready cycle.
-    Each node posts its flat index ``row * cols + col`` as a stand-in
-    result, distinct per node, so the measurement never depends on operand
-    values."""
+    and measure the round on ``net`` (built with ``timeout_table``).
+    ``ready_base`` is the earliest ready cycle.  Each node posts its flat
+    index ``row * cols + col`` as a stand-in result, distinct per node, so
+    the measurement never depends on operand values."""
     delivered_before = len(net.delivered)
     counters_before = net.counters.totals()
     flits_before = net.flits_injected
@@ -490,7 +494,7 @@ def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
     # a payload no packet picks up waits out its node's give-up budget
     limit = ready_base + (config.rows + config.cols) * (config.pipeline_depth + 2) * 4 \
         + config.rows * config.cols * config.unicast_len + 10_000 \
-        + max(router.unit.timeout for router in net.routers)
+        + max(give_up_budgets(config, timeout_table))
     net.run_until_idle(limit)
 
     round_delivered = net.delivered[delivered_before:]
@@ -535,7 +539,7 @@ def run_ready_row(
         raise ConfigError(f"row {row} outside the {config.rows}-row mesh")
     m = _collect(MeshNetwork(config, timeout_table=timeout_table), config, mode,
                  [(NodeId(row, c), 0) for c in range(config.cols)], ready_base=0,
-                 full_round=False, what=f"ready row {row}")
+                 full_round=False, what=f"ready row {row}", timeout_table=timeout_table)
     stats = RunStats(model="demo", layer=f"ready-row-{row}", mode=mode.value,
                      rows=config.rows, cols=config.cols, seed=0, rounds=1,
                      ideal_collection=ideal_collection_cycles(config, mode))

@@ -403,6 +403,22 @@ def test_infinite_energy_coefficient_exits_config_error(tmp_path, capsys, value)
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_energy_overflow_exits_config_error_without_result_files(tmp_path, capsys, fmt):
+    # every coefficient is finite, but the run's energy is not: no CSV cell
+    # can hold it, and JSON would say Infinity
+    path = tmp_path / "run.cfg"
+    path.write_text("energy_link_traversal = 1e308\n")
+    assert main(["run", "--config", str(path), "--mesh", "4x4", "--layers", "conv3",
+                 "--p-override", "4", "--modes", "ru,gather", "--format", fmt,
+                 "--output", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("configuration error: energy overflows the float range: energy "
+                            "coefficients link_traversal = 1e+308 (4608 events)\n")
+    assert not list(tmp_path.glob("out*"))
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--layers", "conv1,CONV1", "--modes", "ru,ru,gather"], "mode ru is given twice"),
     (["--layers", "conv1,CONV1", "--modes", "analytic"], "layer alexnet/conv1 is given twice"),

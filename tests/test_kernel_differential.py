@@ -82,6 +82,14 @@ def _outcome(net, error) -> dict:
     }
 
 
+def _routes_of(net, rid: int) -> dict:
+    """The cached routes of router ``rid``: a flat per-network table in the
+    kernel, a ``Router`` attribute in the reference."""
+    if isinstance(net, seed_kernel.MeshNetwork):
+        return net.routers[rid].route_cache
+    return net._routes[rid]
+
+
 def _run_scenario(network_cls, sc) -> dict:
     cfg = sc["cfg"]
     stalls = sc["stalls"]
@@ -109,7 +117,7 @@ def _run_scenario(network_cls, sc) -> dict:
         for _ in range(sc["wedge_cycles"] if sc["wedged"] else 0):
             net.step()
             for rid in sc["wedged"]:
-                net.routers[rid].route_cache.clear()
+                _routes_of(net, rid).clear()
         net.run_until_idle(net.cycle + sc["limit"])
         net.assert_drained()
     except GatherNocError as exc:

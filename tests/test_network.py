@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
 
-from gathernoc.config import MeshConfig, default_timeout_table, flat_timeout_table
+from gathernoc.config import (MeshConfig, default_timeout_table, flat_timeout_table,
+                              give_up_budgets)
 from gathernoc.errors import ConfigError, DeadlockError, SimulationError
-from gathernoc.network import MeshNetwork, mesh_tables
+from gathernoc.network import MeshNetwork, buffer_commits, mesh_tables, port_commits
 from gathernoc.packet import PacketType, build_packet
 from gathernoc.topology import NodeId, Port
 from scenario_utils import run_safety_scenario, scenario_outcome
@@ -139,15 +141,15 @@ class TestConservation:
         net = MeshNetwork(cfg)
         _send(net, NodeId(0, 0), NodeId(0, 1), pid=0)
         # wedge the network by never routing the head (fabricated state):
-        # remove the route cache entry every cycle so no grant can happen
+        # remove the cached routes every cycle so no grant can happen
         for _ in range(5):
             net.step()
-        net.routers[0].route_cache.clear()
+        net._routes[0].clear()
         with pytest.raises(DeadlockError):
             for _ in range(200):
                 net.step()
-                net.routers[0].route_cache.clear()
-                net.routers[1].route_cache.clear()
+                net._routes[0].clear()
+                net._routes[1].clear()
 
 
 class TestClockAndScheduling:
@@ -158,7 +160,7 @@ class TestClockAndScheduling:
         net = MeshNetwork(cfg)
         net.schedule_post(0, NodeId(0, 2), 5)
         net.step()
-        unit = net.routers[2].unit
+        unit = net.units[2]
         assert net._holding == 1 and unit.posted_at + unit.timeout == 15
         with pytest.raises(SimulationError, match="give-up deadline"):
             net.jump_to(100)
@@ -233,6 +235,48 @@ class TestGatherProtocolOnMesh:
         assert total_bits <= cfg.gather_payload_capacity_bits
 
 
+class TestBufferPort:
+    # ejects are (eject cycle, router id, label); router ids 7, 15 and 23
+    # are the buffer ports of rows 0-2 of an 8-column mesh
+
+    def test_one_cycle_commits_at_most_rate_tails_already_ejected(self):
+        queue = deque([(3, 7, "a"), (3, 15, "b"), (3, 23, "c"), (4, 7, "d")])
+        assert port_commits(queue, 2, 2) == []
+        assert port_commits(queue, 3, 2) == [(3, 7, "a"), (3, 15, "b")]
+        assert port_commits(queue, 3, 2) == [(3, 23, "c")]   # "d" ejects at 4
+        assert list(queue) == [(4, 7, "d")]
+
+    @pytest.mark.parametrize("rate, cycles", [(1, [3, 4, 5]), (2, [3, 3, 4])])
+    def test_rate_tails_per_cycle_first_in_first_out(self, rate, cycles):
+        ejects = [(3, 7, "a"), (3, 15, "b"), (4, 7, "c")]
+        assert buffer_commits(ejects, rate) == list(zip(cycles, ejects))
+
+    def test_same_cycle_tails_queue_by_router_id(self):
+        ejects = [(5, 23, "x"), (5, 7, "y"), (5, 15, "z")]
+        assert buffer_commits(ejects, 2) == [(5, (5, 7, "y")), (5, (5, 15, "z")),
+                                             (6, (5, 23, "x"))]
+
+    def test_a_commit_after_an_idle_gap_waits_for_its_eject_cycle(self):
+        ejects = [(2, 7, "a"), (2, 15, "b"), (2, 23, "c"), (10, 7, "d")]
+        assert [t for t, _ in buffer_commits(ejects, 2)] == [2, 2, 3, 10]
+
+    @pytest.mark.parametrize("rate", [1, 2, 3])
+    def test_the_stepped_network_commits_as_the_replayed_port(self, rate):
+        cfg = MeshConfig(rows=4, cols=4, buffer_commit_rate=rate)
+        net = MeshNetwork(cfg)
+        for r in range(4):
+            prev = None
+            for c in range(4):
+                prev = net.schedule_unicast_result(NodeId(r, c), 0, 0, prev)
+        _drain(net)
+        ejects = [(p.tail_arrival, p.dst.index(cfg.cols), p.packet_id) for p in net.delivered]
+        assert buffer_commits(ejects, rate) == [(p.commit_cycle, e)
+                                                for p, e in zip(net.delivered, ejects)]
+        # four rows eject in step, so the port, not the network, sets some
+        # commit cycles
+        assert any(p.commit_cycle > p.tail_arrival for p in net.delivered)
+
+
 class TestSharedTables:
     def test_networks_of_one_config_share_the_tables(self):
         cfg = MeshConfig(rows=3, cols=5)
@@ -241,17 +285,28 @@ class TestSharedTables:
         tables = mesh_tables(cfg)
         assert mesh_tables(MeshConfig(rows=3, cols=5)) is tables
         assert a._down is b._down is tables.down
-        assert all(ra.node is rb.node is node
-                   for ra, rb, node in zip(a.routers, b.routers, tables.nodes))
-        # queues, owners, pointers and gather units stay per network
-        for ra, rb in zip(a.routers, b.routers):
-            assert ra.queues is not rb.queues and ra.link_owner is not rb.link_owner
-            assert ra.rr is not rb.rr and ra.unit is not rb.unit
-        # an explicit budget overlays the shared defaults of one network only
-        assert [r.unit.timeout for r in b.routers][7] == 7
+        assert a._nodes is b._nodes is tables.nodes
+        assert all(ua.node is ub.node is node
+                   for ua, ub, node in zip(a.units, b.units, tables.nodes, strict=True))
+        # queues, owners, pointers, routes, gather units and NI queues stay
+        # per network, each a flat table of one entry per index
+        routers, ports, vcs = 15, len(Port), cfg.vc_count
+        sizes = {"_queues": routers * 5 * vcs, "_owners": routers * ports * vcs,
+                 "_rr": routers * ports, "_routes": routers, "units": routers, "_ni": routers}
+        for name, size in sizes.items():
+            ta, tb = getattr(a, name), getattr(b, name)
+            assert ta is not tb and len(ta) == len(tb) == size, name
+        # no deque, route dict or unit is shared between two networks, or
+        # between two indices of one
+        for name in ("_queues", "_routes", "units", "_ni"):
+            objects = {id(x) for net in (a, b) for x in getattr(net, name)}
+            assert len(objects) == 2 * sizes[name], name
+        # an explicit budget overlays the defaults of one network only
         defaults = default_timeout_table(cfg)
-        assert tables.budgets == tuple(defaults[r, c] for r in range(3) for c in range(5))
-        assert [r.unit.timeout for r in a.routers] == list(tables.budgets)
+        expected = [defaults[r, c] for r in range(3) for c in range(5)]
+        assert [u.timeout for u in a.units] == give_up_budgets(cfg) == expected
+        expected[1 * 5 + 2] = 7
+        assert [u.timeout for u in b.units] == give_up_budgets(cfg, {(1, 2): 7}) == expected
 
     def test_a_network_built_after_another_ran_steps_as_in_a_fresh_process(self):
         seeds = range(8)

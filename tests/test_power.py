@@ -1,6 +1,7 @@
 import pytest
 
 from gathernoc.config import MeshConfig
+from gathernoc.errors import ConfigError
 from gathernoc.network import MeshNetwork
 from gathernoc.packet import PacketType, build_packet
 from gathernoc.power import (
@@ -109,6 +110,18 @@ def test_infinite_coefficient_rejected():
     # inf passes `>= 0`, and every energy it touches comes out inf
     with pytest.raises(ValueError, match="finite and non-negative"):
         EnergyCoefficients(link_traversal=float("inf"))
+
+
+def test_energy_overflow_rejected_naming_the_coefficients():
+    # each term is finite, their sum is not; only the terms that overflow it
+    # are named
+    coeffs = EnergyCoefficients(buffer_write=1e308, link_traversal=1e308, va_arb=2.0)
+    counts = {"buffer_write": 1, "link_traversal": 1, "va_arb": 3}
+    assert total_energy({"buffer_write": 1, "va_arb": 3}, coeffs) == 1e308 + 6
+    with pytest.raises(ConfigError, match=r"^energy overflows the float range: energy "
+                       r"coefficients buffer_write = 1e\+308 \(1 events\), "
+                       r"link_traversal = 1e\+308 \(1 events\)$"):
+        total_energy(counts, coeffs)
 
 
 def test_gather_saves_energy_and_sign_matches_hops():

@@ -116,7 +116,7 @@ def test_row_merged_class_measurement_matches_full_mesh(case):
     mode = CollectionMode(mode)
     merged = systolic._measure_class(cfg, mode, schedule, timeouts)
     full = systolic._simulate_round(MeshNetwork(cfg, timeout_table=timeouts), cfg, mode,
-                                    schedule, 0)
+                                    schedule, 0, timeouts)
     for f in dataclasses.fields(RoundMeasurement):
         assert getattr(merged, f.name) == getattr(full, f.name), f.name
 
