@@ -129,7 +129,9 @@ def run(config: RunConfig) -> RunResult:
     stats: dict[tuple[str, str, str], RunStats] = {}
     estimated: dict[tuple[str, str], float] = {}
     mesh = config.mesh
-    event_files: list[Path] = []
+    # each event file's lines, written with the result files once every
+    # layer has run, so that a run that fails writes no file
+    event_logs: dict[Path, list[str]] = {}
     # round-class measurements and oracle verdicts, shared by the run's calls
     shared: dict = {}
 
@@ -145,7 +147,10 @@ def run(config: RunConfig) -> RunResult:
                     collection_cycles=gather_collection_cycles(mesh) * round_count(layer, mesh),
                     improvement_pct=est))
                 continue
-            event_lines: list[str] | None = [] if config.event_log else None
+            event_lines = None
+            if config.event_log:
+                path = Path(f"{config.output}.{model}.{layer_name}.{mode}.events.txt")
+                event_lines = event_logs[path] = []
             st = run_convolution(
                 layer, mesh, mode, seed=config.seed,
                 timeout_table=config.timeout_table,
@@ -154,10 +159,6 @@ def run(config: RunConfig) -> RunResult:
             )
             stats[(model, layer_name, mode)] = st
             records.append(stats_record(st))
-            if event_lines is not None:
-                path = Path(f"{config.output}.{model}.{layer_name}.{mode}.events.txt")
-                path.write_text("\n".join(event_lines) + ("\n" if event_lines else ""))
-                event_files.append(path)
         if "ru" in config.modes and "gather" in config.modes:
             ru = stats[(model, layer_name, "ru")]
             g = stats[(model, layer_name, "gather")]
@@ -168,7 +169,9 @@ def run(config: RunConfig) -> RunResult:
     table = comparison_table(config, stats, estimated)
     result = RunResult(records=records, stats=stats, estimated=estimated, table_text=table)
     if config.output:
-        result.files = event_files + emit_results(result, config)
+        for path, lines in event_logs.items():
+            path.write_text("\n".join(lines) + ("\n" if lines else ""))
+        result.files = list(event_logs) + emit_results(result, config)
     return result
 
 

@@ -1,8 +1,7 @@
 """Flit and packet wire format.
 
-The simulator moves structured flits; the equivalent packed-bit header
-layout is documented in docs/wire-format.md and exercised by
-``pack_header`` / ``unpack_header``.
+The simulator moves structured flits; the packed-bit layout they stand for
+is documented in docs/wire-format.md.
 """
 from __future__ import annotations
 
@@ -122,57 +121,3 @@ def build_packet(
         )
     return flits
 
-
-# --- packed header layout (documented in docs/wire-format.md) ---------------
-
-def _field_widths(config: MeshConfig) -> tuple[int, int, int]:
-    """(aspace_bits, row_bits, col_bits) for the packed head layout."""
-    aspace_bits = max(1, config.gather_payload_capacity_bits.bit_length())
-    row_bits = max(1, (config.rows - 1).bit_length())
-    col_bits = max(1, (config.cols - 1).bit_length())
-    return aspace_bits, row_bits, col_bits
-
-
-def pack_header(flit: Flit, config: MeshConfig) -> int:
-    """Pack a head flit's fields into the documented bit layout."""
-    if not flit.is_head:
-        raise ConfigError("only head flits carry the routed header")
-    a_bits, r_bits, c_bits = _field_widths(config)
-    total = 2 + 2 + a_bits + 2 * (r_bits + c_bits)
-    if total > config.flit_width:
-        raise ConfigError(
-            f"header fields need {total} bits; flit width is {config.flit_width}"
-        )
-    word = int(flit.ft)
-    word = (word << 2) | int(flit.pt)
-    word = (word << a_bits) | flit.aspace
-    word = (word << r_bits) | flit.src.row
-    word = (word << c_bits) | flit.src.col
-    word = (word << r_bits) | flit.dst.row
-    word = (word << c_bits) | flit.dst.col
-    return word
-
-
-def unpack_header(word: int, config: MeshConfig) -> dict:
-    a_bits, r_bits, c_bits = _field_widths(config)
-
-    def take(n: int) -> int:
-        nonlocal word
-        val = word & ((1 << n) - 1)
-        word >>= n
-        return val
-
-    dst_col = take(c_bits)
-    dst_row = take(r_bits)
-    src_col = take(c_bits)
-    src_row = take(r_bits)
-    aspace = take(a_bits)
-    pt = PacketType(take(2))
-    ft = FlitType(take(2))
-    return {
-        "ft": ft,
-        "pt": pt,
-        "aspace": aspace,
-        "src": NodeId(src_row, src_col),
-        "dst": NodeId(dst_row, dst_col),
-    }

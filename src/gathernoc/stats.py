@@ -21,7 +21,6 @@ class RoundMeasurement:
     hops: int
     payloads: int
     timeout_packets: int
-    full_round: bool
     head_latencies: list[int]
     counter_delta: dict[str, int]
     events: list[str] | None = field(default=None, compare=False)
@@ -56,7 +55,8 @@ class RunStats:
     from the cycle the first PE of a round could post its result to the
     cycle the round's last packet commits into the buffer.
     ``delta_measured`` is the observed minus closed-form ideal collection
-    cycles for full rounds (congestion plus skew), never negative.
+    cycles (congestion plus skew), never negative, of the rounds whose
+    shape is the whole mesh.
     ``head_latencies`` are the first round's."""
 
     model: str
@@ -96,8 +96,9 @@ class RunStats:
 
     @property
     def delta_measured(self) -> list[int]:
+        whole = (self.rows, self.cols)
         return self._per_round(lambda c: [c.measurement.collection - self.ideal_collection]
-                               if c.measurement.full_round else [])
+                               if (c.active_rows, c.active_cols) == whole else [])
 
     @property
     def head_latencies(self) -> list[int]:

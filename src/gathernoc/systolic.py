@@ -285,19 +285,21 @@ def run_convolution(
     seed: int = 1,
     timeout_table: dict[tuple[int, int], int] | None = None,
     coefficients: EnergyCoefficients | None = None,
-    oracle: str = "auto",
     replay: bool = True,
     event_log: list[str] | None = None,
     shared: dict | None = None,
 ) -> RunStats:
     """Execute all rounds of one layer in one collection mode.
 
-    The oracle runs first, before any network is built: ``oracle`` is
-    ``full``, ``sample`` (at most four PEs of every ``rounds // 32``-th
-    round) or ``auto``, and ``_check_oracle`` generates the operands of the
-    checked PEs only, a bounded chunk at a time.  The network then carries
-    no operands: each PE posts a stand-in payload, so a round's measurement
-    depends on the mesh, mode, timeout table and the round's shape alone.
+    The oracle runs first, before any network is built: it checks every PE
+    of every round while the layer's work is within
+    ``FULL_ORACLE_WORK_LIMIT``, else at most four PEs of every
+    ``rounds // 32``-th round, and ``_check_oracle`` generates the operands
+    of the checked PEs only, a bounded chunk at a time.  The network then
+    carries no operands: each PE posts a stand-in payload, so a round's
+    measurement depends on the mesh, mode, timeout table and the round's
+    shape alone: ``_measure_class`` and ``_simulate_round`` take the shape,
+    never the round's vector ids.
 
     With ``replay`` each round class ``(active_rows, active_cols)`` of the
     layer's ``RoundPlan`` is measured once, in networks of its own that
@@ -314,15 +316,13 @@ def run_convolution(
 
     ``shared`` holds what several calls can reuse: the class measurements,
     keyed by everything a class simulation depends on, and the oracle's
-    verdict on a layer, keyed by the layer, mesh, seed and resolved oracle
-    mode (nothing else sets the checked pairs and operand values).  A
+    verdict on a layer, keyed by the layer, mesh, seed and oracle rule
+    (nothing else sets the checked pairs and operand values).  A
     verdict is stored only once every check of the layer has passed.
     ``harness.run`` passes one mapping to all its calls, so it measures
     each class once and checks each layer once per run.
     """
     mode = _collection_mode(mode)
-    if oracle not in ("auto", "full", "sample"):
-        raise ConfigError(f"unknown oracle {oracle!r}; choose auto, full or sample")
     check_timeout_table(config, timeout_table)
     check_payload_width(config, layer)
     _check_stand_in_width(config)
@@ -331,9 +331,8 @@ def run_convolution(
                      rows=config.rows, cols=config.cols, seed=seed, rounds=plan.rounds,
                      ideal_collection=ideal_collection_cycles(config, mode))
 
-    if oracle == "auto":
-        work = plan.rounds * config.rows * config.cols * plan.stream_len
-        oracle = "full" if work <= FULL_ORACLE_WORK_LIMIT else "sample"
+    work = plan.rounds * config.rows * config.cols * plan.stream_len
+    oracle = "full" if work <= FULL_ORACLE_WORK_LIMIT else "sample"
     shared = {} if shared is None else shared
     verdict = ("oracle passed", layer, config, seed, oracle)
     if verdict not in shared:  # else an earlier call passed every check of this layer
@@ -346,8 +345,9 @@ def run_convolution(
         firsts: dict[tuple[int, int], tuple[int, RoundMeasurement]] = {}
         start = 0
         for schedule in build_round_schedules(layer, config):
-            m = _simulate_round(net, config, mode, schedule, start + ready_offset, timeout_table)
             shape = (schedule.active_rows, schedule.active_cols)
+            m = _simulate_round(net, config, mode, shape, f"round {schedule.index}",
+                                start + ready_offset, timeout_table)
             first_round, expected = firsts.setdefault(shape, (schedule.index, m))
             if m != expected:
                 raise SimulationError(
@@ -356,21 +356,21 @@ def run_convolution(
             start += ready_offset + m.collection
     timeouts = tuple(sorted(timeout_table.items())) if timeout_table else ()
     table = []
-    for _, row_count, ib in plan.row_blocks:
-        for _, col_count, fb in plan.col_blocks:
-            first = plan.schedule(ib * plan.col_count + fb)
-            shape = (first.active_rows, first.active_cols)
+    for rows, row_count, ib in plan.row_blocks:
+        for cols, col_count, fb in plan.col_blocks:
+            first, shape = ib * plan.col_count + fb, (rows, cols)
             key = (config, mode, timeouts, *shape, event_log is not None)
             if not replay:
                 m = firsts[shape][1]
             elif (m := shared.get(key)) is None and event_log is None:
-                m = shared[key] = _measure_class(config, mode, first, timeout_table)
+                m = shared[key] = _measure_class(config, mode, shape, f"round {first}",
+                                                 timeout_table)
             elif m is None:
                 events = []
                 m = shared[key] = replace(_simulate_round(
                     MeshNetwork(config, timeout_table=timeout_table, event_log=events),
-                    config, mode, first, 0, timeout_table), events=events)
-            table.append(RoundClass(*shape, row_count, col_count, first.index,
+                    config, mode, shape, f"round {first}", 0, timeout_table), events=events)
+            table.append(RoundClass(*shape, row_count, col_count, first,
                                     ready_offset + m.collection, m))
     _fold_rounds(stats, table, coefficients)
     if replay and event_log is not None:
@@ -403,22 +403,19 @@ def _fold_rounds(stats: RunStats, table: list[RoundClass],
 
 
 def _simulate_round(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
-                    schedule: RoundSchedule, ready_base: int,
+                    shape: tuple[int, int], what: str, ready_base: int,
                     timeout_table: dict[tuple[int, int], int] | None) -> RoundMeasurement:
-    """Collect one round of ``schedule``'s shape on ``net`` (built with
-    ``timeout_table``), PE ``(r, c)`` ready ``r + c`` cycles after ``ready_base``."""
-    ready = [(NodeId(r, c), ready_base + r + c)
-             for r in range(schedule.active_rows)
-             for c in range(schedule.active_cols)]
-    full = schedule.active_rows == config.rows and schedule.active_cols == config.cols
-    return _collect(net, config, mode, ready, ready_base, full, f"round {schedule.index}",
-                    timeout_table)
+    """Collect one round of ``shape``, its active ``(rows, cols)``, on ``net``
+    (built with ``timeout_table``), PE ``(r, c)`` ready ``r + c`` cycles after
+    ``ready_base``; ``what`` names the round in error messages."""
+    ready = [(NodeId(r, c), ready_base + r + c) for r in range(shape[0]) for c in range(shape[1])]
+    return _collect(net, config, mode, ready, ready_base, what, timeout_table)
 
 
-def _measure_class(config: MeshConfig, mode: CollectionMode, schedule: RoundSchedule,
+def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, int], what: str,
                    timeout_table: dict[tuple[int, int], int] | None) -> RoundMeasurement:
-    """Measure a round of ``schedule``'s shape, as ``_simulate_round`` on a
-    fresh network of the whole mesh would, one mesh row at a time.
+    """Measure a round of ``shape``, as ``_simulate_round`` on a fresh
+    network of the whole mesh would, one mesh row at a time.
 
     Every result goes to the buffer port at the right edge of its own row,
     and XY routing keeps its flits in that row; the buffer's commit port,
@@ -435,18 +432,17 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, schedule: RoundSche
     cols = config.cols
     budgets = give_up_budgets(config, timeout_table)
     groups: dict[tuple[int, ...], list[int]] = {}
-    for r in range(schedule.active_rows):
+    for r in range(shape[0]):
         groups.setdefault(tuple(budgets[r * cols:(r + 1) * cols]), []).append(r)
     row_config = replace(config, rows=1)
     sums = dict.fromkeys(("packets", "flits", "hops", "payloads", "timeout_packets"), 0)
     delta = dict.fromkeys(EVENT_KINDS, 0)
     ejects = []
-    ready = [(NodeId(0, c), c) for c in range(schedule.active_cols)]
+    ready = [(NodeId(0, c), c) for c in range(shape[1])]
     for row_budgets, rows in groups.items():
         row_table = {(0, c): b for c, b in enumerate(row_budgets)}
         net = MeshNetwork(row_config, timeout_table=row_table)
-        m = _collect(net, row_config, mode, ready, 0, False,
-                     f"round {schedule.index}, row {rows[0]}", row_table)
+        m = _collect(net, row_config, mode, ready, 0, f"{what}, row {rows[0]}", row_table)
         for name in sums:
             sums[name] += len(rows) * getattr(m, name)
         for kind, n in m.counter_delta.items():
@@ -458,7 +454,6 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, schedule: RoundSche
     commits = buffer_commits(ejects, config.buffer_commit_rate)
     return RoundMeasurement(
         collection=commits[-1][0],
-        full_round=schedule.active_rows == config.rows and schedule.active_cols == cols,
         head_latencies=[eject[2] for _, eject in commits],
         counter_delta=delta,
         **sums,
@@ -466,8 +461,7 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, schedule: RoundSche
 
 
 def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
-             ready: list[tuple[NodeId, int]], ready_base: int,
-             full_round: bool, what: str,
+             ready: list[tuple[NodeId, int]], ready_base: int, what: str,
              timeout_table: dict[tuple[int, int], int] | None) -> RoundMeasurement:
     """Post a result of every ``(node, ready cycle)``, drain them to the
     buffer, check each was delivered exactly once and the network drained,
@@ -518,7 +512,6 @@ def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
         hops=sum(pkt.hops for pkt in round_delivered),
         payloads=len(delivered_payloads),
         timeout_packets=net.timeout_packets - timeout_before,
-        full_round=full_round,
         head_latencies=[pkt.head_arrival - pkt.inject_cycle for pkt in round_delivered],
         counter_delta={k: n - counters_before[k] for k, n in net.counters.totals().items()},
     )
@@ -539,7 +532,7 @@ def run_ready_row(
         raise ConfigError(f"row {row} outside the {config.rows}-row mesh")
     m = _collect(MeshNetwork(config, timeout_table=timeout_table), config, mode,
                  [(NodeId(row, c), 0) for c in range(config.cols)], ready_base=0,
-                 full_round=False, what=f"ready row {row}", timeout_table=timeout_table)
+                 what=f"ready row {row}", timeout_table=timeout_table)
     stats = RunStats(model="demo", layer=f"ready-row-{row}", mode=mode.value,
                      rows=config.rows, cols=config.cols, seed=0, rounds=1,
                      ideal_collection=ideal_collection_cycles(config, mode))

@@ -13,9 +13,9 @@ from gathernoc.harness import RunConfig, run, simulated_improvement_pct
 from gathernoc.network import MeshNetwork
 from gathernoc.packet import PacketType, build_packet
 from gathernoc.power import energy_improvement
-from gathernoc.systolic import run_convolution, run_ready_row
+from gathernoc.systolic import FULL_ORACLE_WORK_LIMIT, run_convolution, run_ready_row
 from gathernoc.topology import NodeId
-from gathernoc.workload import LayerConfig, model_layers
+from gathernoc.workload import LayerConfig, model_layers, round_count, stream_length
 
 from scenario_utils import run_safety_scenario
 
@@ -125,8 +125,11 @@ def test_criterion_6_functional_oracle(size, mode):
     layer = LayerConfig(model="t", layer="t", in_channels=2, kernel_side=2,
                         kernels=mesh.cols, layer_side=1,
                         input_vectors=mesh.rows + 3)
+    # within the work limit, so every PE of every round is checked
+    work = round_count(layer, mesh) * mesh.rows * mesh.cols * stream_length(layer)
+    assert work <= FULL_ORACLE_WORK_LIMIT
     for seed in range(50):
-        stats = run_convolution(layer, mesh, mode, seed=seed, oracle="full")
+        stats = run_convolution(layer, mesh, mode, seed=seed)
         assert stats.payloads_delivered == layer.vectors * layer.kernels
     _report(6, f"{size}x{size}/{mode}: 50 seeds, full oracle check")
 

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from gathernoc import harness
 from gathernoc.cli import main
 from gathernoc.config import MeshConfig
-from gathernoc.errors import ConfigError
+from gathernoc.errors import ConfigError, SimulationError
 from gathernoc.harness import (
     CSV_COLUMNS,
     RunConfig,
@@ -297,6 +298,45 @@ def test_event_log_without_output_exits_config_error(tmp_path, capsys):
     with pytest.raises(ConfigError, match="event_log needs output"):
         RunConfig(mesh=MeshConfig(rows=4, cols=4), layers=[("alexnet", "conv3")],
                   event_log=True)
+
+
+EVENT_RUN = ["--mesh", "4x4", "--layers", "conv2,conv3,conv4,conv5", "--p-override", "11",
+             "--modes", "ru,gather", "--event-log"]
+
+
+def test_event_log_run_that_overflows_energy_writes_no_file(tmp_path, capsys):
+    # conv2's event lines are ready before conv3's energy overflows; they
+    # are written with the result files or not at all
+    path = tmp_path / "huge.cfg"
+    path.write_text("energy_link_traversal = 1.5e304\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", "--config", str(path), *EVENT_RUN, "--output", str(out / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: energy overflows the float range")
+    assert list(out.iterdir()) == []
+
+
+def test_event_log_run_that_fails_in_its_second_layer_writes_no_file(tmp_path, capsys,
+                                                                      monkeypatch):
+    simulated, convolve = [], harness.run_convolution
+
+    def fail_at_conv3(layer, *args, **kwargs):
+        simulated.append(layer.layer)
+        if layer.layer == "conv3":
+            raise SimulationError("injected into conv3")
+        return convolve(layer, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_convolution", fail_at_conv3)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", *EVENT_RUN, "--output", str(out / "x")]) == 3
+    assert simulated == ["conv2", "conv2", "conv3"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "simulation invariant violated: injected into conv3\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("entry", ["99 99 5", "4 0 5", "0 4 5", "-1 0 5"])

@@ -169,9 +169,9 @@ def test_round_measured_unlike_its_class(monkeypatch):
                         layer_side=1, input_vectors=16)
     simulate = systolic._simulate_round
 
-    def patched(net, config, mode, schedule, ready_base, timeout_table):
-        m = simulate(net, config, mode, schedule, ready_base, timeout_table)
-        return dataclasses.replace(m, collection=m.collection + (schedule.index == 4))
+    def patched(net, config, mode, shape, what, ready_base, timeout_table):
+        m = simulate(net, config, mode, shape, what, ready_base, timeout_table)
+        return dataclasses.replace(m, collection=m.collection + (what == "round 4"))
 
     monkeypatch.setattr(systolic, "_simulate_round", patched)
     with pytest.raises(SimulationError, match=(

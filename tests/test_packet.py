@@ -3,14 +3,7 @@ from hypothesis import given, strategies as st
 
 from gathernoc.config import MeshConfig
 from gathernoc.errors import CapacityError
-from gathernoc.packet import (
-    Flit,
-    FlitType,
-    PacketType,
-    build_packet,
-    pack_header,
-    unpack_header,
-)
+from gathernoc.packet import FlitType, PacketType, build_packet
 from gathernoc.topology import NodeId
 
 CFG = MeshConfig()
@@ -94,25 +87,3 @@ def test_aspace_accounting_property(k, size):
     payloads = [(NodeId(0, i % 8), 0) for i in range(k)]
     flits = build_packet(PacketType.GATHER, NodeId(0, 0), NodeId(0, 7), payloads, cfg, packet_id=0)
     assert flits[0].aspace == capacity - k * size
-
-
-def test_header_pack_unpack_roundtrip():
-    flits = build_packet(PacketType.GATHER, NodeId(3, 1), NodeId(3, 7),
-                         [(NodeId(3, 1), 9)], CFG, packet_id=8)
-    word = pack_header(flits[0], CFG)
-    assert word < (1 << CFG.flit_width)
-    fields = unpack_header(word, CFG)
-    assert fields["ft"] == FlitType.HEAD
-    assert fields["pt"] == PacketType.GATHER
-    assert fields["aspace"] == flits[0].aspace
-    assert fields["src"] == NodeId(3, 1)
-    assert fields["dst"] == NodeId(3, 7)
-
-
-@given(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7),
-       st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7),
-       st.sampled_from([PacketType.UNICAST, PacketType.GATHER]))
-def test_header_roundtrip_property(r1, c1, r2, c2, pt):
-    flits = build_packet(pt, NodeId(r1, c1), NodeId(r2, c2), [], CFG, packet_id=0)
-    fields = unpack_header(pack_header(flits[0], CFG), CFG)
-    assert (fields["src"], fields["dst"], fields["pt"]) == (NodeId(r1, c1), NodeId(r2, c2), pt)

@@ -18,7 +18,7 @@ from gathernoc.config import MeshConfig
 from gathernoc.network import MeshNetwork
 from gathernoc.power import ActivityCounters
 from gathernoc.stats import RoundMeasurement, RunStats
-from gathernoc.systolic import CollectionMode, RoundSchedule, build_round_schedules, run_convolution
+from gathernoc.systolic import CollectionMode, build_round_schedules, run_convolution
 from gathernoc.workload import LayerConfig, load_layer
 from scenario_utils import ragged_case
 
@@ -111,12 +111,11 @@ def _rows_differ(side: int) -> dict[tuple[int, int], int]:
 def test_row_merged_class_measurement_matches_full_mesh(case):
     # a class measured one row at a time and merged at the commit port must
     # equal one round of its shape on a fresh network of the whole mesh
-    cfg, (rows, cols), mode, timeouts = case
-    schedule = RoundSchedule(0, tuple(range(rows)), tuple(range(cols)), 1)
+    cfg, shape, mode, timeouts = case
     mode = CollectionMode(mode)
-    merged = systolic._measure_class(cfg, mode, schedule, timeouts)
+    merged = systolic._measure_class(cfg, mode, shape, "round 0", timeouts)
     full = systolic._simulate_round(MeshNetwork(cfg, timeout_table=timeouts), cfg, mode,
-                                    schedule, 0, timeouts)
+                                    shape, "round 0", 0, timeouts)
     for f in dataclasses.fields(RoundMeasurement):
         assert getattr(merged, f.name) == getattr(full, f.name), f.name
 
@@ -176,16 +175,15 @@ def _spy_measurements(monkeypatch) -> list:
         built.append(network(*args, **kwargs))
         return built[-1]
 
-    def measure_spy(config, mode, schedule, *rest):
+    def measure_spy(config, mode, shape, *rest):
         first = len(built)
-        m = measure(config, mode, schedule, *rest)
-        calls.append(("measure", mode.value, schedule.active_rows, schedule.active_cols,
-                      built[first:]))
+        m = measure(config, mode, shape, *rest)
+        calls.append(("measure", mode.value, *shape, built[first:]))
         return m
 
-    def simulate_spy(net, config, mode, schedule, *rest):
-        calls.append(("simulate", mode.value, schedule.active_rows, schedule.active_cols, [net]))
-        return simulate(net, config, mode, schedule, *rest)
+    def simulate_spy(net, config, mode, shape, *rest):
+        calls.append(("simulate", mode.value, *shape, [net]))
+        return simulate(net, config, mode, shape, *rest)
 
     monkeypatch.setattr(systolic, "MeshNetwork", build)
     monkeypatch.setattr(systolic, "_measure_class", measure_spy)

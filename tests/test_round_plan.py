@@ -55,6 +55,15 @@ def pe_of_vectors(layer: LayerConfig, config: MeshConfig) -> dict:
             for r in range(s.active_rows) for c in range(s.active_cols)}
 
 
+# work limits that make run_convolution pick each oracle rule
+RULE_LIMITS = {"full": 10**12, "sample": 0}
+
+
+def use_rule(monkeypatch, oracle: str) -> None:
+    """Make every run check its layers by the ``full`` or ``sample`` rule."""
+    monkeypatch.setattr(systolic, "FULL_ORACLE_WORK_LIMIT", RULE_LIMITS[oracle])
+
+
 def spy_engine(monkeypatch) -> list[list[tuple]]:
     """Record every ``round_accumulators`` call as a list of ``(input id,
     filter id, input vector, weight vector, accumulator)``, one per PE."""
@@ -106,8 +115,9 @@ def test_plan_expands_to_the_nested_enumeration(shape):
 def test_oracle_checks_the_pairs_of_the_explicit_rule(shape, oracle, replay):
     cfg, layer = shape
     with pytest.MonkeyPatch.context() as mp:
+        use_rule(mp, oracle)
         calls = spy_engine(mp)
-        run_convolution(layer, cfg, "gather", seed=4, oracle=oracle, replay=replay)
+        run_convolution(layer, cfg, "gather", seed=4, replay=replay)
     pe_of = pe_of_vectors(layer, cfg)
     checked = [pe_of[i, f] for call in calls for i, f, *_ in call]
     assert checked == explicit_oracle_checks(nested_round_schedules(layer, cfg), oracle)
@@ -143,20 +153,37 @@ def off_by_one_at_guard_round(engine):
 
 
 @pytest.mark.parametrize("replay", [True, False])
+@pytest.mark.parametrize("limit_past_work, oracle", [(0, "full"), (-1, "sample")])
+def test_work_limit_alone_picks_the_oracle_rule(monkeypatch, limit_past_work, oracle, replay):
+    # a layer's work is rounds * PEs * stream length: at the limit every PE
+    # is checked, one element past it the sampled rule applies
+    cfg = MeshConfig(rows=2, cols=2)
+    work = 64 * cfg.rows * cfg.cols * stream_length(GUARD_LAYER)
+    monkeypatch.setattr(systolic, "FULL_ORACLE_WORK_LIMIT", work + limit_past_work)
+    calls = spy_engine(monkeypatch)
+    run_convolution(GUARD_LAYER, cfg, "ru", seed=3, replay=replay)
+    pe_of = pe_of_vectors(GUARD_LAYER, cfg)
+    checked = [pe_of[i, f] for call in calls for i, f, *_ in call]
+    assert checked == explicit_oracle_checks(nested_round_schedules(GUARD_LAYER, cfg), oracle)
+
+
+@pytest.mark.parametrize("replay", [True, False])
 @pytest.mark.parametrize("oracle", ["full", "sample"])
 def test_oracle_catches_an_engine_accumulator_off_by_one(monkeypatch, oracle, replay):
     cfg = MeshConfig(rows=2, cols=2)
-    run_convolution(GUARD_LAYER, cfg, "ru", seed=3, oracle=oracle, replay=replay)
+    use_rule(monkeypatch, oracle)
+    run_convolution(GUARD_LAYER, cfg, "ru", seed=3, replay=replay)
     monkeypatch.setattr(systolic, "round_accumulators",
                         off_by_one_at_guard_round(systolic.round_accumulators))
     with pytest.raises(OracleMismatchError, match=rf"round {GUARD_ROUND} PE \(0,0\)"):
-        run_convolution(GUARD_LAYER, cfg, "ru", seed=3, oracle=oracle, replay=replay)
+        run_convolution(GUARD_LAYER, cfg, "ru", seed=3, replay=replay)
 
 
 @pytest.mark.parametrize("replay", [True, False])
 @pytest.mark.parametrize("mode", ["ru", "gather"])
 @pytest.mark.parametrize("oracle", ["full", "sample"])
 def test_oracle_fails_before_any_round_is_simulated(monkeypatch, oracle, mode, replay):
+    use_rule(monkeypatch, oracle)
     monkeypatch.setattr(systolic, "round_accumulators",
                         off_by_one_at_guard_round(systolic.round_accumulators))
 
@@ -165,8 +192,7 @@ def test_oracle_fails_before_any_round_is_simulated(monkeypatch, oracle, mode, r
 
     monkeypatch.setattr(systolic, "_collect", simulated)
     with pytest.raises(OracleMismatchError, match=rf"round {GUARD_ROUND} PE \(0,0\)"):
-        run_convolution(GUARD_LAYER, MeshConfig(rows=2, cols=2), mode, seed=3,
-                        oracle=oracle, replay=replay)
+        run_convolution(GUARD_LAYER, MeshConfig(rows=2, cols=2), mode, seed=3, replay=replay)
 
 
 @pytest.mark.parametrize("replay", [True, False])
@@ -204,19 +230,15 @@ def uint8_engine(engine):
 @pytest.mark.parametrize("oracle", ["full", "sample"])
 def test_oracle_does_not_take_the_engines_dtype(monkeypatch, oracle, replay):
     cfg = MeshConfig(rows=2, cols=2)
-    run_convolution(GUARD_LAYER, cfg, "ru", seed=3, oracle=oracle, replay=replay)
+    use_rule(monkeypatch, oracle)
+    run_convolution(GUARD_LAYER, cfg, "ru", seed=3, replay=replay)
     monkeypatch.setattr(systolic, "round_accumulators",
                         uint8_engine(systolic.round_accumulators))
     with pytest.raises(OracleMismatchError, match=r"round 0 PE \(0,0\)"):
-        run_convolution(GUARD_LAYER, cfg, "ru", seed=3, oracle=oracle, replay=replay)
+        run_convolution(GUARD_LAYER, cfg, "ru", seed=3, replay=replay)
 
 
 # ---------------------------------------------- one oracle verdict per run
-
-# harness.run resolves ``oracle="auto"``; these work limits make it pick
-# each rule
-AUTO_LIMITS = {"full": 10**12, "sample": 0}
-
 
 def use_layers(monkeypatch, layers: list[LayerConfig]) -> list[tuple[str, str]]:
     """Make ``harness.run`` see ``layers`` as its layer database."""
@@ -272,7 +294,7 @@ def test_run_checks_each_layer_once_as_a_single_mode_run(monkeypatch, modes, ora
     # whichever mode runs first checks the layer; the other reuses the
     # verdict, so the run makes exactly the checks of one run_convolution
     mesh = MeshConfig(rows=rows, cols=cols)
-    monkeypatch.setattr(systolic, "FULL_ORACLE_WORK_LIMIT", AUTO_LIMITS[oracle])
+    use_rule(monkeypatch, oracle)
     cfg = harness.RunConfig(mesh=mesh, layers=use_layers(monkeypatch, VERDICT_LAYERS),
                             modes=modes, seed=9)
     checks = spy_oracle_checks(monkeypatch)
@@ -295,7 +317,7 @@ def test_run_checks_each_layer_once_as_a_single_mode_run(monkeypatch, modes, ora
 @pytest.mark.parametrize("modes", [("ru", "gather"), ("gather", "ru")])
 @pytest.mark.parametrize("oracle", ["full", "sample"])
 def test_run_oracle_catches_an_engine_accumulator_off_by_one(monkeypatch, oracle, modes):
-    monkeypatch.setattr(systolic, "FULL_ORACLE_WORK_LIMIT", AUTO_LIMITS[oracle])
+    use_rule(monkeypatch, oracle)
     cfg = harness.RunConfig(mesh=MeshConfig(rows=2, cols=2),
                             layers=use_layers(monkeypatch, [GUARD_LAYER]), modes=modes, seed=3)
     harness.run(cfg)
@@ -317,7 +339,8 @@ def test_run_oracle_catches_an_engine_accumulator_off_by_one(monkeypatch, oracle
 def test_shared_verdict_covers_only_its_layer_mesh_seed_and_rule(monkeypatch):
     checks = spy_oracle_checks(monkeypatch)
 
-    def checked(mode, mesh, p, **kwargs) -> Counter:
+    def checked(mode, mesh, p, oracle, **kwargs) -> Counter:
+        use_rule(monkeypatch, oracle)
         checks.clear()
         run_convolution(VERDICT_LAYERS[0].with_vectors(p), mesh, mode, **kwargs)
         return Counter(checks)
@@ -351,13 +374,14 @@ def test_a_failed_check_leaves_no_verdict(monkeypatch):
 def test_chunked_oracle_checks_what_the_unchunked_one_does(monkeypatch, layer, oracle,
                                                           pairs_per_chunk):
     cfg, length = MeshConfig(rows=3, cols=4), stream_length(layer)
+    use_rule(monkeypatch, oracle)
     runs = {}
     for budget in (10**12, pairs_per_chunk * length + length - 1):
         monkeypatch.setattr(systolic, "ORACLE_CHUNK_ELEMENTS", budget)
         with pytest.MonkeyPatch.context() as mp:
             calls = spy_engine(mp)
             shared = {}
-            run_convolution(layer, cfg, "ru", seed=6, oracle=oracle, shared=shared)
+            run_convolution(layer, cfg, "ru", seed=6, shared=shared)
         runs[budget] = calls, {k: v for k, v in shared.items() if v is True}
     (whole, verdict), (chunks, chunked_verdict) = runs.values()
     assert len(whole) == 1 and chunked_verdict == verdict and len(verdict) == 1
@@ -374,11 +398,12 @@ def test_a_fault_in_a_later_chunk_names_its_own_round_and_pe(monkeypatch):
     plan = RoundPlan(GUARD_LAYER, cfg)
     faults = {(plan.schedule(40).input_ids[1], plan.schedule(40).filter_ids[1]),
               (plan.schedule(41).input_ids[0], plan.schedule(41).filter_ids[0])}
+    use_rule(monkeypatch, "full")
     calls = spy_engine(monkeypatch)
     monkeypatch.setattr(systolic, "round_accumulators",
                         off_by_one_at(systolic.round_accumulators, faults))
     with pytest.raises(OracleMismatchError, match=r"^round 40 PE \(1,1\): "):
-        run_convolution(GUARD_LAYER, cfg, "gather", seed=3, oracle="full")
+        run_convolution(GUARD_LAYER, cfg, "gather", seed=3)
     assert len(calls) == 55
 
 

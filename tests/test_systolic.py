@@ -33,6 +33,7 @@ from gathernoc.systolic import (
 )
 from gathernoc.topology import NodeId
 from gathernoc.workload import LayerConfig, load_layer
+from scenario_utils import ragged_case
 
 
 def _not_simulated(*args, **kwargs):
@@ -427,16 +428,6 @@ class TestRunConvolution:
         assert stats.rounds == 4
         assert stats.payloads_delivered == 5 * 6
 
-    @pytest.mark.parametrize("oracle", ["ful", "Full", "none", ""])
-    @pytest.mark.parametrize("replay", [True, False])
-    def test_unknown_oracle_rejected_before_simulation(self, monkeypatch, oracle, replay):
-        def simulated(*args, **kwargs):
-            raise AssertionError("a round was simulated")
-        monkeypatch.setattr("gathernoc.systolic._collect", simulated)
-        with pytest.raises(ConfigError, match="oracle"):
-            run_convolution(_layer(), MeshConfig(rows=4, cols=4), "ru",
-                            oracle=oracle, replay=replay)
-
     @pytest.mark.parametrize("mode", ["unicast", "RU", "analytic", ""])
     @pytest.mark.parametrize("replay", [True, False])
     def test_unknown_mode_rejected_before_simulation(self, monkeypatch, mode, replay):
@@ -526,6 +517,18 @@ def test_full_scale_stats_hold_one_row_per_class(mode):
     assert sum(stats.per_round_collection) == stats.collection_cycles
 
 
+@pytest.mark.parametrize("mode", ["ru", "gather"])
+def test_delta_measured_covers_the_rounds_whose_shape_is_the_whole_mesh(mode):
+    # nine rounds in four classes on 8x8: only the 8x8 class's four count
+    cfg, layer, mode = ragged_case(8, mode)
+    stats = run_convolution(layer, cfg, mode)
+    shapes = [(s.active_rows, s.active_cols) for s in build_round_schedules(layer, cfg)]
+    expected = [collection - stats.ideal_collection
+                for collection, shape in zip(stats.per_round_collection, shapes)
+                if shape == (cfg.rows, cfg.cols)]
+    assert len(expected) == 4 and stats.delta_measured == expected
+
+
 class TestPayloadWidthNotDividingFlit:
     """64-bit flits carry one 40-bit payload each, so a 4-flit gather packet
     holds three payloads although its 192 payload bits would pass for four."""
@@ -610,6 +613,14 @@ class TestReadyRowScenario:
         cfg = MeshConfig(rows=4, cols=4, gather_capacity=2)
         stats = run_ready_row(cfg, 0, "gather", timeout_table={(0, 2): 20_000})
         assert stats.per_round_collection == [20_013]
+
+    @pytest.mark.parametrize("mode", ["ru", "gather"])
+    @pytest.mark.parametrize("cols", [1, 6])
+    def test_ready_row_of_a_one_row_mesh_is_a_whole_mesh_round(self, cols, mode):
+        # the row is the whole mesh, so its round counts in delta_measured
+        stats = run_ready_row(MeshConfig(rows=1, cols=cols), 0, mode)
+        [collection] = stats.per_round_collection
+        assert stats.delta_measured == [collection - stats.ideal_collection] == [0]
 
     def test_ready_row_payloads_survive(self, monkeypatch):
         # every PE's stand-in result, its flat index, arrives exactly once
