@@ -5,9 +5,8 @@ write per-mesh result files and comparison tables.
 
 At full scale the identical-round replay, which simulates each round shape
 once per mesh and mode, and one oracle check of each layer per mesh keep
-this to about 0.4 seconds (0.35-0.40 s on a 2-vCPU AMD EPYC, Python
-3.11, process start included); pass --p-override to truncate the
-per-layer input count for a quick look.
+this well under a second (README states the measured time); pass
+--p-override to truncate the per-layer input count for a quick look.
 """
 import argparse
 import sys

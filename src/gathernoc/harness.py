@@ -272,23 +272,32 @@ _MESH_KEYS = {
 
 def parse_kv_text(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
+    first: dict[str, int] = {}   # the line each key is given on
     for lineno, line in text_records(text):
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"config line {lineno}: empty key")
-        out[key.lower()] = value
+        key = key.lower()
+        if (seen := first.setdefault(key, lineno)) != lineno:
+            raise ConfigError(f"config line {lineno}: duplicate key {key}, "
+                              f"first given on line {seen}")
+        out[key] = value
     return out
 
 
 def parse_timeout_table(text: str) -> dict[tuple[int, int], int]:
     table: dict[tuple[int, int], int] = {}
+    first: dict[tuple[int, int], int] = {}   # the line each entry is given on
     for lineno, line in text_records(text):
         parts = line.split()
         if len(parts) != 3:
             raise ConfigError(f"timeout table line {lineno}: expected 'row col cycles'")
         r, c, v = (_cast(int, x, f"timeout table line {lineno}") for x in parts)
+        if (seen := first.setdefault((r, c), lineno)) != lineno:
+            raise ConfigError(f"timeout table line {lineno}: duplicate entry ({r}, {c}), "
+                              f"first given on line {seen}")
         table[(r, c)] = v
     return table
 

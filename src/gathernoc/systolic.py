@@ -26,8 +26,8 @@ checked to be drained at every round boundary.
 In both modes a result goes to its own row's buffer port and XY routing
 keeps it in that row, and the buffer's commit port never pushes back into
 the network.  So rows are independent but for the order in which the port
-commits their packets, (eject cycle, router id), and replay measures a
-round class one row at a time (``_measure_class``).
+commits their packets, (eject cycle, router id), and replay measures every
+round class one row at a time (``_measure_class``), event lines included.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ import numpy as np
 from .analytic import gather_collection_cycles, ru_collection_cycles
 from .config import MeshConfig, check_timeout_table, give_up_budgets
 from .errors import ConfigError, LostPayloadError, OracleMismatchError, SimulationError
-from .network import MeshNetwork, buffer_commits
+from .network import MeshNetwork, buffer_commits, merge_row_logs
 from .power import EVENT_KINDS, ActivityCounters, EnergyCoefficients, total_energy
 from .stats import RoundClass, RoundMeasurement, RunStats
 from .topology import NodeId
@@ -302,17 +302,16 @@ def run_convolution(
     never the round's vector ids.
 
     With ``replay`` each round class ``(active_rows, active_cols)`` of the
-    layer's ``RoundPlan`` is measured once, in networks of its own that
-    start drained, relative to the class's ready cycle.  Without an event
-    log that is ``_measure_class``: one row network per distinct row of
-    give-up budgets (one under the default table), the rows merged at the
-    buffer commit port in (eject cycle, router id) order.  With one, the
-    class is one round on the whole mesh, because event lines name packets
-    by id and interleave the rows within a cycle; its events are logged
-    shifted to the true ready cycle of the class's first round.
-    ``replay=False``, the reference the replay differential tests compare
-    against, simulates every round back to back in one network that
-    carries its state, and checks each against its class's first.
+    layer's ``RoundPlan`` is measured once by ``_measure_class``, relative
+    to the class's ready cycle: one row network per distinct row of give-up
+    budgets (one under the default table), the rows merged at the buffer
+    commit port in (eject cycle, router id) order.  With an event log the
+    row networks log too, their lines are merged into the whole mesh's,
+    and the class's lines are logged shifted to the true ready cycle of its
+    first round.  ``replay=False``, the reference the replay differential
+    tests compare against, simulates every round back to back on the whole
+    mesh in one network that carries its state, and checks each against
+    its class's first.
 
     ``shared`` holds what several calls can reuse: the class measurements,
     keyed by everything a class simulation depends on, and the oracle's
@@ -362,14 +361,9 @@ def run_convolution(
             key = (config, mode, timeouts, *shape, event_log is not None)
             if not replay:
                 m = firsts[shape][1]
-            elif (m := shared.get(key)) is None and event_log is None:
+            elif (m := shared.get(key)) is None:
                 m = shared[key] = _measure_class(config, mode, shape, f"round {first}",
-                                                 timeout_table)
-            elif m is None:
-                events = []
-                m = shared[key] = replace(_simulate_round(
-                    MeshNetwork(config, timeout_table=timeout_table, event_log=events),
-                    config, mode, shape, f"round {first}", 0, timeout_table), events=events)
+                                                 timeout_table, event_log is not None)
             table.append(RoundClass(*shape, row_count, col_count, first,
                                     ready_offset + m.collection, m))
     _fold_rounds(stats, table, coefficients)
@@ -413,7 +407,8 @@ def _simulate_round(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
 
 
 def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, int], what: str,
-                   timeout_table: dict[tuple[int, int], int] | None) -> RoundMeasurement:
+                   timeout_table: dict[tuple[int, int], int] | None,
+                   logged: bool = False) -> RoundMeasurement:
     """Measure a round of ``shape``, as ``_simulate_round`` on a fresh
     network of the whole mesh would, one mesh row at a time.
 
@@ -427,7 +422,9 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, i
     ``_collect`` and all its checks.  The commit port is then
     replayed over every row's tail ejects by ``buffer_commits``: the last
     commit is the collection and the head latencies come in commit order;
-    every other field sums over the rows.
+    every other field sums over the rows.  If ``logged``, the row networks
+    log their events and ``merge_row_logs`` merges them into the lines the
+    whole mesh would log, which become the measurement's ``events``.
     """
     cols = config.cols
     budgets = give_up_budgets(config, timeout_table)
@@ -438,10 +435,12 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, i
     sums = dict.fromkeys(("packets", "flits", "hops", "payloads", "timeout_packets"), 0)
     delta = dict.fromkeys(EVENT_KINDS, 0)
     ejects = []
+    row_logs: list[list[str] | None] = [None] * shape[0]
     ready = [(NodeId(0, c), c) for c in range(shape[1])]
     for row_budgets, rows in groups.items():
         row_table = {(0, c): b for c, b in enumerate(row_budgets)}
-        net = MeshNetwork(row_config, timeout_table=row_table)
+        log = [] if logged else None
+        net = MeshNetwork(row_config, timeout_table=row_table, event_log=log)
         m = _collect(net, row_config, mode, ready, 0, f"{what}, row {rows[0]}", row_table)
         for name in sums:
             sums[name] += len(rows) * getattr(m, name)
@@ -451,11 +450,13 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, i
             rid = r * cols + cols - 1
             ejects += [(pkt.tail_arrival + r, rid, pkt.head_arrival - pkt.inject_cycle)
                        for pkt in net.delivered]
+            row_logs[r] = log
     commits = buffer_commits(ejects, config.buffer_commit_rate)
     return RoundMeasurement(
         collection=commits[-1][0],
         head_latencies=[eject[2] for _, eject in commits],
         counter_delta=delta,
+        events=merge_row_logs(row_logs, mode == CollectionMode.GATHER) if logged else None,
         **sums,
     )
 

@@ -303,6 +303,33 @@ def test_event_log_without_output_exits_config_error(tmp_path, capsys):
 EVENT_RUN = ["--mesh", "4x4", "--layers", "conv2,conv3,conv4,conv5", "--p-override", "11",
              "--modes", "ru,gather", "--event-log"]
 
+# the event-logged runs whose every written file the golden pins, by the
+# name of its directory under tests/data/event_golden
+EVENT_GOLDEN_RUNS = {
+    "conv3": ["--mesh", "4x4", "--layers", "conv3", "--p-override", "16",
+              "--modes", "ru,gather", "--event-log"],
+    "four_layers": EVENT_RUN,
+    # row r's PE c gives up after c * (r + 1) cycles: no two rows alike,
+    # and the short budgets of the upper rows make timeout packets
+    "rows_differ": ["--config", "rows.cfg", "--mesh", "4x4", "--layers", "conv3",
+                    "--p-override", "11", "--modes", "ru,gather", "--event-log"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_GOLDEN_RUNS))
+def test_event_files_match_golden(tmp_path, name, capsys):
+    (tmp_path / "rows.txt").write_text(
+        "".join(f"{r} {c} {c * (r + 1)}\n" for r in range(4) for c in range(4)))
+    (tmp_path / "rows.cfg").write_text("timeout_table = rows.txt\n")
+    flags = [str(tmp_path / f) if f == "rows.cfg" else f for f in EVENT_GOLDEN_RUNS[name]]
+    out = tmp_path / name
+    out.mkdir()
+    assert main(["run", *flags, "--output", str(out / "ev")]) == 0
+    golden = Path(__file__).parent / "data" / "event_golden" / name
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
+    for path in golden.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
 
 def test_event_log_run_that_overflows_energy_writes_no_file(tmp_path, capsys):
     # conv2's event lines are ready before conv3's energy overflows; they
@@ -471,6 +498,24 @@ def test_duplicate_modes_or_layers_exit_config_error(tmp_path, capsys, argv, mes
                  "--output", str(tmp_path / "out"), *argv]) == 2
     assert f"configuration error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("config, timeouts, message", [
+    ("mesh_rows = 4\nmesh_cols = 4\n# the mesh\nMESH_ROWS = 8\n", "",
+     "config line 4: duplicate key mesh_rows, first given on line 1"),
+    ("timeout_table = timeouts.txt\n", "0 0 5\n1 2 3\n\n0 0 7\n",
+     "timeout table line 4: duplicate entry (0, 0), first given on line 1"),
+], ids=["config-key", "timeout-entry"])
+def test_duplicate_config_entry_exits_config_error(tmp_path, capsys, config, timeouts, message):
+    # a second entry would silently override the first
+    (tmp_path / "timeouts.txt").write_text(timeouts)
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    assert main(["run", "--config", str(path), "--mesh", "4x4", "--layers", "conv3",
+                 "--p-override", "4", "--modes", "ru,gather"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
 
 
 @pytest.mark.parametrize("p_override", [0, -3])

@@ -110,12 +110,15 @@ def _rows_differ(side: int) -> dict[tuple[int, int], int]:
 @example((MeshConfig(rows=6, cols=6, buffer_commit_rate=1), (6, 4), "ru", _rows_differ(6)))
 def test_row_merged_class_measurement_matches_full_mesh(case):
     # a class measured one row at a time and merged at the commit port must
-    # equal one round of its shape on a fresh network of the whole mesh
+    # equal one round of its shape on a fresh network of the whole mesh,
+    # its merged event lines included
     cfg, shape, mode, timeouts = case
     mode = CollectionMode(mode)
-    merged = systolic._measure_class(cfg, mode, shape, "round 0", timeouts)
-    full = systolic._simulate_round(MeshNetwork(cfg, timeout_table=timeouts), cfg, mode,
-                                    shape, "round 0", 0, timeouts)
+    merged = systolic._measure_class(cfg, mode, shape, "round 0", timeouts, logged=True)
+    log = []
+    full = dataclasses.replace(systolic._simulate_round(
+        MeshNetwork(cfg, timeout_table=timeouts, event_log=log), cfg, mode, shape, "round 0", 0,
+        timeouts), events=log)
     for f in dataclasses.fields(RoundMeasurement):
         assert getattr(merged, f.name) == getattr(full, f.name), f.name
 
@@ -213,11 +216,12 @@ def test_replay_simulates_each_round_class_once_in_its_own_network(monkeypatch):
                    for c in calls)
         assert len({id(c[4][0]) for c in calls}) == len(calls)
 
-        # with one, the whole mesh, so that event lines name its packets
+        # with one too: the row networks' lines are merged into the mesh's
         calls.clear()
         run_convolution(layer, cfg, mode, seed=3, replay=True, event_log=[])
         assert sorted(c[2:4] for c in calls) == sorted(classes)
-        assert all(c[0] == "simulate" and c[4][0].config == cfg for c in calls)
+        assert all(c[0] == "measure" and len(c[4]) == 1 and c[4][0].config.rows == 1
+                   and c[4][0].event_log is not None for c in calls)
         assert len({id(c[4][0]) for c in calls}) == len(calls)
 
         calls.clear()
@@ -330,3 +334,16 @@ def test_run_simulates_each_round_class_once_per_run(monkeypatch):
         harness.run(cfg)
         assert Counter(c[:4] for c in calls) == expected
         assert len({id(net) for c in calls for net in c[4]}) == len(calls)
+
+
+def test_replay_matches_full_simulation_at_full_scale():
+    # alexnet/conv5 as the grid runs it: 8x8 and 16x16, both modes, every
+    # compared field; the random cases above stay at most 6x6
+    layer = load_layer("alexnet", "conv5")
+    for side in (8, 16):
+        cfg = MeshConfig(rows=side, cols=side)
+        for mode in ("ru", "gather"):
+            replayed = run_convolution(layer, cfg, mode, replay=True)
+            full = run_convolution(layer, cfg, mode, replay=False)
+            for name in COMPARED:
+                assert getattr(replayed, name) == getattr(full, name), (side, mode, name)
