@@ -52,8 +52,19 @@ key ``rid * len(INPUT_PORTS) * vc_count + port * vc_count + vc``; the
 wormhole owner of each output VC at ``(rid * len(Port) + out) * vc_count +
 vc``; the round-robin pointer of each arbitration group, one output of one
 router, at ``rid * len(OUTPUT_PORTS) + rank``; the routes, gather unit and
-NI queue at ``rid``.  Node ids and downstream links come from
-``mesh_tables``, shared by every network of one config.
+NI queue at ``rid``.  Node ids and the arbitration entries come from
+``mesh_tables``, shared by every network of one config.  The arbitration
+entry of a (queue key, output) pair is everything a move of that queue's
+head through that output reads, resolved once: the grant index ``group *
+len(INPUT_PORTS) * vc_count + port * vc_count + vc`` (so entries sort in
+grant order), the group, the pointer after a grant, the queue key, the
+output, the router id, the VC, the owner slot, and the downstream queue
+key and router id, both -1 for a sink.  A head's route is cached as the
+entry of its queue and output.  Entries are filled on first use, not
+built for every pair, to keep memory down: dense tables of the default
+8x8 and 16x16 meshes (4 VCs) hold 38 400 entries in about 12 MB, and
+XY-routed result traffic reads few of them: 2 184 in the ``replay=False``
+runs of the perfbench ``kernel`` workload.
 """
 from __future__ import annotations
 
@@ -73,6 +84,7 @@ OUTPUT_PORTS = (Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH, Port.LOCAL, Port.B
 # grant order of each output port (indexed by port value) within a router
 _OUT_RANK = [OUTPUT_PORTS.index(p) for p in Port]
 _N_PORTS = len(Port)   # an Enum's len() is slow enough to matter per cycle
+_EAST, _WEST, _NORTH, _SOUTH = Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH
 
 _OPPOSITE = {
     Port.EAST: Port.WEST,
@@ -104,14 +116,14 @@ class DeliveredPacket:
     timeout_init: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingSend:
     node: NodeId
     flits: list[Flit]
     ready_at: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _PacketMeta:
     inject_cycle: int = -1
     hops: int = 0
@@ -119,20 +131,46 @@ class _PacketMeta:
     timeout_init: bool = False
 
 
+class _ArbitrationEntries(dict):
+    """The arbitration entries of one config (module docstring), keyed
+    ``queue key * len(Port) + output``; an entry is resolved the first time
+    it is read."""
+
+    def __init__(self, config: MeshConfig, down) -> None:
+        super().__init__()
+        self._vcs = config.vc_count
+        self._nq = len(INPUT_PORTS) * config.vc_count
+        self._down = down
+
+    def __missing__(self, pair: int) -> tuple:
+        key, out = divmod(pair, _N_PORTS)
+        out = Port(out)
+        rid, q = divmod(key, self._nq)
+        vc = q % self._vcs
+        group = rid * len(OUTPUT_PORTS) + _OUT_RANK[out]
+        link = self._down[rid][out]
+        nrid, nkey = (link[0], link[1] + vc) if link is not None else (-1, -1)
+        entry = (group * self._nq + q, group, (q + 1) % self._nq, key, out, rid, vc,
+                 (rid * _N_PORTS + out) * self._vcs + vc, nkey, nrid)
+        self[pair] = entry
+        return entry
+
+
 @dataclass(frozen=True)
 class _MeshTables:
-    """The read-only tables of one ``MeshConfig``, shared by all its
-    networks: the node of each router id, and the downstream link of each
-    (router, output port) as ``(router id, queue key of the opposite input
-    port's VC 0)``, None for the sinks."""
+    """The tables of one ``MeshConfig``, shared by all its networks: the
+    node of each router id, and its arbitration entries, filled on first
+    use and never changed after."""
 
     nodes: tuple[NodeId, ...]
-    down: tuple[tuple[tuple[int, int] | None, ...], ...]
+    entries: _ArbitrationEntries
 
 
 @lru_cache(maxsize=64)
 def mesh_tables(config: MeshConfig) -> _MeshTables:
-    """The tables of ``config``, built once per config and process."""
+    """The tables of ``config``, built once per config and process.  The
+    downstream link of each (router, output port) is ``(router id, queue key
+    of the opposite input port's VC 0)``, None for the sinks."""
     nodes = tuple(NodeId(r, c) for r in range(config.rows) for c in range(config.cols))
     nq = len(INPUT_PORTS) * config.vc_count
     down = []
@@ -144,7 +182,7 @@ def mesh_tables(config: MeshConfig) -> _MeshTables:
                 nrid = nxt.index(config.cols)
                 links[port] = (nrid, nrid * nq + opposite * config.vc_count)
         down.append(tuple(links))
-    return _MeshTables(nodes, tuple(down))
+    return _MeshTables(nodes, _ArbitrationEntries(config, tuple(down)))
 
 
 class MeshNetwork:
@@ -171,11 +209,11 @@ class MeshNetwork:
         self._vcs = config.vc_count
         self._nq = len(INPUT_PORTS) * config.vc_count
         self._nodes = tables.nodes
-        self._down = tables.down
+        self._entries = tables.entries
         self._queues: list[deque[tuple[int, Flit]]] = [deque() for _ in range(n * self._nq)]
         self._owners: list[int | None] = [None] * (n * len(Port) * self._vcs)
         self._rr = [0] * (n * len(OUTPUT_PORTS))
-        self._routes: list[dict[int, Port]] = [{} for _ in range(n)]
+        self._routes: list[dict[int, tuple]] = [{} for _ in range(n)]  # pid -> entry
         self._ni: list[deque[Flit]] = [deque() for _ in range(n)]
         self.units = [GatherUnit(node, budget) for node, budget
                       in zip(self._nodes, give_up_budgets(config, timeout_table))]
@@ -210,7 +248,8 @@ class MeshNetwork:
         return pid
 
     def buffer_node(self, row: int) -> NodeId:
-        return NodeId(row, self.config.cols - 1)
+        cols = self.config.cols
+        return self._nodes[row * cols + cols - 1]
 
     def schedule_post(self, cycle: int, node: NodeId, value: int) -> GatherPayload:
         """Make ``node``'s result payload pending from ``cycle`` on (gather mode)."""
@@ -331,46 +370,41 @@ class MeshNetwork:
             ready.update(woken)
         if not ready:
             return []
-        nq, vcs, depth = self._nq, self._vcs, self.config.buffer_depth
-        routes, owners, down, queues = self._routes, self._owners, self._down, self._queues
-        n_out = len(OUTPUT_PORTS)
-        # eligible heads as (router, output rank, queue) packed into one int,
-        # so that sorting lists them in grant order
+        nq, depth = self._nq, self.config.buffer_depth
+        routes, owners, queues = self._routes, self._owners, self._queues
+        # the arbitration entries of the eligible heads, each the cached route
+        # of its head (fields as the module docstring lists them)
         eligible = []
         for key in ready:
-            rid, q = divmod(key, nq)
             flit = queues[key][0][1]
             pid = flit.packet_id
-            out = routes[rid].get(pid)
-            if out is None:
+            entry = routes[key // nq].get(pid)
+            if entry is None:
                 continue
-            vc = q % vcs
-            owner = owners[(rid * _N_PORTS + out) * vcs + vc]
+            owner = owners[entry[7]]      # entry[7]: the owner slot
             if owner != pid and (owner is not None or flit.ft != _HEAD):
                 continue          # wormhole: the output VC belongs to another packet
-            link = down[rid][out]
-            if link is not None and len(queues[link[1] + vc]) >= depth:
+            nkey = entry[8]               # entry[8]: the downstream queue key
+            if nkey >= 0 and len(queues[nkey]) >= depth:
                 continue          # no credit downstream
-            eligible.append((rid * n_out + _OUT_RANK[out]) * nq + q)
-        eligible.sort()
+            eligible.append(entry)
+        eligible.sort()                   # by grant index, the first field
 
         stall_fn, nodes, rr = self.stall_fn, self._nodes, self._rr
         moves = []
         i, n = 0, len(eligible)
         while i < n:
-            group, q = divmod(eligible[i], nq)
+            entry = eligible[i]
+            group = entry[1]
             j = i + 1
-            while j < n and eligible[j] // nq == group:
+            while j < n and eligible[j][1] == group:
                 j += 1
-            rid, rank = divmod(group, n_out)
-            out = OUTPUT_PORTS[rank]
-            if stall_fn is None or not stall_fn(t, nodes[rid], out):
+            # entry[5] and entry[4]: the router id and the output
+            if stall_fn is None or not stall_fn(t, nodes[entry[5]], entry[4]):
                 if j > i + 1:
-                    # first candidate at or after the pointer, cyclically
-                    start = group * nq + rr[group]
-                    q = next((c for c in eligible[i:j] if c >= start), eligible[i]) - group * nq
-                rr[group] = (q + 1) % nq
-                moves.append((rid, q, out))
+                    entry = _round_robin(eligible[i:j], group * nq + rr[group])
+                rr[group] = entry[2]      # entry[2]: the pointer after this grant
+                moves.append(entry)
             i = j
         return moves
 
@@ -380,7 +414,7 @@ class MeshNetwork:
         arrivals = []
         if not moves:
             return arrivals
-        nq, vcs, down, queues = self._nq, self._vcs, self._down, self._queues
+        queues, entries = self._queues, self._entries
         nodes, routes, owners = self._nodes, self._routes, self._owners
         cfg = self.config
         pipeline, depth, cols = cfg.pipeline_depth, cfg.buffer_depth, cfg.cols
@@ -388,8 +422,7 @@ class MeshNetwork:
         trace = self.link_trace if self.trace_links else None
         moved, rec = self.counters.moves, self.counters.recorded
         va, writes, links = rec["va_arb"], rec["buffer_write"], rec["link_traversal"]
-        for rid, q, out in moves:
-            key = rid * nq + q
+        for _, _, _, key, out, rid, vc, slot, nkey, nrid in moves:
             queue = queues[key]
             flit = queue.popleft()[1]
             if queue:
@@ -401,9 +434,7 @@ class MeshNetwork:
             else:
                 ready.discard(key)
             pid, ft = flit.packet_id, flit.ft
-            vc = q % vcs
             moved[rid] += 1
-            slot = (rid * _N_PORTS + out) * vcs + vc
             if ft == _HEAD:
                 if owners[slot] is None:
                     va[rid] += 1
@@ -414,13 +445,10 @@ class MeshNetwork:
             if trace is not None:
                 trace.setdefault((rid, out, vc), []).append((t, pid))
 
-            link = down[rid][out]
-            if link is None:
+            if nkey < 0:
                 self._queued -= 1
                 self._eject(flit, rid, out, t)
                 continue
-            nrid, nkey = link
-            nkey += vc
             nqueue = queues[nkey]
             if len(nqueue) >= depth:
                 raise SimulationError("credit discipline violated")
@@ -433,7 +461,15 @@ class MeshNetwork:
                 arrivals.append((nrid, flit))
             if ft == _HEAD:
                 meta[pid].hops += 1
-                routes[nrid][pid] = xy_route(nodes[nrid], flit.dst, cols, flit.to_buffer)
+                # XY routing, inline for a through hop
+                node, dst = nodes[nrid], flit.dst
+                if dst.col != node.col:
+                    nout = _EAST if dst.col > node.col else _WEST
+                elif dst.row != node.row:
+                    nout = _SOUTH if dst.row > node.row else _NORTH
+                else:
+                    nout = xy_route(node, dst, cols, flit.to_buffer)
+                routes[nrid][pid] = entries[nkey * _N_PORTS + nout]
             elif ft == _TAIL and pid in watch:
                 watcher, seq = watch[pid]
                 if watcher == nrid:
@@ -593,9 +629,9 @@ class MeshNetwork:
                 # gather handshake runs only at routers the packet arrives at
                 pid = flit.packet_id
                 self._meta[pid].inject_cycle = t
-                self._routes[rid][pid] = xy_route(
-                    self._nodes[rid], flit.dst, cfg.cols, sink_is_buffer=flit.to_buffer
-                )
+                out = xy_route(self._nodes[rid], flit.dst, cfg.cols,
+                               sink_is_buffer=flit.to_buffer)
+                self._routes[rid][pid] = self._entries[key * _N_PORTS + out]
 
     def _watchdog(self, t: int, progressed: bool) -> None:
         if progressed or not self._queued:
@@ -616,6 +652,13 @@ class MeshNetwork:
     def _log(self, cycle: int, node: NodeId, kind: str) -> None:
         if self.event_log is not None:
             self.event_log.append(f"{cycle} {node} {kind}")
+
+
+def _round_robin(candidates: list[tuple], start: int) -> tuple:
+    """The grant among ``candidates``, the arbitration entries of one group
+    in grant order: the first whose grant index is at or after ``start``,
+    the group's round-robin pointer, cyclically."""
+    return next((entry for entry in candidates if entry[0] >= start), candidates[0])
 
 
 # the phase of ``MeshNetwork.step`` that logs each kind of event line, in the

@@ -24,7 +24,7 @@ class PacketType(IntEnum):
     GATHER = 2      # 1 is reserved (docs/wire-format.md)
 
 
-@dataclass
+@dataclass(slots=True)
 class Flit:
     """One flow-control unit.
 

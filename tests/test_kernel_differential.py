@@ -15,7 +15,7 @@ import dataclasses
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import seed_kernel
-from gathernoc import systolic
+from gathernoc import network, systolic
 from gathernoc.config import MeshConfig
 from gathernoc.errors import GatherNocError
 from gathernoc.network import MeshNetwork
@@ -125,10 +125,40 @@ def _run_scenario(network_cls, sc) -> dict:
     return _outcome(net, error)
 
 
+# Three packets cross router (0, 1) of a 1x3 row to (0, 2): one arrives on
+# its west input port on VC 1 while two wait at its local input port on VCs
+# 2 and 3, so heads of two input ports compete for its east output in the
+# same cycle and the round-robin pointer picks among them.
+_CONTENDED = {
+    "cfg": MeshConfig(rows=1, cols=3, vc_count=4, buffer_depth=4, pipeline_depth=1),
+    "mode": "gather", "timeouts": None, "stalls": [], "posting": [],
+    "extra": [(NodeId(0, 0), NodeId(0, 2), 0), (NodeId(0, 1), NodeId(0, 2), 1),
+              (NodeId(0, 1), NodeId(0, 2), 2)],
+    "wedged": [], "wedge_cycles": 0, "limit": 200,
+}
+
+
 @_SETTINGS
 @given(network_scenarios())
+@example(_CONTENDED)
 def test_kernel_matches_seed_kernel_on_random_scenarios(sc):
     assert _run_scenario(MeshNetwork, sc) == _run_scenario(seed_kernel.MeshNetwork, sc)
+
+
+def test_contended_example_grants_one_of_several_eligible_heads(monkeypatch):
+    picks = []
+    pick = network._round_robin
+
+    def spy(candidates, start):
+        entry = pick(candidates, start)
+        picks.append((len(candidates), candidates.index(entry)))
+        return entry
+
+    monkeypatch.setattr(network, "_round_robin", spy)
+    _run_scenario(MeshNetwork, _CONTENDED)
+    # a cycle grants one of two eligible heads, and the pointer passes over
+    # the first candidate in grant order at least once
+    assert (2, 0) in picks and (2, 1) in picks
 
 
 @st.composite

@@ -10,9 +10,11 @@ import pytest
 from gathernoc.config import (MeshConfig, default_timeout_table, flat_timeout_table,
                               give_up_budgets)
 from gathernoc.errors import ConfigError, DeadlockError, SimulationError
-from gathernoc.network import MeshNetwork, buffer_commits, mesh_tables, port_commits
+from gathernoc import systolic
+from gathernoc.network import (OUTPUT_PORTS, MeshNetwork, buffer_commits, mesh_tables,
+                               port_commits)
 from gathernoc.packet import PacketType, build_packet
-from gathernoc.topology import NodeId, Port
+from gathernoc.topology import INPUT_PORTS, NodeId, Port
 from scenario_utils import run_safety_scenario, scenario_outcome
 
 
@@ -284,7 +286,7 @@ class TestSharedTables:
                                              timeout_table={(1, 2): 7})
         tables = mesh_tables(cfg)
         assert mesh_tables(MeshConfig(rows=3, cols=5)) is tables
-        assert a._down is b._down is tables.down
+        assert a._entries is b._entries is tables.entries
         assert a._nodes is b._nodes is tables.nodes
         assert all(ua.node is ub.node is node
                    for ua, ub, node in zip(a.units, b.units, tables.nodes, strict=True))
@@ -321,5 +323,68 @@ class TestSharedTables:
         for seed, expected in zip(seeds, json.loads(fresh.stdout), strict=True):
             first = run_safety_scenario(seed)
             second = run_safety_scenario(seed)
-            assert second._down is first._down
+            assert second._entries is first._entries
             assert json.loads(json.dumps(scenario_outcome(second))) == expected
+
+    @pytest.mark.parametrize("vcs", [1, 2, 3, 4])
+    def test_arbitration_entries_follow_the_state_layout(self, vcs):
+        # every (queue key, output) pair of every mesh up to 3x3, each entry
+        # forced by reading it, against the module docstring's formulas
+        step = {Port.EAST: (0, 1), Port.WEST: (0, -1), Port.NORTH: (-1, 0),
+                Port.SOUTH: (1, 0)}
+        opposite = {Port.EAST: Port.WEST, Port.WEST: Port.EAST,
+                    Port.NORTH: Port.SOUTH, Port.SOUTH: Port.NORTH}
+        nq = len(INPUT_PORTS) * vcs
+        for rows in (1, 2, 3):
+            for cols in (1, 2, 3):
+                cfg = MeshConfig(rows=rows, cols=cols, vc_count=vcs)
+                entries = mesh_tables(cfg).entries
+                for rid in range(rows * cols):
+                    row, col = divmod(rid, cols)
+                    for port in INPUT_PORTS:
+                        for vc in range(vcs):
+                            q = port * vcs + vc
+                            key = rid * nq + q
+                            for out in Port:
+                                group = rid * len(OUTPUT_PORTS) + OUTPUT_PORTS.index(out)
+                                nkey = nrid = -1
+                                if out in step:
+                                    r, c = row + step[out][0], col + step[out][1]
+                                    if 0 <= r < rows and 0 <= c < cols:
+                                        nrid = r * cols + c
+                                        nkey = nrid * nq + opposite[out] * vcs + vc
+                                entry = entries[key * len(Port) + out]
+                                assert entry == (group * nq + q, group, (q + 1) % nq, key,
+                                                 out, rid, vc,
+                                                 (rid * len(Port) + out) * vcs + vc,
+                                                 nkey, nrid)
+                                assert type(entry[4]) is Port
+                assert len(entries) == rows * cols * nq * len(Port)
+        # the memo is the config's, so a second network reads the entries
+        # the first one forced
+        a, b = MeshNetwork(cfg), MeshNetwork(MeshConfig(rows=3, cols=3, vc_count=vcs))
+        assert a._entries is b._entries is entries
+
+    def test_arbitration_memo_holds_only_the_pairs_traffic_used(self):
+        # a config no other test builds, so its memo starts empty
+        cfg = MeshConfig(rows=16, cols=16, buffer_commit_rate=7)
+        net = MeshNetwork(cfg)
+        assert len(net._entries) == 0
+        systolic._simulate_round(net, cfg, systolic.CollectionMode.RU, (16, 16),
+                                 "memo probe", 0, None)
+        # each packet enters at its source's local port and crosses its row
+        # eastwards through west input ports to the buffer port of column 15
+        nq = len(INPUT_PORTS) * cfg.vc_count
+        used = set()
+        for pkt in net.delivered:
+            r, c0 = pkt.src.row, pkt.src.col
+            for c in range(c0, 16):
+                port = Port.LOCAL if c == c0 else Port.WEST
+                out = Port.EAST if c < 15 else Port.BUFFER
+                key = (r * 16 + c) * nq + port * cfg.vc_count + pkt.vc
+                used.add(key * len(Port) + out)
+        assert len(net.delivered) == 256
+        assert set(net._entries) == used
+        dense = 256 * nq * len(OUTPUT_PORTS)
+        assert dense == 30_720 and len(used) < dense // 10
+
