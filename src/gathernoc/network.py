@@ -53,18 +53,18 @@ wormhole owner of each output VC at ``(rid * len(Port) + out) * vc_count +
 vc``; the round-robin pointer of each arbitration group, one output of one
 router, at ``rid * len(OUTPUT_PORTS) + rank``; the routes, gather unit and
 NI queue at ``rid``.  Node ids and the arbitration entries come from
-``mesh_tables``, shared by every network of one config.  The arbitration
-entry of a (queue key, output) pair is everything a move of that queue's
-head through that output reads, resolved once: the grant index ``group *
-len(INPUT_PORTS) * vc_count + port * vc_count + vc`` (so entries sort in
-grant order), the group, the pointer after a grant, the queue key, the
-output, the router id, the VC, the owner slot, and the downstream queue
-key and router id, both -1 for a sink.  A head's route is cached as the
-entry of its queue and output.  Entries are filled on first use, not
-built for every pair, to keep memory down: dense tables of the default
-8x8 and 16x16 meshes (4 VCs) hold 38 400 entries in about 12 MB, and
-XY-routed result traffic reads few of them: 2 184 in the ``replay=False``
-runs of the perfbench ``kernel`` workload.
+``mesh_tables``, shared by every network of one geometry (rows, cols and
+VCs).  The arbitration entry of a (queue key, output) pair is everything a
+move of that queue's head through that output reads, resolved once: the
+grant index ``group * len(INPUT_PORTS) * vc_count + port * vc_count + vc``
+(so entries sort in grant order), the group, the pointer after a grant,
+the queue key, the output, the router id, the VC, the owner slot, and the
+downstream queue key and router id, both -1 for a sink.  A head's route
+is cached as the entry of its queue and output.  Entries are filled on
+first use, not built for every pair, to keep memory down: dense tables
+of the default 8x8 and 16x16 meshes (4 VCs) hold 38 400 entries in about
+12 MB, and XY-routed result traffic reads few of them: 2 184 in the
+``replay=False`` runs of the perfbench ``kernel`` workload.
 """
 from __future__ import annotations
 
@@ -132,14 +132,14 @@ class _PacketMeta:
 
 
 class _ArbitrationEntries(dict):
-    """The arbitration entries of one config (module docstring), keyed
-    ``queue key * len(Port) + output``; an entry is resolved the first time
-    it is read."""
+    """The arbitration entries of one mesh geometry (module docstring),
+    keyed ``queue key * len(Port) + output``; an entry is resolved the
+    first time it is read."""
 
-    def __init__(self, config: MeshConfig, down) -> None:
+    def __init__(self, vc_count: int, down) -> None:
         super().__init__()
-        self._vcs = config.vc_count
-        self._nq = len(INPUT_PORTS) * config.vc_count
+        self._vcs = vc_count
+        self._nq = len(INPUT_PORTS) * vc_count
         self._down = down
 
     def __missing__(self, pair: int) -> tuple:
@@ -158,7 +158,7 @@ class _ArbitrationEntries(dict):
 
 @dataclass(frozen=True)
 class _MeshTables:
-    """The tables of one ``MeshConfig``, shared by all its networks: the
+    """The tables of one mesh geometry, shared by all its networks: the
     node of each router id, and its arbitration entries, filled on first
     use and never changed after."""
 
@@ -167,22 +167,25 @@ class _MeshTables:
 
 
 @lru_cache(maxsize=64)
-def mesh_tables(config: MeshConfig) -> _MeshTables:
-    """The tables of ``config``, built once per config and process.  The
-    downstream link of each (router, output port) is ``(router id, queue key
-    of the opposite input port's VC 0)``, None for the sinks."""
-    nodes = tuple(NodeId(r, c) for r in range(config.rows) for c in range(config.cols))
-    nq = len(INPUT_PORTS) * config.vc_count
+def mesh_tables(rows: int, cols: int, vc_count: int) -> _MeshTables:
+    """The tables of a ``rows`` x ``cols`` mesh of ``vc_count`` VCs, built
+    once per geometry and process: node ids and arbitration entries depend
+    on nothing else, so configs that differ only in timing, depths or
+    energy share them.  The downstream link of each (router, output port)
+    is ``(router id, queue key of the opposite input port's VC 0)``, None
+    for the sinks."""
+    nodes = tuple(NodeId(r, c) for r in range(rows) for c in range(cols))
+    nq = len(INPUT_PORTS) * vc_count
     down = []
     for node in nodes:
         links: list[tuple[int, int] | None] = [None] * len(Port)
         for port, opposite in _OPPOSITE.items():
             nxt = step_toward(node, port)
-            if 0 <= nxt.row < config.rows and 0 <= nxt.col < config.cols:
-                nrid = nxt.index(config.cols)
-                links[port] = (nrid, nrid * nq + opposite * config.vc_count)
+            if 0 <= nxt.row < rows and 0 <= nxt.col < cols:
+                nrid = nxt.index(cols)
+                links[port] = (nrid, nrid * nq + opposite * vc_count)
         down.append(tuple(links))
-    return _MeshTables(nodes, _ArbitrationEntries(config, tuple(down)))
+    return _MeshTables(nodes, _ArbitrationEntries(vc_count, tuple(down)))
 
 
 class MeshNetwork:
@@ -196,7 +199,7 @@ class MeshNetwork:
     ) -> None:
         self.config = config
         self.cycle = 0
-        tables = mesh_tables(config)
+        tables = mesh_tables(config.rows, config.cols, config.vc_count)
         n = len(tables.nodes)
         self.counters = ActivityCounters()
         self.counters.reserve(n)
@@ -530,13 +533,14 @@ class MeshNetwork:
             pid = flit.packet_id
             unit = self.units[rid]
             if flit.ft == _HEAD:
-                if gather_load_check(flit, unit, cfg):
+                if gather_load_check(flit, unit, cfg) and self.event_log is not None:
                     self._log(t, unit.node, f"load pid={pid}")
             elif unit.reserved_by == pid:
                 if upload_payload(flit, unit, cfg):
                     self._holding -= 1
                     self.counters.record("payload_upload", rid)
-                    self._log(t, unit.node, f"upload pid={pid} ack")
+                    if self.event_log is not None:
+                        self._log(t, unit.node, f"upload pid={pid} ack")
             if flit.ft == _TAIL:
                 if unit.reserved_by == pid:
                     raise SimulationError(
@@ -544,7 +548,8 @@ class MeshNetwork:
                     )
                 if unit.has_unreserved_payload:
                     unit.nack()
-                    self._log(t, unit.node, f"nack pid={pid}")
+                    if self.event_log is not None:
+                        self._log(t, unit.node, f"nack pid={pid}")
 
     # phase 5: PE-side work: posts, drain chain, timeouts, injection
     def _node_phase(self, t: int) -> None:
@@ -558,7 +563,8 @@ class MeshNetwork:
                 unit.post(payload, t)
                 self._holding += 1
                 heappush(self._deadlines, (t + unit.timeout, rid))
-                self._log(t, node, "post")
+                if self.event_log is not None:
+                    self._log(t, node, "post")
 
         due = self._due_sends
         if due and due[0][0] <= t:
@@ -601,8 +607,9 @@ class MeshNetwork:
             self._meta[pid] = meta
             self._ni[rid].extend(flits)
             self._ni_busy.add(rid)
-            kind = "timeout-init" if meta.timeout_init else "gather-init"
-            self._log(t, unit.node, f"{kind} pid={pid}")
+            if self.event_log is not None:
+                kind = "timeout-init" if meta.timeout_init else "gather-init"
+                self._log(t, unit.node, f"{kind} pid={pid}")
 
         if not self._ni_busy:
             return
@@ -650,8 +657,9 @@ class MeshNetwork:
             )
 
     def _log(self, cycle: int, node: NodeId, kind: str) -> None:
-        if self.event_log is not None:
-            self.event_log.append(f"{cycle} {node} {kind}")
+        """Append one event line; callers check that a log is attached
+        first, so no line is built for a network without one."""
+        self.event_log.append(f"{cycle} {node} {kind}")
 
 
 def _round_robin(candidates: list[tuple], start: int) -> tuple:

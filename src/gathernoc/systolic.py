@@ -35,7 +35,8 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import accumulate, islice
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -56,6 +57,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
+# the same as numpy words, which array arithmetic takes without a conversion
+_GOLDEN_WORD, _MIX1_WORD, _MIX2_WORD = map(np.uint64, (_GOLDEN, _MIX1, _MIX2))
 
 # Work bound (rounds x PEs x operands) under which every PE of every round
 # is checked against the reference dot product; above it a deterministic
@@ -63,7 +66,8 @@ _MASK64 = (1 << 64) - 1
 FULL_ORACLE_WORK_LIMIT = 2_000_000
 
 # Operands per side (checked pairs x stream length) one oracle chunk holds at
-# most, unless a single pair is longer; bounds the check's working memory.
+# most, unless a single pair is longer; bounds the check's operand arrays
+# (``_oracle_pairs`` bounds the pair list).
 ORACLE_CHUNK_ELEMENTS = 1 << 16
 
 
@@ -76,15 +80,16 @@ def partial_conv_oracle(inputs, weights) -> int | list[int]:
     """Reference dot products, kept independent of the engine's arithmetic.
 
     ``inputs`` and ``weights`` are one vector each, or a stack of vectors
-    on one side, all of length ``L``.  The products are taken in int64, so
-    the operands' own dtype never sets the precision: an integer array that
-    int64 holds exactly is widened inside the multiply, anything else is
-    converted to int64 first.  The products are elementwise and summed
-    along the last axis, never a matrix product.
-    The result is exact: ``max|x| * max|w| * L < 2**63`` bounds every
-    partial sum, and an operand pair outside that bound raises
-    ``SimulationError``.  Returns an ``int`` for two vectors, a list of
-    ints for a stack.
+    on one side, all of length ``L``.  The products are elementwise and
+    summed along the last axis, never a matrix product, in an accumulator
+    chosen by the bound ``max|x| * max|w| * L`` on every partial sum,
+    never by the operands' own dtype: ``uint32`` when no operand is
+    negative and the bound is below ``2**32`` (every 8-bit layer up to
+    ``L = 66051``), else ``int64``.  An integer array that int64 holds
+    exactly is widened inside the multiply, anything else is converted to
+    int64 first.  The result is exact: an operand pair whose bound reaches
+    ``2**63`` raises ``SimulationError``.  Returns an ``int`` for two
+    vectors, a list of ints for a stack.
     """
     try:
         x, w = _int64_exact(inputs), _int64_exact(weights)
@@ -93,9 +98,14 @@ def partial_conv_oracle(inputs, weights) -> int | list[int]:
     length = x.shape[-1]
     if length != w.shape[-1]:
         raise ConfigError("oracle operands must have equal length")
-    if _magnitude(x) * _magnitude(w) * length >= 1 << 63:
+    (x_min, x_max), (w_min, w_max) = _extremes(x), _extremes(w)
+    bound = max(-x_min, x_max) * max(-w_min, w_max) * length
+    if bound >= 1 << 63:
         raise SimulationError(f"oracle dot products of length {length} could overflow int64")
-    return np.multiply(x, w, dtype=np.int64).sum(axis=-1).tolist()
+    acc = np.uint32 if min(x_min, w_min) >= 0 and bound < 1 << 32 else np.int64
+    # unsafe casting is exact here: under a uint32 bound every operand that
+    # meets a nonzero partner is below 2**32, and any other product is 0
+    return np.multiply(x, w, dtype=acc, casting="unsafe").sum(axis=-1, dtype=acc).tolist()
 
 
 def _int64_exact(a) -> np.ndarray:
@@ -111,9 +121,13 @@ def _int64_exact(a) -> np.ndarray:
     return np.asarray(a, dtype=np.int64)
 
 
-def _magnitude(a: np.ndarray) -> int:
-    """The largest ``|value|`` in ``a`` as a Python int (0 if empty)."""
-    return max(-int(a.min()), int(a.max())) if a.size else 0
+def _extremes(a: np.ndarray) -> tuple[int, int]:
+    """A lower bound at or below 0 and the largest value of ``a``, as
+    Python ints: its least value if negative, else 0 (an unsigned array's
+    least value is not computed); ``(0, 0)`` if empty."""
+    if not a.size:
+        return 0, 0
+    return (0 if a.dtype.kind == "u" else min(0, int(a.min()))), int(a.max())
 
 
 @dataclass(frozen=True)
@@ -183,9 +197,9 @@ def _mix64_words(z: np.ndarray) -> np.ndarray:
     """``_mix64`` of every word of the uint64 array ``z``, in place: array
     arithmetic wraps modulo 2**64 by itself (numpy uint64 scalars would warn)."""
     z ^= z >> 30
-    z *= _MIX1
+    z *= _MIX1_WORD
     z ^= z >> 27
-    z *= _MIX2
+    z *= _MIX2_WORD
     z ^= z >> 31
     return z
 
@@ -214,13 +228,30 @@ def operand_block(seed: int, tag: int, vec_ids, length: int) -> np.ndarray:
     id, index), the same on any byte order, and row ``k`` depends on
     ``vec_ids[k]`` alone, not on the other ids.
     """
-    tag_key = _mix64((_seed_key(seed) + (tag + 1) * _GOLDEN) & _MASK64)
-    # an id enters the key modulo 2**64, as in Python-int arithmetic
-    ids = np.array([i & _MASK64 for i in vec_ids], dtype=np.uint64)
-    keys = _mix64_words((ids + 1) * _GOLDEN + tag_key)
-    words = np.arange(1, (length + 7) // 8 + 1, dtype=np.uint64) * _GOLDEN
-    z = _mix64_words(words + keys[:, None])
+    # an id enters the key modulo 2**64, as in Python-int arithmetic; an
+    # integer array's cast to uint64 wraps the same way
+    if isinstance(vec_ids, np.ndarray) and vec_ids.dtype.kind in "iu":
+        ids = vec_ids.astype(np.uint64)
+    else:
+        ids = np.array([i & _MASK64 for i in vec_ids], dtype=np.uint64)
+    keys = _mix64_words((ids + 1) * _GOLDEN_WORD + _tag_key(seed, tag))
+    z = _mix64_words(_word_counters((length + 7) // 8) + keys[:, None])
     return z.astype("<u8", copy=False).view(np.uint8)[:, :length]
+
+
+@lru_cache(maxsize=16)
+def _tag_key(seed: int, tag: int) -> np.uint64:
+    """The key of side ``tag`` under ``seed``, which every vector key of
+    that side mixes in, as a numpy word."""
+    return np.uint64(_mix64((_seed_key(seed) + (tag + 1) * _GOLDEN) & _MASK64))
+
+
+@lru_cache(maxsize=16)
+def _word_counters(words: int) -> np.ndarray:
+    """``(j + 1) * golden`` modulo 2**64 for ``j < words``, read-only."""
+    counters = np.arange(1, words + 1, dtype=np.uint64) * _GOLDEN
+    counters.flags.writeable = False
+    return counters
 
 
 def round_accumulators(seed: int, input_ids, filter_ids, length: int):
@@ -229,12 +260,16 @@ def round_accumulators(seed: int, input_ids, filter_ids, length: int):
     repeating or not: the engine's final accumulator of each PE and the
     operand vectors stacked one row per PE, so the oracle can check against
     them without generating them again.  The engine is a batched dot
-    product by contraction (``einsum``, accumulating in int64), never the
-    oracle's elementwise multiply and sum; it widens the 8-bit operands as
-    it goes, so no int64 copy of them is made."""
+    product by contraction (``einsum``), never the oracle's elementwise
+    multiply and sum.  It widens the 8-bit operands as it goes, so no wide
+    copy of them is made.  Its accumulator is ``uint32`` while the operand
+    dtype's bound on every partial sum, ``255 * 255 * L``, is below
+    ``2**32`` (``L <= 66051``: every built-in layer, and every layer a
+    32-bit result payload holds), else ``int64``."""
     ins = operand_block(seed, _INPUT_TAG, input_ids, length)
     wts = operand_block(seed, _WEIGHT_TAG, filter_ids, length)
-    return np.einsum("ij,ij->i", ins, wts, dtype=np.int64), ins, wts
+    acc = np.uint32 if 255 * 255 * length < 1 << 32 else np.int64
+    return np.einsum("ij,ij->i", ins, wts, dtype=acc), ins, wts
 
 
 # --------------------------------------------------------------------- runs
@@ -540,18 +575,36 @@ def run_ready_row(
     return _fold_rounds(stats, [RoundClass(1, config.cols, 1, 1, 0, m.collection, m)], None)
 
 
-def _oracle_pairs(plan: RoundPlan, oracle_mode: str):
-    """The layer's checked pairs ``(round, row, col, input id, filter id)``
-    in round-then-PE order: every active PE of every round under ``full``;
-    under ``sample`` at most four PEs, evenly spaced in row-major order, of
-    every ``rounds // 32``-th round."""
-    stride = 1 if oracle_mode == "full" else max(1, plan.rounds // 32)
-    for schedule in map(plan.schedule, range(0, plan.rounds, stride)):
-        pes = range(schedule.active_rows * schedule.active_cols)
-        if oracle_mode == "sample":
-            pes = pes[:: max(1, len(pes) // 4)][:4]
-        for r, c in (divmod(k, schedule.active_cols) for k in pes):
-            yield schedule.index, r, c, schedule.input_ids[r], schedule.filter_ids[c]
+def _oracle_pairs(plan: RoundPlan, oracle_mode: str) -> tuple[np.ndarray, ...]:
+    """The layer's checked pairs as four int64 arrays ``(round, PE, input
+    id, filter id)``, the PE its row-major index among the round's active
+    PEs, in round-then-PE order: every active PE of every round under
+    ``full``; under ``sample`` at most four PEs, evenly spaced in row-major
+    order, of every ``rounds // 32``-th round.  By block arithmetic on the
+    plan: round ``ib * col_count + fb`` has ``rows * cols`` active PEs, and
+    PE ``r * cols + c`` pairs input ``ib * n + r`` with filter ``fb * m +
+    c``.  So the arrays hold fewer than 4 x 64 pairs under ``sample``, and
+    under ``full`` at most ``FULL_ORACLE_WORK_LIMIT / stream_len``, the
+    bound that picks the rule.  Ids and indices stay below the layer's
+    rounds, vectors and PEs, so int64 holds them exactly."""
+    sample = oracle_mode == "sample"
+    rounds = np.arange(0, plan.rounds, max(1, plan.rounds // 32) if sample else 1)
+    ib, fb = np.divmod(rounds, plan.col_count)
+    cols = np.minimum(plan.m, plan.q - fb * plan.m)
+    active = np.minimum(plan.n, plan.p - ib * plan.n) * cols
+    # under sample, PEs 0, step, 2 * step, ... : four of them, or all if fewer
+    step = np.maximum(1, active // 4) if sample else 1
+    counts = np.minimum(4, active) if sample else active
+    # the j-th checked PE of its round is PE j * step, built in place: under
+    # full a layer has up to FULL_ORACLE_WORK_LIMIT / stream_len pairs
+    pes = np.arange(counts.sum())
+    pes -= np.repeat(np.cumsum(counts) - counts, counts)
+    if sample:
+        pes *= np.repeat(step, counts)
+    r, c = np.divmod(pes, np.repeat(cols, counts))
+    r += np.repeat(ib * plan.n, counts)
+    c += np.repeat(fb * plan.m, counts)
+    return np.repeat(rounds, counts), pes, r, c
 
 
 def _check_oracle(plan: RoundPlan, oracle_mode: str, seed: int) -> None:
@@ -560,14 +613,17 @@ def _check_oracle(plan: RoundPlan, oracle_mode: str, seed: int) -> None:
     in chunks of at most ``ORACLE_CHUNK_ELEMENTS`` operands per side (one
     pair at least), each with one ``round_accumulators`` and one oracle
     call; the first mismatch in round-then-PE order raises."""
-    pairs = _oracle_pairs(plan, oracle_mode)
+    rounds, pes, input_ids, filter_ids = _oracle_pairs(plan, oracle_mode)
     size = max(1, ORACLE_CHUNK_ELEMENTS // plan.stream_len)
-    while chunk := list(islice(pairs, size)):
-        _, _, _, input_ids, filter_ids = zip(*chunk)
-        accs, ins, wts = round_accumulators(seed, input_ids, filter_ids, plan.stream_len)
-        refs = partial_conv_oracle(ins, wts)
-        for (index, r, c, _, _), acc, ref in zip(chunk, accs.tolist(), refs):
-            if acc != ref:
-                raise OracleMismatchError(
-                    f"round {index} PE ({r},{c}): engine accumulator {acc} != reference {ref}"
-                )
+    for start in range(0, rounds.size, size):
+        chunk = slice(start, start + size)
+        accs, ins, wts = round_accumulators(seed, input_ids[chunk], filter_ids[chunk],
+                                            plan.stream_len)
+        accs, refs = accs.tolist(), partial_conv_oracle(ins, wts)
+        if accs != refs:
+            k = next(k for k, (acc, ref) in enumerate(zip(accs, refs)) if acc != ref)
+            index = int(rounds[start + k])
+            r, c = divmod(int(pes[start + k]), plan.schedule(index).active_cols)
+            raise OracleMismatchError(
+                f"round {index} PE ({r},{c}): engine accumulator {accs[k]} != reference {refs[k]}"
+            )

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from gathernoc.network import (OUTPUT_PORTS, MeshNetwork, buffer_commits, mesh_t
                                port_commits)
 from gathernoc.packet import PacketType, build_packet
 from gathernoc.topology import INPUT_PORTS, NodeId, Port
+from gathernoc.workload import LayerConfig
 from scenario_utils import run_safety_scenario, scenario_outcome
 
 
@@ -236,6 +238,31 @@ class TestGatherProtocolOnMesh:
         total_bits = len(pkt.payloads) * cfg.gather_payload_bits
         assert total_bits <= cfg.gather_payload_capacity_bits
 
+    def test_no_event_line_is_built_without_a_log(self, monkeypatch):
+        # two-flit gather packets and a flat budget (none at the row start)
+        # make a 4x4 run reach every gather event kind
+        layer = LayerConfig("t", "t", in_channels=2, kernels=6, kernel_side=1, layer_side=1,
+                            input_vectors=7)
+        cfg = MeshConfig(rows=4, cols=4, gather_len=2)
+        table = {**flat_timeout_table(cfg, 13), (0, 0): 0}
+        kinds, log_line = [], MeshNetwork._log
+
+        def spy(self, cycle, node, kind):
+            kinds.append(kind.split()[0])
+            log_line(self, cycle, node, kind)
+
+        monkeypatch.setattr(MeshNetwork, "_log", spy)
+        systolic.run_convolution(layer, cfg, "gather", replay=False, timeout_table=table,
+                                 event_log=[])
+        assert set(kinds) == {"eject", "post", "load", "upload", "nack", "gather-init",
+                              "timeout-init"}
+        kinds.clear()
+        for replay in (True, False):
+            systolic.run_convolution(layer, cfg, "gather", replay=replay, timeout_table=table)
+            for mode in ("gather", "ru"):
+                systolic.run_convolution(layer, MeshConfig(rows=4, cols=4), mode, replay=replay)
+        assert kinds == []
+
 
 class TestBufferPort:
     # ejects are (eject cycle, router id, label); router ids 7, 15 and 23
@@ -284,8 +311,8 @@ class TestSharedTables:
         cfg = MeshConfig(rows=3, cols=5)
         a, b = MeshNetwork(cfg), MeshNetwork(MeshConfig(rows=3, cols=5),
                                              timeout_table={(1, 2): 7})
-        tables = mesh_tables(cfg)
-        assert mesh_tables(MeshConfig(rows=3, cols=5)) is tables
+        tables = mesh_tables(3, 5, cfg.vc_count)
+        assert mesh_tables(3, 5, MeshConfig(rows=3, cols=5).vc_count) is tables
         assert a._entries is b._entries is tables.entries
         assert a._nodes is b._nodes is tables.nodes
         assert all(ua.node is ub.node is node
@@ -338,7 +365,7 @@ class TestSharedTables:
         for rows in (1, 2, 3):
             for cols in (1, 2, 3):
                 cfg = MeshConfig(rows=rows, cols=cols, vc_count=vcs)
-                entries = mesh_tables(cfg).entries
+                entries = mesh_tables(rows, cols, vcs).entries
                 for rid in range(rows * cols):
                     row, col = divmod(rid, cols)
                     for port in INPUT_PORTS:
@@ -360,14 +387,23 @@ class TestSharedTables:
                                                  nkey, nrid)
                                 assert type(entry[4]) is Port
                 assert len(entries) == rows * cols * nq * len(Port)
-        # the memo is the config's, so a second network reads the entries
+        # the memo is the geometry's, so a second network reads the entries
         # the first one forced
         a, b = MeshNetwork(cfg), MeshNetwork(MeshConfig(rows=3, cols=3, vc_count=vcs))
         assert a._entries is b._entries is entries
 
+    def test_configs_of_one_geometry_share_the_tables(self):
+        # node ids and entries depend on rows, cols and VCs alone
+        cfg = MeshConfig(rows=16, cols=16)
+        a, b = MeshNetwork(cfg), MeshNetwork(replace(cfg, buffer_commit_rate=7))
+        assert a._entries is b._entries and a._nodes is b._nodes
+        assert MeshNetwork(replace(cfg, vc_count=2))._entries is not a._entries
+        assert MeshNetwork(replace(cfg, cols=15))._entries is not a._entries
+
     def test_arbitration_memo_holds_only_the_pairs_traffic_used(self):
-        # a config no other test builds, so its memo starts empty
-        cfg = MeshConfig(rows=16, cols=16, buffer_commit_rate=7)
+        # a fresh cache, so the memo starts empty
+        mesh_tables.cache_clear()
+        cfg = MeshConfig(rows=16, cols=16)
         net = MeshNetwork(cfg)
         assert len(net._entries) == 0
         systolic._simulate_round(net, cfg, systolic.CollectionMode.RU, (16, 16),

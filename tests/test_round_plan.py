@@ -123,6 +123,42 @@ def test_oracle_checks_the_pairs_of_the_explicit_rule(shape, oracle, replay):
     assert checked == explicit_oracle_checks(nested_round_schedules(layer, cfg), oracle)
 
 
+def generated_oracle_pairs(plan: RoundPlan, oracle: str):
+    """The checked pairs ``(round, row, col, input id, filter id)`` as the
+    oracle once listed them, one ``RoundSchedule`` per checked round and
+    one Python step per pair: the reference for the array version."""
+    stride = 1 if oracle == "full" else max(1, plan.rounds // 32)
+    for schedule in map(plan.schedule, range(0, plan.rounds, stride)):
+        pes = range(schedule.active_rows * schedule.active_cols)
+        if oracle == "sample":
+            pes = pes[:: max(1, len(pes) // 4)][:4]
+        for r, c in (divmod(k, schedule.active_cols) for k in pes):
+            yield schedule.index, r, c, schedule.input_ids[r], schedule.filter_ids[c]
+
+
+# every square mesh up to 16x16 and non-square ones; 192 and 512 filters
+# leave a ragged column block on most of them, and the vector counts a
+# ragged row block
+PAIR_MESHES = [(side, side) for side in range(1, 17)] + [(1, 16), (16, 1), (3, 14), (10, 7),
+                                                          (16, 5)]
+
+
+@pytest.mark.parametrize("rows, cols", PAIR_MESHES)
+@pytest.mark.parametrize("name", [("alexnet", "conv2"), ("vgg16", "conv4")])
+def test_pair_arrays_list_the_generated_pairs(rows, cols, name):
+    cfg = MeshConfig(rows=rows, cols=cols)
+    for vectors in (1, 2, 7, 33, None):
+        plan = RoundPlan(load_layer(*name).with_vectors(vectors), cfg)
+        # the full rule on every pair of a full-size layer is too slow for
+        # the generated reference
+        for oracle in ("sample",) if vectors is None else ("sample", "full"):
+            arrays = systolic._oracle_pairs(plan, oracle)
+            assert all(a.dtype.kind == "i" and a.shape == arrays[0].shape for a in arrays)
+            pairs = [(index, *divmod(pe, plan.schedule(index).active_cols), i, f)
+                     for index, pe, i, f in zip(*(a.tolist() for a in arrays))]
+            assert pairs == list(generated_oracle_pairs(plan, oracle))
+
+
 # 2x2 mesh, 32 input vectors x 8 filters: 64 rounds of one class, so the
 # sampled oracle checks every second round and round 2 is never simulated
 # when replay is on
@@ -405,6 +441,24 @@ def test_a_fault_in_a_later_chunk_names_its_own_round_and_pe(monkeypatch):
     with pytest.raises(OracleMismatchError, match=r"^round 40 PE \(1,1\): "):
         run_convolution(GUARD_LAYER, cfg, "gather", seed=3)
     assert len(calls) == 55
+
+
+@pytest.mark.parametrize("oracle", ["full", "sample"])
+def test_a_fault_names_its_pe_by_the_active_columns_of_its_round(monkeypatch, oracle):
+    # 3x4 mesh, 10 filters: column blocks of 4, 4 and 2, so round 2 has two
+    # active columns, and row-major PE 5 of it is (2,1), which the sampled
+    # rule does not check; it checks row-major PEs 0 to 3, so PE 3, (1,1)
+    cfg = MeshConfig(rows=3, cols=4)
+    layer = LayerConfig("t", "t", in_channels=2, kernels=10, kernel_side=1, layer_side=1,
+                        input_vectors=3)
+    guard = RoundPlan(layer, cfg).schedule(2)
+    assert (guard.active_rows, guard.active_cols) == (3, 2)
+    r, c = (2, 1) if oracle == "full" else (1, 1)
+    use_rule(monkeypatch, oracle)
+    monkeypatch.setattr(systolic, "round_accumulators", off_by_one_at(
+        systolic.round_accumulators, {(guard.input_ids[r], guard.filter_ids[c])}))
+    with pytest.raises(OracleMismatchError, match=rf"^round 2 PE \({r},{c}\): "):
+        run_convolution(layer, cfg, "ru", seed=3)
 
 
 def test_every_generator_call_of_the_check_stays_within_the_budget(monkeypatch):

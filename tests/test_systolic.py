@@ -203,6 +203,40 @@ def test_oracle_is_exact_just_inside_the_bound():
     assert partial_conv_oracle([-2**63], [0]) == 0
 
 
+# 2**32 - 1 = 255 * 257 * 65537 and 2**32 = 256 * 256 * 65536: every product
+# at the bound, so the sum is the bound itself, the last sum a uint32
+# accumulator holds and the first one it would wrap
+@pytest.mark.parametrize("length, x, w", [(255, 257, 65537), (256, 256, 65536)])
+def test_oracle_is_exact_at_the_edge_of_its_narrow_accumulator(length, x, w):
+    expected = length * x * w
+    assert expected in (2**32 - 1, 2**32)
+    assert partial_conv_oracle(np.full(length, x, np.uint32),
+                               np.full(length, w, np.uint32)) == expected
+    assert partial_conv_oracle([x] * length, [w] * length) == expected
+    assert partial_conv_oracle(np.full((2, length), x, np.uint64),
+                               np.full(length, w, np.uint32)) == [expected] * 2
+
+
+def test_oracle_keeps_a_negative_product_negative_under_a_small_bound():
+    assert partial_conv_oracle([-1, 3], [2, -2]) == -8
+    assert partial_conv_oracle(np.array([[0, 1], [-1, 0]], np.int8),
+                               np.array([5, 7], np.uint8)) == [7, -5]
+
+
+@pytest.mark.parametrize("length", [66051, 66052, 66053])
+def test_engine_is_exact_at_the_edge_of_its_narrow_accumulator(monkeypatch, length):
+    # 255 * 255 * 66051 < 2**32 <= 255 * 255 * 66052: the last uint32 length
+    narrow = length * 255 * 255 < 2**32
+    assert narrow == (length == 66051)
+    accs, ins, wts = round_accumulators(3, [5], [9], length)
+    assert accs.dtype == (np.uint32 if narrow else np.int64)
+    assert accs.tolist() == [_python_dot(ins[0].tolist(), wts[0].tolist())]
+    # every operand 255: the largest sum the length allows
+    monkeypatch.setattr(systolic, "operand_block",
+                        lambda seed, tag, ids, length: np.full((len(ids), length), 255, np.uint8))
+    assert round_accumulators(3, [5], [9], length)[0].tolist() == [255 * 255 * length]
+
+
 # beside TestMacAndOracle.test_oracle_length_mismatch: stacks and empty vectors
 @pytest.mark.parametrize("xs, ws", [
     ([[1, 2], [3, 4]], [1, 2, 3]),
@@ -292,6 +326,13 @@ class TestOperandGenerator:
                 words = [_mix64((key + (j + 1) * golden) & mask) for j in range(3)]
                 expected.append(list(b"".join(w.to_bytes(8, "little") for w in words))[:length])
             assert operand_block(seed, tag, ids, length).tolist() == expected
+
+    def test_an_id_array_gives_the_rows_of_its_python_ints(self):
+        for dtype, ids in ((np.int64, [0, 1, 7, 2**40 + 3, 2**63 - 1, -1, -2**63]),
+                           (np.uint64, [0, 2**63, 2**64 - 1]), (np.int32, [5, -7]),
+                           (np.uint8, [3, 255])):
+            expected = operand_block(9, 1, ids, 19)
+            assert (operand_block(9, 1, np.array(ids, dtype), 19) == expected).all()
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
