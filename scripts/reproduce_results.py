@@ -3,9 +3,10 @@
 16x16 meshes, both collection schemes plus the closed-form estimate, and
 write per-mesh result files and comparison tables.
 
-At full scale the identical-round replay, which simulates each round shape
-once per mesh and mode, and one oracle check of each layer per mesh keep
-this well under a second (README states the measured time); pass
+At full scale the identical-round replay, which simulates each distinct
+row network once per mesh and mode and merges it into every round shape
+at the buffer's commit port, and one oracle check of each layer per mesh
+keep this well under a second (README states the measured time); pass
 --p-override to truncate the per-layer input count for a quick look.
 """
 import argparse

@@ -132,7 +132,8 @@ def run(config: RunConfig) -> RunResult:
     # each event file's lines, written with the result files once every
     # layer has run, so that a run that fails writes no file
     event_logs: dict[Path, list[str]] = {}
-    # round-class measurements and oracle verdicts, shared by the run's calls
+    # round-class and row-network measurements and oracle verdicts, shared by
+    # the run's calls
     shared: dict = {}
 
     for model, layer_name in config.layers:

@@ -67,7 +67,7 @@ FULL_ORACLE_WORK_LIMIT = 2_000_000
 
 # Operands per side (checked pairs x stream length) one oracle chunk holds at
 # most, unless a single pair is longer; bounds the check's operand arrays
-# (``_oracle_pairs`` bounds the pair list).
+# (``_oracle_pairs`` lists the pairs a chunk at a time).
 ORACLE_CHUNK_ELEMENTS = 1 << 16
 
 
@@ -338,23 +338,28 @@ def run_convolution(
 
     With ``replay`` each round class ``(active_rows, active_cols)`` of the
     layer's ``RoundPlan`` is measured once by ``_measure_class``, relative
-    to the class's ready cycle: one row network per distinct row of give-up
-    budgets (one under the default table), the rows merged at the buffer
-    commit port in (eject cycle, router id) order.  With an event log the
-    row networks log too, their lines are merged into the whole mesh's,
-    and the class's lines are logged shifted to the true ready cycle of its
-    first round.  ``replay=False``, the reference the replay differential
+    to the class's ready cycle: from one row network per distinct row of
+    give-up budgets (one under the default table), the rows merged at the
+    buffer commit port in (eject cycle, router id) order.  With an event
+    log the row networks log too, their lines are merged into the whole
+    mesh's, and the class's lines are logged shifted to the true ready
+    cycle of its first round.  ``replay=False``, the reference the replay differential
     tests compare against, simulates every round back to back on the whole
     mesh in one network that carries its state, and checks each against
     its class's first.
 
     ``shared`` holds what several calls can reuse: the class measurements,
-    keyed by everything a class simulation depends on, and the oracle's
-    verdict on a layer, keyed by the layer, mesh, seed and oracle rule
-    (nothing else sets the checked pairs and operand values).  A
-    verdict is stored only once every check of the layer has passed.
+    keyed by everything a class simulation depends on; the row networks'
+    results, keyed by everything a row simulation depends on (the one-row
+    config, mode, row budgets, active column count and event logging, not
+    the class's row count), so each distinct row network is simulated once
+    and every class that has it merges its result at the commit port; and
+    the oracle's verdict on a layer, keyed by the layer, mesh, seed and
+    oracle rule (nothing else sets the checked pairs and operand values).
+    A verdict is stored only once every check of the layer has passed.
     ``harness.run`` passes one mapping to all its calls, so it measures
-    each class once and checks each layer once per run.
+    each class and simulates each row network once, and checks each layer
+    once, per run; without a mapping they last one call.
     """
     mode = _collection_mode(mode)
     check_timeout_table(config, timeout_table)
@@ -398,7 +403,7 @@ def run_convolution(
                 m = firsts[shape][1]
             elif (m := shared.get(key)) is None:
                 m = shared[key] = _measure_class(config, mode, shape, f"round {first}",
-                                                 timeout_table, event_log is not None)
+                                                 timeout_table, event_log is not None, shared)
             table.append(RoundClass(*shape, row_count, col_count, first,
                                     ready_offset + m.collection, m))
     _fold_rounds(stats, table, coefficients)
@@ -443,7 +448,7 @@ def _simulate_round(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
 
 def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, int], what: str,
                    timeout_table: dict[tuple[int, int], int] | None,
-                   logged: bool = False) -> RoundMeasurement:
+                   logged: bool = False, shared: dict | None = None) -> RoundMeasurement:
     """Measure a round of ``shape``, as ``_simulate_round`` on a fresh
     network of the whole mesh would, one mesh row at a time.
 
@@ -452,10 +457,12 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, i
     the one thing rows share, never holds a flit back.  So a row's traffic
     depends on its own PEs' give-up budgets alone (``give_up_budgets``),
     and rows with equal budgets are copies of each other, row ``r`` shifted
-    by ``r`` cycles.  Each group of such rows is collected once, on a
-    one-row network with PE ``c`` ready at cycle ``c``, through
-    ``_collect`` and all its checks.  The commit port is then
-    replayed over every row's tail ejects by ``buffer_commits``: the last
+    by ``r`` cycles.  Each group of such rows is one row network
+    (``_measure_row``), simulated once per ``shared`` mapping: it depends
+    on the one-row config, the mode, the budgets, the active column count
+    and ``logged``, not on the class's row count, so the classes of a run
+    that differ only in rows share it.  Each class then replays the commit
+    port over every row's tail ejects by ``buffer_commits``: the last
     commit is the collection and the head latencies come in commit order;
     every other field sums over the rows.  If ``logged``, the row networks
     log their events and ``merge_row_logs`` merges them into the lines the
@@ -467,25 +474,25 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, i
     for r in range(shape[0]):
         groups.setdefault(tuple(budgets[r * cols:(r + 1) * cols]), []).append(r)
     row_config = replace(config, rows=1)
+    shared = {} if shared is None else shared
     sums = dict.fromkeys(("packets", "flits", "hops", "payloads", "timeout_packets"), 0)
     delta = dict.fromkeys(EVENT_KINDS, 0)
     ejects = []
     row_logs: list[list[str] | None] = [None] * shape[0]
-    ready = [(NodeId(0, c), c) for c in range(shape[1])]
     for row_budgets, rows in groups.items():
-        row_table = {(0, c): b for c, b in enumerate(row_budgets)}
-        log = [] if logged else None
-        net = MeshNetwork(row_config, timeout_table=row_table, event_log=log)
-        m = _collect(net, row_config, mode, ready, 0, f"{what}, row {rows[0]}", row_table)
+        key = ("row network", row_config, mode, row_budgets, shape[1], logged)
+        if (row := shared.get(key)) is None:
+            row = shared[key] = _measure_row(row_config, mode, row_budgets, shape[1],
+                                             f"{what}, row {rows[0]}", logged)
+        m, tails = row
         for name in sums:
             sums[name] += len(rows) * getattr(m, name)
         for kind, n in m.counter_delta.items():
             delta[kind] += len(rows) * n
         for r in rows:
             rid = r * cols + cols - 1
-            ejects += [(pkt.tail_arrival + r, rid, pkt.head_arrival - pkt.inject_cycle)
-                       for pkt in net.delivered]
-            row_logs[r] = log
+            ejects += [(tail + r, rid, head) for tail, head in zip(tails, m.head_latencies)]
+            row_logs[r] = m.events
     commits = buffer_commits(ejects, config.buffer_commit_rate)
     return RoundMeasurement(
         collection=commits[-1][0],
@@ -494,6 +501,21 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, i
         events=merge_row_logs(row_logs, mode == CollectionMode.GATHER) if logged else None,
         **sums,
     )
+
+
+def _measure_row(row_config: MeshConfig, mode: CollectionMode, row_budgets: tuple[int, ...],
+                 active_cols: int, what: str, logged: bool) -> tuple[RoundMeasurement, list[int]]:
+    """Collect one row of ``active_cols`` PEs, PE ``c`` ready at cycle ``c``,
+    on a fresh one-row network whose PEs have ``row_budgets``, through
+    ``_collect`` and all its checks.  Returns the row's measurement, its
+    ``events`` the row network's lines if ``logged``, and each delivered
+    packet's tail eject cycle, in the order of its ``head_latencies``."""
+    row_table = {(0, c): b for c, b in enumerate(row_budgets)}
+    log = [] if logged else None
+    net = MeshNetwork(row_config, timeout_table=row_table, event_log=log)
+    m = _collect(net, row_config, mode, [(NodeId(0, c), c) for c in range(active_cols)], 0,
+                 what, row_table)
+    return replace(m, events=log), [pkt.tail_arrival for pkt in net.delivered]
 
 
 def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
@@ -575,32 +597,49 @@ def run_ready_row(
     return _fold_rounds(stats, [RoundClass(1, config.cols, 1, 1, 0, m.collection, m)], None)
 
 
-def _oracle_pairs(plan: RoundPlan, oracle_mode: str) -> tuple[np.ndarray, ...]:
-    """The layer's checked pairs as four int64 arrays ``(round, PE, input
-    id, filter id)``, the PE its row-major index among the round's active
-    PEs, in round-then-PE order: every active PE of every round under
-    ``full``; under ``sample`` at most four PEs, evenly spaced in row-major
-    order, of every ``rounds // 32``-th round.  By block arithmetic on the
+def _oracle_pairs(plan: RoundPlan, oracle_mode: str, size: int):
+    """The layer's checked pairs, ``size`` at a time, as four int64 arrays
+    ``(round, PE, input id, filter id)``, the PE its row-major index among
+    the round's active PEs, in round-then-PE order: every active PE of
+    every round under ``full``; under ``sample`` at most four PEs, evenly
+    spaced in row-major order, of every ``rounds // 32``-th round.  Every
+    piece but the last holds ``size`` pairs.  By block arithmetic on the
     plan: round ``ib * col_count + fb`` has ``rows * cols`` active PEs, and
     PE ``r * cols + c`` pairs input ``ib * n + r`` with filter ``fb * m +
-    c``.  So the arrays hold fewer than 4 x 64 pairs under ``sample``, and
-    under ``full`` at most ``FULL_ORACLE_WORK_LIMIT / stream_len``, the
-    bound that picks the rule.  Ids and indices stay below the layer's
+    c``.  Under ``full``, pair ``k`` is found from ``k`` alone (row block
+    ``ib`` starts at pair ``ib * n * q``, and its column block ``fb`` at
+    ``fb * rows * m`` within it), so no array outgrows a piece; under
+    ``sample`` the rounds are fewer than 64, and their pairs fewer than
+    4 x 64, listed at once.  Ids and indices stay below the layer's
     rounds, vectors and PEs, so int64 holds them exactly."""
-    sample = oracle_mode == "sample"
-    rounds = np.arange(0, plan.rounds, max(1, plan.rounds // 32) if sample else 1)
+    if oracle_mode == "sample":
+        rounds, pes, input_ids, filter_ids = _sampled_pairs(plan)
+        for start in range(0, rounds.size, size):
+            piece = slice(start, start + size)
+            yield rounds[piece], pes[piece], input_ids[piece], filter_ids[piece]
+        return
+    total = plan.p * plan.q
+    for start in range(0, total, size):
+        ib, k = np.divmod(np.arange(start, min(start + size, total)), plan.n * plan.q)
+        rows = np.minimum(plan.n, plan.p - ib * plan.n)
+        fb, pes = np.divmod(k, rows * plan.m)
+        r, c = np.divmod(pes, np.minimum(plan.m, plan.q - fb * plan.m))
+        yield ib * plan.col_count + fb, pes, ib * plan.n + r, fb * plan.m + c
+
+
+def _sampled_pairs(plan: RoundPlan) -> tuple[np.ndarray, ...]:
+    """The pairs ``_oracle_pairs`` checks under ``sample``, all at once:
+    PEs 0, step, 2 * step, ... of every ``rounds // 32``-th round, four of
+    them, or all if fewer."""
+    rounds = np.arange(0, plan.rounds, max(1, plan.rounds // 32))
     ib, fb = np.divmod(rounds, plan.col_count)
     cols = np.minimum(plan.m, plan.q - fb * plan.m)
     active = np.minimum(plan.n, plan.p - ib * plan.n) * cols
-    # under sample, PEs 0, step, 2 * step, ... : four of them, or all if fewer
-    step = np.maximum(1, active // 4) if sample else 1
-    counts = np.minimum(4, active) if sample else active
-    # the j-th checked PE of its round is PE j * step, built in place: under
-    # full a layer has up to FULL_ORACLE_WORK_LIMIT / stream_len pairs
+    counts = np.minimum(4, active)
+    # the j-th checked PE of its round is PE j * max(1, active // 4)
     pes = np.arange(counts.sum())
     pes -= np.repeat(np.cumsum(counts) - counts, counts)
-    if sample:
-        pes *= np.repeat(step, counts)
+    pes *= np.repeat(np.maximum(1, active // 4), counts)
     r, c = np.divmod(pes, np.repeat(cols, counts))
     r += np.repeat(ib * plan.n, counts)
     c += np.repeat(fb * plan.m, counts)
@@ -613,17 +652,14 @@ def _check_oracle(plan: RoundPlan, oracle_mode: str, seed: int) -> None:
     in chunks of at most ``ORACLE_CHUNK_ELEMENTS`` operands per side (one
     pair at least), each with one ``round_accumulators`` and one oracle
     call; the first mismatch in round-then-PE order raises."""
-    rounds, pes, input_ids, filter_ids = _oracle_pairs(plan, oracle_mode)
     size = max(1, ORACLE_CHUNK_ELEMENTS // plan.stream_len)
-    for start in range(0, rounds.size, size):
-        chunk = slice(start, start + size)
-        accs, ins, wts = round_accumulators(seed, input_ids[chunk], filter_ids[chunk],
-                                            plan.stream_len)
+    for rounds, pes, input_ids, filter_ids in _oracle_pairs(plan, oracle_mode, size):
+        accs, ins, wts = round_accumulators(seed, input_ids, filter_ids, plan.stream_len)
         accs, refs = accs.tolist(), partial_conv_oracle(ins, wts)
         if accs != refs:
             k = next(k for k, (acc, ref) in enumerate(zip(accs, refs)) if acc != ref)
-            index = int(rounds[start + k])
-            r, c = divmod(int(pes[start + k]), plan.schedule(index).active_cols)
+            index = int(rounds[k])
+            r, c = divmod(int(pes[k]), plan.schedule(index).active_cols)
             raise OracleMismatchError(
                 f"round {index} PE ({r},{c}): engine accumulator {accs[k]} != reference {refs[k]}"
             )

@@ -532,3 +532,20 @@ def test_grid_script_p_override_below_one_exits_config_error(tmp_path, capsys, m
     assert grid_main() == 2
     assert capsys.readouterr().err == "configuration error: p_override must be >= 1, got 0\n"
     assert not (tmp_path / "out").exists()
+
+
+GRID_GOLDEN = Path(__file__).resolve().parent / "data" / "grid_golden"
+
+
+def test_full_scale_grid_files_match_the_golden(tmp_path, capsys, monkeypatch):
+    # the reproduce_results.py files at full scale and the default seed are
+    # the contract: every byte of both meshes' CSV and table
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
+    grid_main = runpy.run_path(str(script))["main"]
+    monkeypatch.setattr(sys, "argv", ["reproduce_results.py", "--outdir", str(tmp_path)])
+    assert grid_main() == 0
+    capsys.readouterr()
+    golden = sorted(p.name for p in GRID_GOLDEN.iterdir())
+    assert golden == sorted(p.name for p in tmp_path.iterdir()) and len(golden) == 4
+    for name in golden:
+        assert (tmp_path / name).read_bytes() == (GRID_GOLDEN / name).read_bytes(), name

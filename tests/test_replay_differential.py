@@ -11,15 +11,15 @@ from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from gathernoc import harness, systolic
-from gathernoc.config import MeshConfig
+from gathernoc.config import MeshConfig, give_up_budgets
 from gathernoc.network import MeshNetwork
 from gathernoc.power import ActivityCounters
 from gathernoc.stats import RoundMeasurement, RunStats
 from gathernoc.systolic import CollectionMode, build_round_schedules, run_convolution
-from gathernoc.workload import LayerConfig, load_layer
+from gathernoc.workload import LayerConfig, load_layer, model_layers
 from scenario_utils import ragged_case
 
 # every RunStats field, the class table included, and the four per-round
@@ -314,26 +314,116 @@ def test_shared_class_measurements_match_separate_runs(case):
                         (layer.layer, mode, name)
 
 
+def _row_budgets(config: MeshConfig, timeouts) -> list[tuple[int, ...]]:
+    """Each mesh row's give-up budgets, top row first."""
+    budgets = give_up_budgets(config, timeouts)
+    return [tuple(budgets[r * config.cols:(r + 1) * config.cols]) for r in range(config.rows)]
+
+
+def _spy_row_networks(monkeypatch) -> list:
+    """Record each row network ``_measure_class`` simulates as ``(mode,
+    active cols, row budgets)``."""
+    calls, measure_row = [], systolic._measure_row
+
+    def spy(row_config, mode, row_budgets, active_cols, *rest):
+        calls.append((mode.value, active_cols, row_budgets))
+        return measure_row(row_config, mode, row_budgets, active_cols, *rest)
+
+    monkeypatch.setattr(systolic, "_measure_row", spy)
+    return calls
+
+
 def test_run_simulates_each_round_class_once_per_run(monkeypatch):
     # 4x5 mesh, 11 input vectors: rows come in blocks of 4, 4 and 3, and the
-    # 256 and 384 filters leave ragged column blocks of 1 and 4
-    cfg = harness.RunConfig(mesh=MeshConfig(rows=4, cols=5), modes=("ru", "gather"),
+    # 256 and 384 filters leave ragged column blocks of 1 and 4.  The give-up
+    # table sets row 1 apart from rows 0 and 2, and row 3, which only the
+    # 4-row classes have, apart from all of them
+    mesh, timeouts = MeshConfig(rows=4, cols=5), {(1, 2): 3, (3, 0): 9}
+    cfg = harness.RunConfig(mesh=mesh, modes=("ru", "gather"), timeout_table=timeouts,
                             layers=[("alexnet", f"conv{i}") for i in (2, 3, 4, 5)],
                             p_override=11)
     classes = {(s.active_rows, s.active_cols)
                for model, name in cfg.layers
                for s in build_round_schedules(
                    load_layer(model, name).with_vectors(cfg.p_override), cfg.mesh)}
-    assert len(classes) >= 4
+    assert {rows for rows, _ in classes} == {3, 4} and len(classes) >= 4
+    row_budgets = _row_budgets(mesh, timeouts)
+    assert row_budgets[0] == row_budgets[2] and len(set(row_budgets)) == 3
+    # one row network per (mode, active cols, budgets) that some class has
+    networks = {(mode, cols, row_budgets[r])
+                for mode in cfg.modes for rows, cols in classes for r in range(rows)}
+    assert len(networks) < sum(rows for rows, _ in classes) * len(cfg.modes)
 
     calls = _spy_measurements(monkeypatch)
+    row_networks = _spy_row_networks(monkeypatch)
     expected = Counter(("measure", mode, *k) for mode in cfg.modes for k in classes)
-    # a second run measures its classes again: nothing is kept between runs
+    # a second run measures its classes and simulates its row networks
+    # again: nothing is kept between runs
     for _ in range(2):
         calls.clear()
+        row_networks.clear()
         harness.run(cfg)
         assert Counter(c[:4] for c in calls) == expected
-        assert len({id(net) for c in calls for net in c[4]}) == len(calls)
+        assert Counter(row_networks) == Counter(networks)
+        built = [net for c in calls for net in c[4]]
+        assert len(built) == len(networks) and all(net.config.rows == 1 for net in built)
+        assert len({id(net) for net in built}) == len(built)
+
+
+@st.composite
+def row_tables(draw):
+    """A mesh of up to 6x6 and a give-up table under which some rows'
+    budgets differ: a drawn subset of rows gets one drawn budget each."""
+    cfg, timeouts = _mesh_and_timeouts(draw)
+    timeouts = dict(timeouts or {})
+    for r, moved in enumerate(draw(st.lists(st.booleans(), min_size=cfg.rows,
+                                            max_size=cfg.rows))):
+        if moved:
+            timeouts[r, draw(st.integers(0, cfg.cols - 1))] = draw(st.integers(0, 40))
+    assume(cfg.rows == 1 or len(set(_row_budgets(cfg, timeouts))) > 1)
+    return cfg, timeouts
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(row_tables())
+def test_shared_row_networks_measure_every_shape_as_fresh_ones(case):
+    # every shape of the mesh in both modes, logged and not, measured in
+    # one mapping, equals its measurement in a fresh one, event lines
+    # included; the mapping holds one row network per distinct (mode,
+    # logged, active cols, row budgets)
+    cfg, timeouts = case
+    row_budgets = _row_budgets(cfg, timeouts)
+    shapes = [(k, c) for k in range(1, cfg.rows + 1) for c in range(1, cfg.cols + 1)]
+    shared: dict = {}
+    for mode in CollectionMode:
+        for logged in (False, True):
+            for shape in shapes:
+                what = f"{shape[0]}x{shape[1]}"
+                got = systolic._measure_class(cfg, mode, shape, what, timeouts, logged, shared)
+                alone = systolic._measure_class(cfg, mode, shape, what, timeouts, logged)
+                assert got == alone and got.events == alone.events, (mode, logged, shape)
+    assert len(shared) == 4 * len({(c, budgets) for c in range(1, cfg.cols + 1)
+                                   for budgets in row_budgets})
+
+
+def test_full_scale_run_simulates_one_row_network_per_mode(monkeypatch):
+    # every class of the grid has full columns and default budgets, so one
+    # harness.run per mesh simulates one row network in each mode
+    calls = _spy_measurements(monkeypatch)
+    row_networks = _spy_row_networks(monkeypatch)
+    layers = [(model, layer.layer) for model in ("alexnet", "vgg16")
+              for layer in model_layers(model)]
+    for side in (8, 16):
+        calls.clear()
+        row_networks.clear()
+        harness.run(harness.RunConfig(mesh=MeshConfig(rows=side, cols=side), layers=layers,
+                                      modes=("ru", "gather", "analytic")))
+        assert len({c[1:4] for c in calls}) == len(calls) > 2
+        assert sorted(row_networks) == [("gather", side, row_networks[0][2]),
+                                        ("ru", side, row_networks[0][2])]
+        built = [net for c in calls for net in c[4]]
+        assert len(built) == 2 and all(net.config.rows == 1 for net in built)
 
 
 def test_replay_matches_full_simulation_at_full_scale():

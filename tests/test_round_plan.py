@@ -143,6 +143,11 @@ PAIR_MESHES = [(side, side) for side in range(1, 17)] + [(1, 16), (16, 1), (3, 1
                                                           (16, 5)]
 
 
+def chunk_size(plan: RoundPlan) -> int:
+    """The pairs one oracle chunk holds, as ``_check_oracle`` cuts them."""
+    return max(1, systolic.ORACLE_CHUNK_ELEMENTS // plan.stream_len)
+
+
 @pytest.mark.parametrize("rows, cols", PAIR_MESHES)
 @pytest.mark.parametrize("name", [("alexnet", "conv2"), ("vgg16", "conv4")])
 def test_pair_arrays_list_the_generated_pairs(rows, cols, name):
@@ -152,11 +157,56 @@ def test_pair_arrays_list_the_generated_pairs(rows, cols, name):
         # the full rule on every pair of a full-size layer is too slow for
         # the generated reference
         for oracle in ("sample",) if vectors is None else ("sample", "full"):
-            arrays = systolic._oracle_pairs(plan, oracle)
+            pieces = systolic._oracle_pairs(plan, oracle, chunk_size(plan))
+            arrays = [np.concatenate(a) for a in zip(*pieces)]
             assert all(a.dtype.kind == "i" and a.shape == arrays[0].shape for a in arrays)
             pairs = [(index, *divmod(pe, plan.schedule(index).active_cols), i, f)
                      for index, pe, i, f in zip(*(a.tolist() for a in arrays))]
             assert pairs == list(generated_oracle_pairs(plan, oracle))
+
+
+def whole_pair_arrays(plan: RoundPlan, oracle: str) -> tuple[np.ndarray, ...]:
+    """Every checked pair at once, as four int64 arrays ``(round, PE, input
+    id, filter id)``: the arrays the oracle once built in one piece, kept
+    as the reference its pieces must join to."""
+    sample = oracle == "sample"
+    rounds = np.arange(0, plan.rounds, max(1, plan.rounds // 32) if sample else 1)
+    ib, fb = np.divmod(rounds, plan.col_count)
+    cols = np.minimum(plan.m, plan.q - fb * plan.m)
+    active = np.minimum(plan.n, plan.p - ib * plan.n) * cols
+    step = np.maximum(1, active // 4) if sample else 1
+    counts = np.minimum(4, active) if sample else active
+    pes = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    if sample:
+        pes *= np.repeat(step, counts)
+    r, c = np.divmod(pes, np.repeat(cols, counts))
+    return (np.repeat(rounds, counts), pes, r + np.repeat(ib * plan.n, counts),
+            c + np.repeat(fb * plan.m, counts))
+
+
+@pytest.mark.parametrize("rows, cols", PAIR_MESHES)
+@pytest.mark.parametrize("name", [("alexnet", "conv2"), ("vgg16", "conv4")])
+def test_pair_pieces_hold_one_chunk_and_join_to_the_whole_arrays(rows, cols, name):
+    # every piece but the last holds exactly one chunk's pairs, so the
+    # oracle's chunks are the slices of the whole arrays they always were;
+    # full-size layers take the full rule here too
+    cfg = MeshConfig(rows=rows, cols=cols)
+    for vectors in (1, 2, 7, 33, None):
+        plan = RoundPlan(load_layer(*name).with_vectors(vectors), cfg)
+        for oracle in ("sample", "full"):
+            whole = whole_pair_arrays(plan, oracle)
+            # pieces of one and five pairs only where they stay few
+            sizes = (1, 5, chunk_size(plan), 4096) if whole[0].size <= 2000 else \
+                (chunk_size(plan), 4096)
+            for size in sizes:
+                pieces = list(systolic._oracle_pairs(plan, oracle, size))
+                assert [len(piece[0]) for piece in pieces] == \
+                    [min(size, whole[0].size - start) for start in range(0, whole[0].size, size)]
+                assert all(len(a) == len(piece[0]) for piece in pieces for a in piece)
+                joined = [np.concatenate(a) for a in zip(*pieces)]
+                assert all(a.dtype == np.int64 for a in joined)
+                for got, want in zip(joined, whole):
+                    np.testing.assert_array_equal(got, want)
 
 
 # 2x2 mesh, 32 input vectors x 8 filters: 64 rounds of one class, so the
