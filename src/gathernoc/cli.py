@@ -33,19 +33,21 @@ EXIT_IO = 4
 
 
 def _flag_settings(args: argparse.Namespace) -> dict[str, str]:
-    """The ``run`` flags given, as the config-file settings they override."""
+    """The ``run`` flags given, as the config-file settings they override.
+    A flag given an empty value is passed on as it is, so the validation
+    of the merged config rejects it rather than the run ignoring it."""
     kv: dict[str, str] = {}
-    if args.mesh:
+    if args.mesh is not None:
         rows, cols = parse_mesh(args.mesh)
         kv["mesh_rows"], kv["mesh_cols"] = str(rows), str(cols)
-    if args.model:
+    if args.model is not None:
         # --model alone selects all of that model's layers; --layers alone
         # names layers of the config's model
-        kv["model"], kv["layers"] = args.model, args.layers or "all"
-    elif args.layers:
+        kv["model"], kv["layers"] = args.model, "all" if args.layers is None else args.layers
+    elif args.layers is not None:
         kv["layers"] = args.layers
     for key in ("modes", "seed", "p_override", "output", "format"):
-        if value := getattr(args, key):
+        if (value := getattr(args, key)) is not None:
             kv[key] = value
     if args.event_log:
         kv["event_log"] = "true"

@@ -9,11 +9,11 @@ tail flits ride the same stages, which is where gather payload uploads
 happen without costing extra cycles.
 
 The global result buffer hangs off every right-edge router through a
-dedicated output with unbounded flit acceptance.  Committing a delivered
-packet's payload into the buffer is a transaction on a shared write port
-that handles ``buffer_commit_rate`` packets per cycle; under repetitive
-unicast the many small packets queue on that port, which is the measured
-congestion component of collection latency.
+dedicated output with unbounded flit acceptance, so a packet sent to the
+buffer is delivered when its tail ejects, as one sent to a local port is.
+The buffer's shared write port never pushes back into the network, so it
+has no part here: ``systolic.buffer_commits`` times the commits from the
+delivered tails' eject cycles.
 
 Arbitration invariant.  Each cycle every output port of every router grants
 at most one flit, decided on the pre-cycle state:
@@ -110,7 +110,6 @@ class DeliveredPacket:
     inject_cycle: int
     head_arrival: int
     tail_arrival: int
-    commit_cycle: int
     flit_count: int
     vc: int
     timeout_init: bool
@@ -236,7 +235,6 @@ class MeshNetwork:
         self._send_seq = 0
         self._tail_watch: dict[int, tuple[int, int]] = {}  # pid -> (rid, send seq)
         self._staging: dict[int, list[Flit]] = {}
-        self._commit_queue: deque[tuple[int, int, int]] = deque()  # (arrival, rid, pid)
         self.delivered: list[DeliveredPacket] = []
         self.flits_injected = 0
         self.flits_ejected = 0
@@ -312,14 +310,14 @@ class MeshNetwork:
     # ------------------------------------------------------------- lifecycle
 
     def busy(self) -> bool:
-        return bool(self._queued or self._ni_busy or self._commit_queue
-                    or self._pending_sends or self._posts or self._holding)
+        return bool(self._queued or self._ni_busy or self._pending_sends
+                    or self._posts or self._holding)
 
     def jump_to(self, cycle: int) -> None:
         """Advance the clock over a provably idle stretch."""
         if cycle < self.cycle:
             raise SimulationError("cannot jump backwards")
-        if self._queued or self._ni_busy or self._commit_queue or self._staging:
+        if self._queued or self._ni_busy or self._staging:
             raise SimulationError("jump requested while the network is busy")
         if self._holding:
             raise SimulationError("jump would skip a held payload's give-up deadline")
@@ -338,8 +336,8 @@ class MeshNetwork:
             self.step()
 
     def assert_drained(self) -> None:
-        if self._queued or self._ni_busy or self._staging or self._commit_queue:
-            raise DrainError("network did not drain: flits or commits left behind")
+        if self._queued or self._ni_busy or self._staging:
+            raise DrainError("network did not drain: flits left behind")
         if self._pending_sends or self._posts:
             raise DrainError("network did not drain: scheduled work left behind")
         if self._holding:
@@ -357,10 +355,6 @@ class MeshNetwork:
         moves = self._arbitrate(t)
         arrivals = self._commit(moves, t)
         self._process_arrivals(arrivals, t)
-        if self._commit_queue:  # phase 4: the buffer's shared write port
-            for arrival, _rid, pid in port_commits(self._commit_queue, t,
-                                                   self.config.buffer_commit_rate):
-                self._finish_packet(pid, tail_arrival=arrival, commit=t, to_buffer=True)
         self._node_phase(t)
         self._watchdog(t, bool(moves))
         self.cycle = t + 1
@@ -490,13 +484,10 @@ class MeshNetwork:
         if self.event_log is not None:
             self._log(t, self._nodes[rid], f"eject pid={pid} {ft.name.lower()}")
         if ft == _TAIL:
-            if out_port == Port.BUFFER:
-                # in grant order, so in (eject cycle, router id) order
-                self._commit_queue.append((t, rid, pid))
-            else:
-                self._finish_packet(pid, tail_arrival=t, commit=t, to_buffer=False)
+            # in grant order, so ``delivered`` is in (eject cycle, router id) order
+            self._finish_packet(pid, t, out_port == Port.BUFFER)
 
-    def _finish_packet(self, pid: int, tail_arrival: int, commit: int, to_buffer: bool) -> None:
+    def _finish_packet(self, pid: int, tail_arrival: int, to_buffer: bool) -> None:
         flits = self._staging.pop(pid)
         meta = self._meta.pop(pid)
         cfg = self.config
@@ -519,7 +510,6 @@ class MeshNetwork:
                 inject_cycle=meta.inject_cycle,
                 head_arrival=meta.head_arrival,
                 tail_arrival=tail_arrival,
-                commit_cycle=commit,
                 flit_count=len(flits),
                 vc=flits[0].vc,
                 timeout_init=meta.timeout_init,
@@ -551,7 +541,7 @@ class MeshNetwork:
                     if self.event_log is not None:
                         self._log(t, unit.node, f"nack pid={pid}")
 
-    # phase 5: PE-side work: posts, drain chain, timeouts, injection
+    # phase 4: PE-side work: posts, drain chain, timeouts, injection
     def _node_phase(self, t: int) -> None:
         cfg = self.config
         units = self.units
@@ -704,28 +694,3 @@ def merge_row_logs(row_logs: list[list[str]], ids_at_launch: bool) -> list[str]:
             words = [f"pid={ids[packet]}", *words]
         lines.append(" ".join((str(cycle), where, *words)))
     return lines
-
-
-def port_commits(queue: deque, t: int, rate: int) -> list:
-    """The buffer's shared write port in cycle ``t``: pop and return, first
-    in first out, at most ``rate`` tails from the front of ``queue`` whose
-    eject cycle (a tail's first item) is at most ``t``.  Tails queue in
-    (eject cycle, router id) order, and the port never holds a flit back,
-    so the network's timing does not depend on it."""
-    commits = []
-    while len(commits) < rate and queue and queue[0][0] <= t:
-        commits.append(queue.popleft())
-    return commits
-
-
-def buffer_commits(ejects, rate: int) -> list[tuple[int, tuple]]:
-    """Replay the buffer port over ``ejects``, tuples that start with the
-    eject cycle and the router id of a packet's tail, by ``port_commits``
-    cycle by cycle, skipping the cycles in which no tail waits; return
-    ``(commit cycle, eject)`` pairs in commit order."""
-    queue, commits, t = deque(sorted(ejects)), [], 0
-    while queue:
-        t = max(t, queue[0][0])
-        commits += [(t, eject) for eject in port_commits(queue, t, rate)]
-        t += 1
-    return commits

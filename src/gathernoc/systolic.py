@@ -43,7 +43,7 @@ import numpy as np
 from .analytic import gather_collection_cycles, ru_collection_cycles
 from .config import MeshConfig, check_timeout_table, give_up_budgets
 from .errors import ConfigError, LostPayloadError, OracleMismatchError, SimulationError
-from .network import MeshNetwork, buffer_commits, merge_row_logs
+from .network import MeshNetwork, merge_row_logs
 from .power import EVENT_KINDS, ActivityCounters, EnergyCoefficients, total_energy
 from .stats import RoundClass, RoundMeasurement, RunStats
 from .topology import NodeId
@@ -453,46 +453,44 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, i
     network of the whole mesh would, one mesh row at a time.
 
     Every result goes to the buffer port at the right edge of its own row,
-    and XY routing keeps its flits in that row; the buffer's commit port,
-    the one thing rows share, never holds a flit back.  So a row's traffic
-    depends on its own PEs' give-up budgets alone (``give_up_budgets``),
-    and rows with equal budgets are copies of each other, row ``r`` shifted
-    by ``r`` cycles.  Each group of such rows is one row network
-    (``_measure_row``), simulated once per ``shared`` mapping: it depends
-    on the one-row config, the mode, the budgets, the active column count
-    and ``logged``, not on the class's row count, so the classes of a run
-    that differ only in rows share it.  Each class then replays the commit
-    port over every row's tail ejects by ``buffer_commits``: the last
-    commit is the collection and the head latencies come in commit order;
-    every other field sums over the rows.  If ``logged``, the row networks
-    log their events and ``merge_row_logs`` merges them into the lines the
-    whole mesh would log, which become the measurement's ``events``.
+    and XY routing keeps its flits in that row; the network ejects into the
+    buffer without limit, and the buffer's commit port, the one thing rows
+    share, is no part of it.  So a row's traffic depends on its own PEs'
+    give-up budgets alone (``give_up_budgets``), and rows with equal
+    budgets are copies of each other, row ``r`` shifted by ``r`` cycles.
+    Each row is measured by its row network (``_measure_row``), simulated
+    once per ``shared`` mapping: it depends on the one-row config, the
+    mode, the budgets, the active column count and ``logged``, not on the
+    row or the class's row count, so the rows and classes of a run that
+    share it simulate it once.  ``buffer_commits`` then times the commit
+    port over every row's tail ejects: the last commit is the collection
+    and the head latencies come in commit order; every other field sums
+    over the rows.  If ``logged``, the row networks log their events and
+    ``merge_row_logs`` merges them into the lines the whole mesh would log,
+    which become the measurement's ``events``.
     """
     cols = config.cols
     budgets = give_up_budgets(config, timeout_table)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for r in range(shape[0]):
-        groups.setdefault(tuple(budgets[r * cols:(r + 1) * cols]), []).append(r)
     row_config = replace(config, rows=1)
     shared = {} if shared is None else shared
     sums = dict.fromkeys(("packets", "flits", "hops", "payloads", "timeout_packets"), 0)
     delta = dict.fromkeys(EVENT_KINDS, 0)
     ejects = []
-    row_logs: list[list[str] | None] = [None] * shape[0]
-    for row_budgets, rows in groups.items():
+    row_logs = []
+    for r in range(shape[0]):
+        row_budgets = tuple(budgets[r * cols:(r + 1) * cols])
         key = ("row network", row_config, mode, row_budgets, shape[1], logged)
         if (row := shared.get(key)) is None:
             row = shared[key] = _measure_row(row_config, mode, row_budgets, shape[1],
-                                             f"{what}, row {rows[0]}", logged)
+                                             f"{what}, row {r}", logged)
         m, tails = row
         for name in sums:
-            sums[name] += len(rows) * getattr(m, name)
+            sums[name] += getattr(m, name)
         for kind, n in m.counter_delta.items():
-            delta[kind] += len(rows) * n
-        for r in rows:
-            rid = r * cols + cols - 1
-            ejects += [(tail + r, rid, head) for tail, head in zip(tails, m.head_latencies)]
-            row_logs[r] = m.events
+            delta[kind] += n
+        rid = r * cols + cols - 1
+        ejects += [(tail + r, rid, head) for tail, head in zip(tails, m.head_latencies)]
+        row_logs.append(m.events)
     commits = buffer_commits(ejects, config.buffer_commit_rate)
     return RoundMeasurement(
         collection=commits[-1][0],
@@ -524,9 +522,14 @@ def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
     """Post a result of every ``(node, ready cycle)``, drain them to the
     buffer, check each was delivered exactly once and the network drained,
     and measure the round on ``net`` (built with ``timeout_table``).
-    ``ready_base`` is the earliest ready cycle.  Each node posts its flat
-    index ``row * cols + col`` as a stand-in result, distinct per node, so
-    the measurement never depends on operand values."""
+    ``ready_base`` is the earliest ready cycle.  The network ejects into
+    the buffer without limit, and ``buffer_commits`` times the commit port
+    over the delivered tails' ejects: the round ends at its last commit.
+    Tails are delivered in grant order, that is in (eject cycle, router id)
+    order, which is the port's commit order, so the head latencies come in
+    commit order.  Each node posts its flat index ``row * cols + col`` as a
+    stand-in result, distinct per node, so the measurement never depends on
+    operand values."""
     delivered_before = len(net.delivered)
     counters_before = net.counters.totals()
     flits_before = net.flits_injected
@@ -562,9 +565,9 @@ def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
         )
 
     net.assert_drained()
-    round_end = max(pkt.commit_cycle for pkt in round_delivered)
+    ejects = [(pkt.tail_arrival, pkt.dst.index(config.cols)) for pkt in round_delivered]
     return RoundMeasurement(
-        collection=round_end - ready_base,
+        collection=buffer_commits(ejects, config.buffer_commit_rate)[-1][0] - ready_base,
         packets=len(round_delivered),
         flits=net.flits_injected - flits_before,
         hops=sum(pkt.hops for pkt in round_delivered),
@@ -573,6 +576,27 @@ def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
         head_latencies=[pkt.head_arrival - pkt.inject_cycle for pkt in round_delivered],
         counter_delta={k: n - counters_before[k] for k, n in net.counters.totals().items()},
     )
+
+
+def buffer_commits(ejects, rate: int) -> list[tuple[int, tuple]]:
+    """The buffer's shared write port over ``ejects``, tuples that start
+    with the eject cycle and the router id of a packet's tail: ``(commit
+    cycle, eject)`` pairs in commit order.  Tails queue in (eject cycle,
+    router id) order, and the port commits them first in, first out, at
+    most ``rate`` per cycle, each at the earliest in its eject cycle; so
+    the ``k``-th commit, of the tail ejected at ``e_k``, is at ``c_k =
+    max(c_{k-1}, e_k, c_{k-rate} + 1)``.  The port never holds a flit back,
+    so the network's timing does not depend on it."""
+    ejects = sorted(ejects)
+    cycles: list[int] = []
+    for k, eject in enumerate(ejects):
+        cycle = eject[0]
+        if k and cycle < cycles[-1]:
+            cycle = cycles[-1]
+        if k >= rate and cycle <= cycles[k - rate]:
+            cycle = cycles[k - rate] + 1
+        cycles.append(cycle)
+    return list(zip(cycles, ejects))
 
 
 def run_ready_row(

@@ -184,6 +184,20 @@ class TestCli:
     def test_unknown_layer_exits_config_error(self, capsys):
         assert main(["run", "--layers", "conv99", "--modes", "analytic"]) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--modes", ""], "at least one mode is required"),
+        (["--layers", "", "--modes", "analytic"], "at least one layer is required"),
+        (["--mesh", "", "--modes", "analytic"], "mesh must look like 8x8, got ''"),
+        (["--seed", "", "--modes", "analytic"], "seed: expected int, got ''"),
+        (["--model", "", "--modes", "analytic"], "unknown model "),
+    ])
+    def test_empty_flag_exits_config_error(self, flags, message, capsys):
+        # an empty value is validated, not taken for a flag left out
+        assert main(["run", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {message}\n"
+
     def test_invariant_violation_exits_simulation_error(self, monkeypatch, capsys):
         # every gather upload is dropped, so the first reserved load fails
         monkeypatch.setattr("gathernoc.network.upload_payload",

@@ -32,7 +32,7 @@ def _busy_without(monkeypatch, attr):
     """``busy`` that overlooks one kind of outstanding work."""
     def busy(self):
         return any(getattr(self, name) for name in (
-            "_queued", "_ni_busy", "_commit_queue", "_pending_sends", "_posts", "_holding")
+            "_queued", "_ni_busy", "_pending_sends", "_posts", "_holding")
             if name != attr)
 
     monkeypatch.setattr(MeshNetwork, "busy", busy)
@@ -72,7 +72,7 @@ class TestDrain:
 
         monkeypatch.setattr(MeshNetwork, "_eject", patched)
         with pytest.raises(DrainError, match=(
-                r"^network did not drain: flits or commits left behind$")):
+                r"^network did not drain: flits left behind$")):
             run_ready_row(CFG, 0, "ru")
 
     def test_overlooked_send(self, monkeypatch):

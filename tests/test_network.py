@@ -7,14 +7,15 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gathernoc.config import (MeshConfig, default_timeout_table, flat_timeout_table,
                               give_up_budgets)
 from gathernoc.errors import ConfigError, DeadlockError, SimulationError
 from gathernoc import systolic
-from gathernoc.network import (OUTPUT_PORTS, MeshNetwork, buffer_commits, mesh_tables,
-                               port_commits)
+from gathernoc.network import OUTPUT_PORTS, MeshNetwork, mesh_tables
 from gathernoc.packet import PacketType, build_packet
+from gathernoc.systolic import buffer_commits
 from gathernoc.topology import INPUT_PORTS, NodeId, Port
 from gathernoc.workload import LayerConfig
 from scenario_utils import run_safety_scenario, scenario_outcome
@@ -268,13 +269,6 @@ class TestBufferPort:
     # ejects are (eject cycle, router id, label); router ids 7, 15 and 23
     # are the buffer ports of rows 0-2 of an 8-column mesh
 
-    def test_one_cycle_commits_at_most_rate_tails_already_ejected(self):
-        queue = deque([(3, 7, "a"), (3, 15, "b"), (3, 23, "c"), (4, 7, "d")])
-        assert port_commits(queue, 2, 2) == []
-        assert port_commits(queue, 3, 2) == [(3, 7, "a"), (3, 15, "b")]
-        assert port_commits(queue, 3, 2) == [(3, 23, "c")]   # "d" ejects at 4
-        assert list(queue) == [(4, 7, "d")]
-
     @pytest.mark.parametrize("rate, cycles", [(1, [3, 4, 5]), (2, [3, 3, 4])])
     def test_rate_tails_per_cycle_first_in_first_out(self, rate, cycles):
         ejects = [(3, 7, "a"), (3, 15, "b"), (4, 7, "c")]
@@ -289,21 +283,32 @@ class TestBufferPort:
         ejects = [(2, 7, "a"), (2, 15, "b"), (2, 23, "c"), (10, 7, "d")]
         assert [t for t, _ in buffer_commits(ejects, 2)] == [2, 2, 3, 10]
 
-    @pytest.mark.parametrize("rate", [1, 2, 3])
-    def test_the_stepped_network_commits_as_the_replayed_port(self, rate):
-        cfg = MeshConfig(rows=4, cols=4, buffer_commit_rate=rate)
-        net = MeshNetwork(cfg)
-        for r in range(4):
-            prev = None
-            for c in range(4):
-                prev = net.schedule_unicast_result(NodeId(r, c), 0, 0, prev)
-        _drain(net)
-        ejects = [(p.tail_arrival, p.dst.index(cfg.cols), p.packet_id) for p in net.delivered]
-        assert buffer_commits(ejects, rate) == [(p.commit_cycle, e)
-                                                for p, e in zip(net.delivered, ejects)]
-        # four rows eject in step, so the port, not the network, sets some
-        # commit cycles
-        assert any(p.commit_cycle > p.tail_arrival for p in net.delivered)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 31)), min_size=1, max_size=40),
+           st.sampled_from((1, 2, 3, 1024)))
+    def test_matches_the_stepped_port_and_the_closed_form(self, pairs, rate):
+        # a narrow range of eject cycles, so many tails eject in one cycle
+        ejects = [(cycle, rid, label) for label, (cycle, rid) in enumerate(pairs)]
+        commits = buffer_commits(ejects, rate)
+        assert commits == _stepped_port(ejects, rate)
+        # the last of n sorted ejects e_k commits at max_k (e_k + ceil((n - k) / R) - 1)
+        cycles = sorted(cycle for cycle, _, _ in ejects)
+        n = len(cycles)
+        assert commits[-1][0] == max(e + -(-(n - k) // rate) - 1 for k, e in enumerate(cycles))
+
+
+def _stepped_port(ejects, rate: int) -> list:
+    """The buffer port stepped cycle by cycle from cycle 0: each cycle
+    commits, first in first out, at most ``rate`` tails from the front of
+    the (eject cycle, router id) queue whose eject cycle has come."""
+    queue, commits, t = deque(sorted(ejects)), [], 0
+    while queue:
+        for _ in range(rate):
+            if not queue or queue[0][0] > t:
+                break
+            commits.append((t, queue.popleft()))
+        t += 1
+    return commits
 
 
 class TestSharedTables:
