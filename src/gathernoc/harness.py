@@ -6,7 +6,7 @@ import errno
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,6 +56,8 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.p_override is not None and self.p_override < 1:
             raise ConfigError(f"p_override must be >= 1, got {self.p_override}")
+        if self.output == "":
+            raise ConfigError("output must not be empty: it is the stem of the result files")
         if self.out_format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
         if not self.layers:
@@ -363,7 +365,7 @@ def run_config_from_kv(kv: dict[str, str], base_dir: Path | None = None) -> RunC
         elif key == "seed":
             cfg_kwargs["seed"] = _cast(int, value, key)
         elif key == "p_override":
-            cfg_kwargs["p_override"] = (None if value.lower() in ("", "none", "full")
+            cfg_kwargs["p_override"] = (None if value.lower() in ("none", "full")
                                         else _cast(int, value, key))
         elif key == "output":
             cfg_kwargs["output"] = value
@@ -386,8 +388,6 @@ def run_config_from_kv(kv: dict[str, str], base_dir: Path | None = None) -> RunC
             raise ConfigError(f"unknown config key {key!r}")
     cfg_kwargs["layers"] = parse_layers(model, kv.get("layers", "all"))
     if coeff_kwargs:
-        cfg_kwargs["coefficients"] = EnergyCoefficients(**{
-            f.name: coeff_kwargs.get(f.name, 1.0) for f in dc_fields(EnergyCoefficients)
-        })
+        cfg_kwargs["coefficients"] = EnergyCoefficients(**coeff_kwargs)
     cfg_kwargs["mesh"] = MeshConfig(**mesh_kwargs)
     return RunConfig(**cfg_kwargs)

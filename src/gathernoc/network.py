@@ -657,40 +657,3 @@ def _round_robin(candidates: list[tuple], start: int) -> tuple:
     in grant order: the first whose grant index is at or after ``start``,
     the group's round-robin pointer, cyclically."""
     return next((entry for entry in candidates if entry[0] >= start), candidates[0])
-
-
-# the phase of ``MeshNetwork.step`` that logs each kind of event line, in the
-# order the phases run within a cycle
-_LOG_PHASE = {"eject": 0, "load": 1, "upload": 1, "nack": 1, "post": 2, "send": 3,
-              "gather-init": 4, "timeout-init": 4}
-
-
-def merge_row_logs(row_logs: list[list[str]], ids_at_launch: bool) -> list[str]:
-    """The event log of a fresh mesh whose row ``r`` behaves as the fresh
-    one-row network that logged ``row_logs[r]`` does, ``r`` cycles later.
-
-    Each line is moved to row ``r`` and shifted by ``r`` cycles.  Within a
-    cycle ``step`` logs phase by phase (``_LOG_PHASE``), and each phase
-    takes the rows in order, provided posts and sends were scheduled row
-    by row; so the lines go in (cycle, phase, row, place in the row's log)
-    order.  Packet ids are renumbered as the mesh numbers them: in the
-    order the merged lines first name them, which is launch order, if
-    ``ids_at_launch``; else row-major, as they were scheduled.
-    """
-    entries = []
-    for r, log in enumerate(row_logs):
-        for i, line in enumerate(log):
-            cycle, node, kind, *words = line.split(" ")
-            # a packet's first word is "pid=<its id in the row network>"
-            packet = (r, int(words.pop(0)[4:])) if words else None
-            entries.append((int(cycle) + r, _LOG_PHASE[kind], r, i,
-                            f"({r},{node.partition(',')[2]} {kind}", packet, words))
-    entries.sort()  # (cycle, phase, row, place) is unique, so nothing else compares
-    named = dict.fromkeys(packet for *_, packet, _ in entries if packet)  # first naming first
-    ids = {packet: n for n, packet in enumerate(named if ids_at_launch else sorted(named))}
-    lines = []
-    for cycle, _, _, _, where, packet, words in entries:
-        if packet:
-            words = [f"pid={ids[packet]}", *words]
-        lines.append(" ".join((str(cycle), where, *words)))
-    return lines

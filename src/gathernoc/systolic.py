@@ -27,7 +27,9 @@ In both modes a result goes to its own row's buffer port and XY routing
 keeps it in that row, and the buffer's commit port never pushes back into
 the network.  So rows are independent but for the order in which the port
 commits their packets, (eject cycle, router id), and replay measures every
-round class one row at a time (``_measure_class``), event lines included.
+round class one row at a time (``_measure_class``).  A class's event lines
+come from one round on the whole mesh (``_class_events``), which must
+measure as the rows do.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ import numpy as np
 from .analytic import gather_collection_cycles, ru_collection_cycles
 from .config import MeshConfig, check_timeout_table, give_up_budgets
 from .errors import ConfigError, LostPayloadError, OracleMismatchError, SimulationError
-from .network import MeshNetwork, merge_row_logs
+from .network import MeshNetwork
 from .power import EVENT_KINDS, ActivityCounters, EnergyCoefficients, total_energy
 from .stats import RoundClass, RoundMeasurement, RunStats
 from .topology import NodeId
@@ -341,25 +343,28 @@ def run_convolution(
     to the class's ready cycle: from one row network per distinct row of
     give-up budgets (one under the default table), the rows merged at the
     buffer commit port in (eject cycle, router id) order.  With an event
-    log the row networks log too, their lines are merged into the whole
-    mesh's, and the class's lines are logged shifted to the true ready
-    cycle of its first round.  ``replay=False``, the reference the replay differential
-    tests compare against, simulates every round back to back on the whole
-    mesh in one network that carries its state, and checks each against
-    its class's first.
+    log each class also runs one round on a fresh network of the whole
+    mesh (``_class_events``), which must measure as the rows do; its lines
+    are logged shifted to the true ready cycle of the class's first round.
+    ``replay=False``, the reference the replay differential tests compare
+    against, simulates every round back to back on the whole mesh in one
+    network that carries its state, and checks each against its class's
+    first.
 
     ``shared`` holds what several calls can reuse: the class measurements,
-    keyed by everything a class simulation depends on; the row networks'
-    results, keyed by everything a row simulation depends on (the one-row
-    config, mode, row budgets, active column count and event logging, not
-    the class's row count), so each distinct row network is simulated once
-    and every class that has it merges its result at the commit port; and
-    the oracle's verdict on a layer, keyed by the layer, mesh, seed and
-    oracle rule (nothing else sets the checked pairs and operand values).
-    A verdict is stored only once every check of the layer has passed.
+    keyed by everything a class simulation depends on and whether it
+    carries event lines; the row networks' results, keyed by everything a
+    row simulation depends on (the one-row config, mode, row budgets and
+    active column count, not the class's row count), so each distinct row
+    network is simulated once and every class that has it merges its
+    result at the commit port; and the oracle's verdict on a layer, keyed
+    by the layer, mesh, seed and oracle rule (nothing else sets the
+    checked pairs and operand values).  A verdict is stored only once
+    every check of the layer has passed.
     ``harness.run`` passes one mapping to all its calls, so it measures
-    each class and simulates each row network once, and checks each layer
-    once, per run; without a mapping they last one call.
+    each class, runs its whole-mesh round if logged, simulates each row
+    network once, and checks each layer once, per run; without a mapping
+    they last one call.
     """
     mode = _collection_mode(mode)
     check_timeout_table(config, timeout_table)
@@ -402,8 +407,11 @@ def run_convolution(
             if not replay:
                 m = firsts[shape][1]
             elif (m := shared.get(key)) is None:
-                m = shared[key] = _measure_class(config, mode, shape, f"round {first}",
-                                                 timeout_table, event_log is not None, shared)
+                what = f"round {first}"
+                m = _measure_class(config, mode, shape, what, timeout_table, shared)
+                if event_log is not None:
+                    m = _class_events(config, mode, shape, what, timeout_table, m)
+                shared[key] = m
             table.append(RoundClass(*shape, row_count, col_count, first,
                                     ready_offset + m.collection, m))
     _fold_rounds(stats, table, coefficients)
@@ -446,9 +454,26 @@ def _simulate_round(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
     return _collect(net, config, mode, ready, ready_base, what, timeout_table)
 
 
+def _class_events(config: MeshConfig, mode: CollectionMode, shape: tuple[int, int], what: str,
+                  timeout_table: dict[tuple[int, int], int] | None,
+                  measured: RoundMeasurement) -> RoundMeasurement:
+    """``measured``, the class measurement of ``shape`` from its rows, with
+    the event lines of one round of ``shape`` on a fresh network of the
+    whole mesh, run from the class's ready cycle.  That round must measure
+    as ``measured`` does, so the lines describe the class's numbers; if it
+    does not, the row decomposition is wrong and ``SimulationError`` is
+    raised."""
+    log: list[str] = []
+    net = MeshNetwork(config, timeout_table=timeout_table, event_log=log)
+    if _simulate_round(net, config, mode, shape, what, 0, timeout_table) != measured:
+        raise SimulationError(f"{what}: the whole mesh measures its {shape[0]}x{shape[1]} "
+                              f"class otherwise than its row networks do")
+    return replace(measured, events=log)
+
+
 def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, int], what: str,
                    timeout_table: dict[tuple[int, int], int] | None,
-                   logged: bool = False, shared: dict | None = None) -> RoundMeasurement:
+                   shared: dict | None = None) -> RoundMeasurement:
     """Measure a round of ``shape``, as ``_simulate_round`` on a fresh
     network of the whole mesh would, one mesh row at a time.
 
@@ -460,14 +485,13 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, i
     budgets are copies of each other, row ``r`` shifted by ``r`` cycles.
     Each row is measured by its row network (``_measure_row``), simulated
     once per ``shared`` mapping: it depends on the one-row config, the
-    mode, the budgets, the active column count and ``logged``, not on the
-    row or the class's row count, so the rows and classes of a run that
-    share it simulate it once.  ``buffer_commits`` then times the commit
-    port over every row's tail ejects: the last commit is the collection
-    and the head latencies come in commit order; every other field sums
-    over the rows.  If ``logged``, the row networks log their events and
-    ``merge_row_logs`` merges them into the lines the whole mesh would log,
-    which become the measurement's ``events``.
+    mode, the budgets and the active column count, not on the row or the
+    class's row count, so the rows and classes of a run that share it
+    simulate it once.  ``buffer_commits`` then times the commit port over
+    every row's tail ejects: the last commit is the collection and the
+    head latencies come in commit order; every other field sums over the
+    rows.  Row networks log no events: ``_class_events`` takes a class's
+    lines from the whole mesh.
     """
     cols = config.cols
     budgets = give_up_budgets(config, timeout_table)
@@ -476,13 +500,12 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, i
     sums = dict.fromkeys(("packets", "flits", "hops", "payloads", "timeout_packets"), 0)
     delta = dict.fromkeys(EVENT_KINDS, 0)
     ejects = []
-    row_logs = []
     for r in range(shape[0]):
         row_budgets = tuple(budgets[r * cols:(r + 1) * cols])
-        key = ("row network", row_config, mode, row_budgets, shape[1], logged)
+        key = ("row network", row_config, mode, row_budgets, shape[1])
         if (row := shared.get(key)) is None:
             row = shared[key] = _measure_row(row_config, mode, row_budgets, shape[1],
-                                             f"{what}, row {r}", logged)
+                                             f"{what}, row {r}")
         m, tails = row
         for name in sums:
             sums[name] += getattr(m, name)
@@ -490,30 +513,27 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, i
             delta[kind] += n
         rid = r * cols + cols - 1
         ejects += [(tail + r, rid, head) for tail, head in zip(tails, m.head_latencies)]
-        row_logs.append(m.events)
     commits = buffer_commits(ejects, config.buffer_commit_rate)
     return RoundMeasurement(
         collection=commits[-1][0],
         head_latencies=[eject[2] for _, eject in commits],
         counter_delta=delta,
-        events=merge_row_logs(row_logs, mode == CollectionMode.GATHER) if logged else None,
         **sums,
     )
 
 
 def _measure_row(row_config: MeshConfig, mode: CollectionMode, row_budgets: tuple[int, ...],
-                 active_cols: int, what: str, logged: bool) -> tuple[RoundMeasurement, list[int]]:
+                 active_cols: int, what: str) -> tuple[RoundMeasurement, list[int]]:
     """Collect one row of ``active_cols`` PEs, PE ``c`` ready at cycle ``c``,
-    on a fresh one-row network whose PEs have ``row_budgets``, through
-    ``_collect`` and all its checks.  Returns the row's measurement, its
-    ``events`` the row network's lines if ``logged``, and each delivered
-    packet's tail eject cycle, in the order of its ``head_latencies``."""
+    on a fresh one-row network, with no event log, whose PEs have
+    ``row_budgets``, through ``_collect`` and all its checks.  Returns the
+    row's measurement and each delivered packet's tail eject cycle, in the
+    order of its ``head_latencies``."""
     row_table = {(0, c): b for c, b in enumerate(row_budgets)}
-    log = [] if logged else None
-    net = MeshNetwork(row_config, timeout_table=row_table, event_log=log)
+    net = MeshNetwork(row_config, timeout_table=row_table)
     m = _collect(net, row_config, mode, [(NodeId(0, c), c) for c in range(active_cols)], 0,
                  what, row_table)
-    return replace(m, events=log), [pkt.tail_arrival for pkt in net.delivered]
+    return m, [pkt.tail_arrival for pkt in net.delivered]
 
 
 def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,

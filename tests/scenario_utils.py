@@ -1,11 +1,14 @@
 """Randomized protocol-safety scenarios shared by the safety and acceptance
 suites: random payload postings, per-node timeout budgets, and link-stall
 windows on a small mesh, with every delivery invariant checked.  Also the
-ragged benchmark-size layer the differential suites share."""
+ragged benchmark-size layer the differential suites share, and a patch that
+puts every class measurement one cycle off."""
 from __future__ import annotations
 
+import dataclasses
 import random
 
+from gathernoc import systolic
 from gathernoc.config import MeshConfig
 from gathernoc.network import MeshNetwork
 from gathernoc.packet import PacketType
@@ -114,3 +117,15 @@ def ragged_case(side: int, mode: str) -> tuple[MeshConfig, LayerConfig, str]:
     layer = LayerConfig("ragged", "conv", in_channels=3, kernels=2 * side + 3,
                         kernel_side=1, layer_side=1, input_vectors=2 * side + 3)
     return MeshConfig(rows=side, cols=side), layer, mode
+
+
+def measure_classes_one_cycle_off(monkeypatch) -> None:
+    """Patch ``systolic._measure_class`` to report each class's collection
+    one cycle later than its row networks measure it."""
+    measure = systolic._measure_class
+
+    def off_by_one(*args):
+        m = measure(*args)
+        return dataclasses.replace(m, collection=m.collection + 1)
+
+    monkeypatch.setattr(systolic, "_measure_class", off_by_one)

@@ -21,6 +21,7 @@ from gathernoc.harness import (
     simulated_improvement_pct,
 )
 from gathernoc.stats import RunStats
+from scenario_utils import measure_classes_one_cycle_off
 
 DESK = dict(p_override=8, seed=7)
 
@@ -190,6 +191,9 @@ class TestCli:
         (["--mesh", "", "--modes", "analytic"], "mesh must look like 8x8, got ''"),
         (["--seed", "", "--modes", "analytic"], "seed: expected int, got ''"),
         (["--model", "", "--modes", "analytic"], "unknown model "),
+        (["--modes", "analytic", "--output", ""],
+         "output must not be empty: it is the stem of the result files"),
+        (["--p-override", "", "--modes", "analytic"], "p_override: expected int, got ''"),
     ])
     def test_empty_flag_exits_config_error(self, flags, message, capsys):
         # an empty value is validated, not taken for a flag left out
@@ -377,6 +381,20 @@ def test_event_log_run_that_fails_in_its_second_layer_writes_no_file(tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "simulation invariant violated: injected into conv3\n"
+    assert list(out.iterdir()) == []
+
+
+def test_event_log_run_whose_rows_and_mesh_differ_writes_no_file(tmp_path, capsys, monkeypatch):
+    # class measurements one cycle off fail the whole-mesh round that an
+    # event-logged class runs for its lines
+    measure_classes_one_cycle_off(monkeypatch)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", *EVENT_RUN, "--output", str(out / "x")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("simulation invariant violated: round 0: the whole mesh measures "
+                            "its 4x4 class otherwise than its row networks do\n")
     assert list(out.iterdir()) == []
 
 

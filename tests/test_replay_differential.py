@@ -11,16 +11,18 @@ from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from gathernoc import harness, systolic
 from gathernoc.config import MeshConfig, give_up_budgets
+from gathernoc.errors import SimulationError
 from gathernoc.network import MeshNetwork
 from gathernoc.power import ActivityCounters
 from gathernoc.stats import RoundMeasurement, RunStats
 from gathernoc.systolic import CollectionMode, build_round_schedules, run_convolution
 from gathernoc.workload import LayerConfig, load_layer, model_layers
-from scenario_utils import ragged_case
+from scenario_utils import measure_classes_one_cycle_off, ragged_case
 
 # every RunStats field, the class table included, and the four per-round
 # views of the table
@@ -110,17 +112,16 @@ def _rows_differ(side: int) -> dict[tuple[int, int], int]:
 @example((MeshConfig(rows=6, cols=6, buffer_commit_rate=1), (6, 4), "ru", _rows_differ(6)))
 def test_row_merged_class_measurement_matches_full_mesh(case):
     # a class measured one row at a time and merged at the commit port must
-    # equal one round of its shape on a fresh network of the whole mesh,
-    # its merged event lines included
+    # equal one round of its shape on a fresh network of the whole mesh, in
+    # every field but the event lines, which row networks do not log
     cfg, shape, mode, timeouts = case
     mode = CollectionMode(mode)
-    merged = systolic._measure_class(cfg, mode, shape, "round 0", timeouts, logged=True)
-    log = []
-    full = dataclasses.replace(systolic._simulate_round(
-        MeshNetwork(cfg, timeout_table=timeouts, event_log=log), cfg, mode, shape, "round 0", 0,
-        timeouts), events=log)
+    merged = systolic._measure_class(cfg, mode, shape, "round 0", timeouts)
+    full = systolic._simulate_round(MeshNetwork(cfg, timeout_table=timeouts), cfg, mode, shape,
+                                    "round 0", 0, timeouts)
     for f in dataclasses.fields(RoundMeasurement):
-        assert getattr(merged, f.name) == getattr(full, f.name), f.name
+        if f.name != "events":
+            assert getattr(merged, f.name) == getattr(full, f.name), f.name
 
 
 def _round_events(log: list[str], latencies: list[int]) -> dict[int, list[str]]:
@@ -216,12 +217,17 @@ def test_replay_simulates_each_round_class_once_in_its_own_network(monkeypatch):
                    for c in calls)
         assert len({id(c[4][0]) for c in calls}) == len(calls)
 
-        # with one too: the row networks' lines are merged into the mesh's
+        # with one too, and each class's lines come from one round on a
+        # fresh logged network of the whole mesh
         calls.clear()
         run_convolution(layer, cfg, mode, seed=3, replay=True, event_log=[])
-        assert sorted(c[2:4] for c in calls) == sorted(classes)
-        assert all(c[0] == "measure" and len(c[4]) == 1 and c[4][0].config.rows == 1
-                   and c[4][0].event_log is not None for c in calls)
+        assert sorted(c[2:4] for c in calls if c[0] == "measure") == sorted(classes)
+        assert sorted(c[2:4] for c in calls if c[0] == "simulate") == sorted(classes)
+        assert all(len(c[4]) == 1 for c in calls)
+        assert all(c[4][0].config.rows == 1 and c[4][0].event_log is None
+                   for c in calls if c[0] == "measure")
+        assert all(c[4][0].config.rows == cfg.rows and c[4][0].event_log is not None
+                   for c in calls if c[0] == "simulate")
         assert len({id(c[4][0]) for c in calls}) == len(calls)
 
         calls.clear()
@@ -229,6 +235,19 @@ def test_replay_simulates_each_round_class_once_in_its_own_network(monkeypatch):
         assert len(calls) == len(schedules)
         assert all(c[0] == "simulate" for c in calls)
         assert len({id(c[4][0]) for c in calls}) == 1
+
+
+@pytest.mark.parametrize("mode", ["ru", "gather"])
+def test_event_logged_class_that_rows_measure_otherwise_raises(monkeypatch, mode):
+    # class measurements one cycle off: a run without an event log reports
+    # them unchecked, the whole-mesh round of an event-logged run rejects them
+    measure_classes_one_cycle_off(monkeypatch)
+    cfg = MeshConfig(rows=4, cols=4)
+    layer = LayerConfig("t", "t", in_channels=2, kernels=6, kernel_side=1,
+                        layer_side=1, input_vectors=16)
+    run_convolution(layer, cfg, mode, seed=3)
+    with pytest.raises(SimulationError, match=r"^round 0: the whole mesh measures its 4x4 "):
+        run_convolution(layer, cfg, mode, seed=3, event_log=[])
 
 
 def test_class_measurement_builds_one_row_network_per_row_of_budgets(monkeypatch):
@@ -388,22 +407,20 @@ def row_tables(draw):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(row_tables())
 def test_shared_row_networks_measure_every_shape_as_fresh_ones(case):
-    # every shape of the mesh in both modes, logged and not, measured in
-    # one mapping, equals its measurement in a fresh one, event lines
-    # included; the mapping holds one row network per distinct (mode,
-    # logged, active cols, row budgets)
+    # every shape of the mesh in both modes, measured in one mapping,
+    # equals its measurement in a fresh one; the mapping holds one row
+    # network per distinct (mode, active cols, row budgets)
     cfg, timeouts = case
     row_budgets = _row_budgets(cfg, timeouts)
     shapes = [(k, c) for k in range(1, cfg.rows + 1) for c in range(1, cfg.cols + 1)]
     shared: dict = {}
     for mode in CollectionMode:
-        for logged in (False, True):
-            for shape in shapes:
-                what = f"{shape[0]}x{shape[1]}"
-                got = systolic._measure_class(cfg, mode, shape, what, timeouts, logged, shared)
-                alone = systolic._measure_class(cfg, mode, shape, what, timeouts, logged)
-                assert got == alone and got.events == alone.events, (mode, logged, shape)
-    assert len(shared) == 4 * len({(c, budgets) for c in range(1, cfg.cols + 1)
+        for shape in shapes:
+            what = f"{shape[0]}x{shape[1]}"
+            got = systolic._measure_class(cfg, mode, shape, what, timeouts, shared)
+            alone = systolic._measure_class(cfg, mode, shape, what, timeouts)
+            assert got == alone, (mode, shape)
+    assert len(shared) == 2 * len({(c, budgets) for c in range(1, cfg.cols + 1)
                                    for budgets in row_budgets})
 
 
