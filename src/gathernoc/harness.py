@@ -6,6 +6,7 @@ import errno
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -58,6 +59,8 @@ class RunConfig:
             raise ConfigError(f"p_override must be >= 1, got {self.p_override}")
         if self.output == "":
             raise ConfigError("output must not be empty: it is the stem of the result files")
+        if self.output is not None:
+            result_path(self.output, "")  # rejects a stem that names a directory
         if self.out_format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
         if not self.layers:
@@ -74,6 +77,17 @@ class RunConfig:
         if "ru" in self.modes or "gather" in self.modes:
             for layer in loaded:
                 check_payload_width(self.mesh, layer)
+
+
+def result_path(stem: str, suffix: str) -> Path:
+    """The file ``<stem><suffix>``: the suffix is appended, so a dot in the
+    stem stays (``exp.1`` gives ``exp.1.csv``).  A stem whose last part is
+    empty (it ends in a path separator), ``.`` or ``..`` names a directory,
+    not a file, and is a config error."""
+    if os.path.basename(stem) in ("", ".", ".."):
+        raise ConfigError(f"output {stem!r} names a directory: "
+                          "it must be the stem of the result files")
+    return Path(stem + suffix)
 
 
 def _check_unique(what: str, names) -> None:
@@ -134,8 +148,8 @@ def run(config: RunConfig) -> RunResult:
     # each event file's lines, written with the result files once every
     # layer has run, so that a run that fails writes no file
     event_logs: dict[Path, list[str]] = {}
-    # round-class and row-network measurements and oracle verdicts, shared by
-    # the run's calls
+    # round-class and row-network measurements, the classes' whole-mesh event
+    # lines and oracle verdicts, shared by the run's calls
     shared: dict = {}
 
     for model, layer_name in config.layers:
@@ -152,7 +166,7 @@ def run(config: RunConfig) -> RunResult:
                 continue
             event_lines = None
             if config.event_log:
-                path = Path(f"{config.output}.{model}.{layer_name}.{mode}.events.txt")
+                path = result_path(config.output, f".{model}.{layer_name}.{mode}.events.txt")
                 event_lines = event_logs[path] = []
             st = run_convolution(
                 layer, mesh, mode, seed=config.seed,
@@ -239,19 +253,14 @@ def emit_json(records: list[dict], stats, path: Path) -> None:
 
 
 def emit_results(result: RunResult, config: RunConfig) -> list[Path]:
-    stem = Path(config.output)
-    files = []
+    path = result_path(config.output, f".{config.out_format}")
     if config.out_format == "csv":
-        path = stem.with_suffix(".csv")
         emit_csv(result.records, path)
     else:
-        path = stem.with_suffix(".json")
         emit_json(result.records, result.stats, path)
-    files.append(path)
-    table_path = stem.with_suffix(".table.txt")
+    table_path = result_path(config.output, ".table.txt")
     table_path.write_text(result.table_text)
-    files.append(table_path)
-    return files
+    return [path, table_path]
 
 
 # ------------------------------------------------------------- config files

@@ -11,9 +11,7 @@ from .power import EVENT_KINDS
 @dataclass(frozen=True)
 class RoundMeasurement:
     """What one simulated round measured, in cycles from its ready cycle,
-    when its first result is posted.  Two are equal when all fields but
-    ``events`` are; ``events`` holds the event lines, cycles counted from
-    the ready cycle too, of a class measured with an event log."""
+    when its first result is posted."""
 
     collection: int
     packets: int
@@ -23,7 +21,6 @@ class RoundMeasurement:
     timeout_packets: int
     head_latencies: list[int]
     counter_delta: dict[str, int]
-    events: list[str] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

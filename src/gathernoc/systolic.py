@@ -26,10 +26,10 @@ checked to be drained at every round boundary.
 In both modes a result goes to its own row's buffer port and XY routing
 keeps it in that row, and the buffer's commit port never pushes back into
 the network.  So rows are independent but for the order in which the port
-commits their packets, (eject cycle, router id), and replay measures every
-round class one row at a time (``_measure_class``).  A class's event lines
-come from one round on the whole mesh (``_class_events``), which must
-measure as the rows do.
+commits their packets, (eject cycle, router id), and every round class is
+measured one row at a time (``_measure_class``).  Rounds of the whole mesh
+only check those measurements (``_whole_mesh_round``): one per class for
+its event lines, and every round of a ``replay=False`` run.
 """
 from __future__ import annotations
 
@@ -338,33 +338,33 @@ def run_convolution(
     shape alone: ``_measure_class`` and ``_simulate_round`` take the shape,
     never the round's vector ids.
 
-    With ``replay`` each round class ``(active_rows, active_cols)`` of the
-    layer's ``RoundPlan`` is measured once by ``_measure_class``, relative
-    to the class's ready cycle: from one row network per distinct row of
-    give-up budgets (one under the default table), the rows merged at the
-    buffer commit port in (eject cycle, router id) order.  With an event
-    log each class also runs one round on a fresh network of the whole
-    mesh (``_class_events``), which must measure as the rows do; its lines
-    are logged shifted to the true ready cycle of the class's first round.
-    ``replay=False``, the reference the replay differential tests compare
-    against, simulates every round back to back on the whole mesh in one
-    network that carries its state, and checks each against its class's
-    first.
+    Each round class ``(active_rows, active_cols)`` of the layer's
+    ``RoundPlan`` is measured once by ``_measure_class``, relative to the
+    class's ready cycle: from one row network per distinct row of give-up
+    budgets (one under the default table), the rows merged at the buffer
+    commit port in (eject cycle, router id) order.  Rounds of the whole
+    mesh only check that table, each through ``_whole_mesh_round``: with
+    ``replay`` and an event log, one round per class on a fresh network,
+    whose lines are logged shifted to the true ready cycle of the class's
+    first round; with ``replay=False``, the reference the replay
+    differential tests compare against, every round back to back on one
+    network that carries its state, so the row decomposition and the
+    independence of rounds are checked together.
 
-    ``shared`` holds what several calls can reuse: the class measurements,
-    keyed by everything a class simulation depends on and whether it
-    carries event lines; the row networks' results, keyed by everything a
-    row simulation depends on (the one-row config, mode, row budgets and
-    active column count, not the class's row count), so each distinct row
-    network is simulated once and every class that has it merges its
-    result at the commit port; and the oracle's verdict on a layer, keyed
-    by the layer, mesh, seed and oracle rule (nothing else sets the
-    checked pairs and operand values).  A verdict is stored only once
-    every check of the layer has passed.
+    ``shared`` holds what several calls can reuse: the class measurements
+    and, under keys of their own, the classes' event lines, keyed by
+    everything a class simulation depends on; the row networks' results,
+    keyed by everything a row simulation depends on (the one-row config,
+    mode, row budgets and active column count, not the class's row count),
+    so each distinct row network is simulated once and every class that
+    has it merges its result at the commit port; and the oracle's verdict
+    on a layer, keyed by the layer, mesh, seed and oracle rule (nothing
+    else sets the checked pairs and operand values).  A verdict or a
+    class's lines are stored only once their checks have passed.
     ``harness.run`` passes one mapping to all its calls, so it measures
-    each class, runs its whole-mesh round if logged, simulates each row
-    network once, and checks each layer once, per run; without a mapping
-    they last one call.
+    each class, runs its logged whole-mesh round if any, simulates each
+    row network once, and checks each layer once, per run; without a
+    mapping they last one call.
     """
     mode = _collection_mode(mode)
     check_timeout_table(config, timeout_table)
@@ -384,42 +384,39 @@ def run_convolution(
         shared[verdict] = True
 
     ready_offset = plan.stream_len + config.mac_latency  # a round's ready cycle, from its start
-    if not replay:  # the first measurement of each class, every round checked against it
-        net = MeshNetwork(config, timeout_table=timeout_table, event_log=event_log)
-        firsts: dict[tuple[int, int], tuple[int, RoundMeasurement]] = {}
-        start = 0
-        for schedule in build_round_schedules(layer, config):
-            shape = (schedule.active_rows, schedule.active_cols)
-            m = _simulate_round(net, config, mode, shape, f"round {schedule.index}",
-                                start + ready_offset, timeout_table)
-            first_round, expected = firsts.setdefault(shape, (schedule.index, m))
-            if m != expected:
-                raise SimulationError(
-                    f"round {schedule.index} measured otherwise than round {first_round}, the "
-                    f"first of its {shape[0]}x{shape[1]} class: rounds are not independent")
-            start += ready_offset + m.collection
     timeouts = tuple(sorted(timeout_table.items())) if timeout_table else ()
     table = []
     for rows, row_count, ib in plan.row_blocks:
         for cols, col_count, fb in plan.col_blocks:
             first, shape = ib * plan.col_count + fb, (rows, cols)
-            key = (config, mode, timeouts, *shape, event_log is not None)
-            if not replay:
-                m = firsts[shape][1]
-            elif (m := shared.get(key)) is None:
-                what = f"round {first}"
-                m = _measure_class(config, mode, shape, what, timeout_table, shared)
-                if event_log is not None:
-                    m = _class_events(config, mode, shape, what, timeout_table, m)
-                shared[key] = m
+            key = (config, mode, timeouts, *shape)
+            if (m := shared.get(key)) is None:
+                m = shared[key] = _measure_class(config, mode, shape, f"round {first}",
+                                                 timeout_table, shared)
             table.append(RoundClass(*shape, row_count, col_count, first,
                                     ready_offset + m.collection, m))
     _fold_rounds(stats, table, coefficients)
-    if replay and event_log is not None:
+    if not replay:  # every round, back to back on one network that carries its state
+        net = MeshNetwork(config, timeout_table=timeout_table, event_log=event_log)
+        measured = {(c.active_rows, c.active_cols): c.measurement for c in table}
+        for s, start in zip(build_round_schedules(layer, config),
+                            accumulate(stats.per_round_latency, initial=0)):
+            shape = (s.active_rows, s.active_cols)
+            _whole_mesh_round(net, mode, shape, f"round {s.index}", start + ready_offset,
+                              timeout_table, measured[shape])
+    elif event_log is not None:
         starts = list(accumulate(stats.per_round_latency, initial=0))
         for c in table:  # each class's lines "<cycle> <rest>", shifted to its first round
+            shape = (c.active_rows, c.active_cols)
+            key = ("event lines", config, mode, timeouts, *shape)
+            if (lines := shared.get(key)) is None:
+                lines = []
+                net = MeshNetwork(config, timeout_table=timeout_table, event_log=lines)
+                _whole_mesh_round(net, mode, shape, f"round {c.first_round}", 0, timeout_table,
+                                  c.measurement)
+                shared[key] = lines
             shift = starts[c.first_round] + ready_offset
-            for cycle, rest in (line.split(" ", 1) for line in c.measurement.events):
+            for cycle, rest in (line.split(" ", 1) for line in lines):
                 event_log.append(f"{int(cycle) + shift} {rest}")
     return stats
 
@@ -444,31 +441,26 @@ def _fold_rounds(stats: RunStats, table: list[RoundClass],
     return stats
 
 
-def _simulate_round(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
-                    shape: tuple[int, int], what: str, ready_base: int,
+def _simulate_round(net: MeshNetwork, mode: CollectionMode, shape: tuple[int, int], what: str,
+                    ready_base: int,
                     timeout_table: dict[tuple[int, int], int] | None) -> RoundMeasurement:
     """Collect one round of ``shape``, its active ``(rows, cols)``, on ``net``
     (built with ``timeout_table``), PE ``(r, c)`` ready ``r + c`` cycles after
     ``ready_base``; ``what`` names the round in error messages."""
     ready = [(NodeId(r, c), ready_base + r + c) for r in range(shape[0]) for c in range(shape[1])]
-    return _collect(net, config, mode, ready, ready_base, what, timeout_table)
+    return _collect(net, mode, ready, ready_base, what, timeout_table)
 
 
-def _class_events(config: MeshConfig, mode: CollectionMode, shape: tuple[int, int], what: str,
-                  timeout_table: dict[tuple[int, int], int] | None,
-                  measured: RoundMeasurement) -> RoundMeasurement:
-    """``measured``, the class measurement of ``shape`` from its rows, with
-    the event lines of one round of ``shape`` on a fresh network of the
-    whole mesh, run from the class's ready cycle.  That round must measure
-    as ``measured`` does, so the lines describe the class's numbers; if it
-    does not, the row decomposition is wrong and ``SimulationError`` is
-    raised."""
-    log: list[str] = []
-    net = MeshNetwork(config, timeout_table=timeout_table, event_log=log)
-    if _simulate_round(net, config, mode, shape, what, 0, timeout_table) != measured:
+def _whole_mesh_round(net: MeshNetwork, mode: CollectionMode, shape: tuple[int, int], what: str,
+                      ready_base: int, timeout_table: dict[tuple[int, int], int] | None,
+                      expected: RoundMeasurement) -> None:
+    """``_simulate_round`` on ``net``, a network of the whole mesh, checked
+    against ``expected``, the measurement of its class from its row
+    networks: if the round measures otherwise, the row decomposition or the
+    independence of rounds is wrong and ``SimulationError`` is raised."""
+    if _simulate_round(net, mode, shape, what, ready_base, timeout_table) != expected:
         raise SimulationError(f"{what}: the whole mesh measures its {shape[0]}x{shape[1]} "
                               f"class otherwise than its row networks do")
-    return replace(measured, events=log)
 
 
 def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, int], what: str,
@@ -490,8 +482,8 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, i
     simulate it once.  ``buffer_commits`` then times the commit port over
     every row's tail ejects: the last commit is the collection and the
     head latencies come in commit order; every other field sums over the
-    rows.  Row networks log no events: ``_class_events`` takes a class's
-    lines from the whole mesh.
+    rows.  Row networks log no events: a class's lines come from a round
+    of the whole mesh (``_whole_mesh_round``).
     """
     cols = config.cols
     budgets = give_up_budgets(config, timeout_table)
@@ -531,13 +523,12 @@ def _measure_row(row_config: MeshConfig, mode: CollectionMode, row_budgets: tupl
     order of its ``head_latencies``."""
     row_table = {(0, c): b for c, b in enumerate(row_budgets)}
     net = MeshNetwork(row_config, timeout_table=row_table)
-    m = _collect(net, row_config, mode, [(NodeId(0, c), c) for c in range(active_cols)], 0,
-                 what, row_table)
+    m = _collect(net, mode, [(NodeId(0, c), c) for c in range(active_cols)], 0, what, row_table)
     return m, [pkt.tail_arrival for pkt in net.delivered]
 
 
-def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
-             ready: list[tuple[NodeId, int]], ready_base: int, what: str,
+def _collect(net: MeshNetwork, mode: CollectionMode, ready: list[tuple[NodeId, int]],
+             ready_base: int, what: str,
              timeout_table: dict[tuple[int, int], int] | None) -> RoundMeasurement:
     """Post a result of every ``(node, ready cycle)``, drain them to the
     buffer, check each was delivered exactly once and the network drained,
@@ -550,6 +541,7 @@ def _collect(net: MeshNetwork, config: MeshConfig, mode: CollectionMode,
     commit order.  Each node posts its flat index ``row * cols + col`` as a
     stand-in result, distinct per node, so the measurement never depends on
     operand values."""
+    config = net.config
     delivered_before = len(net.delivered)
     counters_before = net.counters.totals()
     flits_before = net.flits_injected
@@ -632,7 +624,7 @@ def run_ready_row(
     _check_stand_in_width(config)
     if not 0 <= row < config.rows:
         raise ConfigError(f"row {row} outside the {config.rows}-row mesh")
-    m = _collect(MeshNetwork(config, timeout_table=timeout_table), config, mode,
+    m = _collect(MeshNetwork(config, timeout_table=timeout_table), mode,
                  [(NodeId(row, c), 0) for c in range(config.cols)], ready_base=0,
                  what=f"ready row {row}", timeout_table=timeout_table)
     stats = RunStats(model="demo", layer=f"ready-row-{row}", mode=mode.value,

@@ -235,6 +235,45 @@ class TestCli:
         assert not out.parent.exists()
 
 
+def test_output_stems_with_a_dot_keep_their_files_apart(tmp_path, capsys):
+    # the file names append to the stem, so exp.1 and exp.2 write two sets
+    # of files, and the event files sit next to them
+    for stem in ("exp.1", "exp.2"):
+        assert main(["run", "--mesh", "4x4", "--layers", "conv3", "--p-override", "4",
+                     "--modes", "ru,gather", "--event-log",
+                     "--output", str(tmp_path / stem)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{stem}{suffix}" for stem in ("exp.1", "exp.2")
+        for suffix in (".csv", ".table.txt", ".alexnet.conv3.ru.events.txt",
+                       ".alexnet.conv3.gather.events.txt"))
+    assert (tmp_path / "exp.1.csv").read_bytes() == (tmp_path / "exp.2.csv").read_bytes()
+    assert main(["fig1", "--output", str(tmp_path / "fig.1")]) == 0
+    assert (tmp_path / "fig.1.csv").exists() and not (tmp_path / "fig.csv").exists()
+
+
+@pytest.mark.parametrize("directory", ["d/", "missing/", "d/.", "d/.."])
+def test_output_stem_naming_a_directory_exits_config_error(tmp_path, capsys, monkeypatch,
+                                                           directory):
+    # a stem that names a directory fails before any layer is simulated,
+    # whether the directory exists or not, and writes no file
+    def simulated(*args, **kwargs):
+        raise AssertionError("a layer was simulated")
+
+    monkeypatch.setattr("gathernoc.harness.run_convolution", simulated)
+    (tmp_path / "d").mkdir()
+    stem = f"{tmp_path}/{directory}"
+    assert main(["run", "--mesh", "4x4", "--layers", "conv3", "--p-override", "4",
+                 "--modes", "ru,gather,analytic", "--event-log", "--output", stem]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"configuration error: output {stem!r} names a directory: "
+                            "it must be the stem of the result files\n")
+    assert main(["fig1", "--output", stem]) == 2
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+    assert list((tmp_path / "d").iterdir()) == []
+
+
 def test_fig1_output_rows_show_hop_counts(tmp_path, capsys):
     out = tmp_path / "fig1"
     assert main(["fig1", "--output", str(out)]) == 0

@@ -164,17 +164,18 @@ def test_arbitration_without_credits(monkeypatch):
 
 def test_round_measured_unlike_its_class(monkeypatch):
     # 4x4 mesh, 16 input vectors x 6 filters: rounds 0, 2, 4 and 6 form the
-    # 4x4 class; round 4 collects one cycle later than the others
+    # 4x4 class; round 4 collects one cycle later than the others, so it
+    # measures otherwise than the class's row networks
     layer = LayerConfig("t", "t", in_channels=2, kernels=6, kernel_side=1,
                         layer_side=1, input_vectors=16)
     simulate = systolic._simulate_round
 
-    def patched(net, config, mode, shape, what, ready_base, timeout_table):
-        m = simulate(net, config, mode, shape, what, ready_base, timeout_table)
+    def patched(net, mode, shape, what, ready_base, timeout_table):
+        m = simulate(net, mode, shape, what, ready_base, timeout_table)
         return dataclasses.replace(m, collection=m.collection + (what == "round 4"))
 
     monkeypatch.setattr(systolic, "_simulate_round", patched)
     with pytest.raises(SimulationError, match=(
-            r"^round 4 measured otherwise than round 0, the first of its 4x4 class: "
-            r"rounds are not independent$")):
+            r"^round 4: the whole mesh measures its 4x4 class otherwise than its "
+            r"row networks do$")):
         run_convolution(layer, CFG, "ru", replay=False)

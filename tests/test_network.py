@@ -411,7 +411,7 @@ class TestSharedTables:
         cfg = MeshConfig(rows=16, cols=16)
         net = MeshNetwork(cfg)
         assert len(net._entries) == 0
-        systolic._simulate_round(net, cfg, systolic.CollectionMode.RU, (16, 16),
+        systolic._simulate_round(net, systolic.CollectionMode.RU, (16, 16),
                                  "memo probe", 0, None)
         # each packet enters at its source's local port and crosses its row
         # eastwards through west input ports to the buffer port of column 15

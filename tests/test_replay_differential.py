@@ -19,7 +19,7 @@ from gathernoc.config import MeshConfig, give_up_budgets
 from gathernoc.errors import SimulationError
 from gathernoc.network import MeshNetwork
 from gathernoc.power import ActivityCounters
-from gathernoc.stats import RoundMeasurement, RunStats
+from gathernoc.stats import RunStats
 from gathernoc.systolic import CollectionMode, build_round_schedules, run_convolution
 from gathernoc.workload import LayerConfig, load_layer, model_layers
 from scenario_utils import measure_classes_one_cycle_off, ragged_case
@@ -112,16 +112,13 @@ def _rows_differ(side: int) -> dict[tuple[int, int], int]:
 @example((MeshConfig(rows=6, cols=6, buffer_commit_rate=1), (6, 4), "ru", _rows_differ(6)))
 def test_row_merged_class_measurement_matches_full_mesh(case):
     # a class measured one row at a time and merged at the commit port must
-    # equal one round of its shape on a fresh network of the whole mesh, in
-    # every field but the event lines, which row networks do not log
+    # equal one round of its shape on a fresh network of the whole mesh
     cfg, shape, mode, timeouts = case
     mode = CollectionMode(mode)
     merged = systolic._measure_class(cfg, mode, shape, "round 0", timeouts)
-    full = systolic._simulate_round(MeshNetwork(cfg, timeout_table=timeouts), cfg, mode, shape,
+    full = systolic._simulate_round(MeshNetwork(cfg, timeout_table=timeouts), mode, shape,
                                     "round 0", 0, timeouts)
-    for f in dataclasses.fields(RoundMeasurement):
-        if f.name != "events":
-            assert getattr(merged, f.name) == getattr(full, f.name), f.name
+    assert merged == full
 
 
 def _round_events(log: list[str], latencies: list[int]) -> dict[int, list[str]]:
@@ -185,9 +182,9 @@ def _spy_measurements(monkeypatch) -> list:
         calls.append(("measure", mode.value, *shape, built[first:]))
         return m
 
-    def simulate_spy(net, config, mode, shape, *rest):
+    def simulate_spy(net, mode, shape, *rest):
         calls.append(("simulate", mode.value, *shape, [net]))
-        return simulate(net, config, mode, shape, *rest)
+        return simulate(net, mode, shape, *rest)
 
     monkeypatch.setattr(systolic, "MeshNetwork", build)
     monkeypatch.setattr(systolic, "_measure_class", measure_spy)
@@ -230,24 +227,34 @@ def test_replay_simulates_each_round_class_once_in_its_own_network(monkeypatch):
                    for c in calls if c[0] == "simulate")
         assert len({id(c[4][0]) for c in calls}) == len(calls)
 
+        # without replay, the same row networks measure each class once,
+        # and every round runs on one network of the whole mesh
         calls.clear()
         run_convolution(layer, cfg, mode, seed=3, replay=False)
-        assert len(calls) == len(schedules)
-        assert all(c[0] == "simulate" for c in calls)
-        assert len({id(c[4][0]) for c in calls}) == 1
+        measured = [c for c in calls if c[0] == "measure"]
+        simulated = [c for c in calls if c[0] == "simulate"]
+        assert sorted(c[2:4] for c in measured) == sorted(classes)
+        assert all(len(c[4]) == 1 and c[4][0].config.rows == 1 for c in measured)
+        assert [c[2:4] for c in simulated] == [(s.active_rows, s.active_cols)
+                                               for s in schedules]
+        assert len({id(c[4][0]) for c in simulated}) == 1
+        assert simulated[0][4][0].config.rows == cfg.rows
 
 
+@pytest.mark.parametrize("checked", [{"event_log": []}, {"replay": False}],
+                         ids=["event_log", "no_replay"])
 @pytest.mark.parametrize("mode", ["ru", "gather"])
-def test_event_logged_class_that_rows_measure_otherwise_raises(monkeypatch, mode):
-    # class measurements one cycle off: a run without an event log reports
-    # them unchecked, the whole-mesh round of an event-logged run rejects them
+def test_event_logged_class_that_rows_measure_otherwise_raises(monkeypatch, mode, checked):
+    # class measurements one cycle off: a replayed run without an event log
+    # reports them unchecked; the whole-mesh rounds of an event-logged run,
+    # and of a run without replay, reject them
     measure_classes_one_cycle_off(monkeypatch)
     cfg = MeshConfig(rows=4, cols=4)
     layer = LayerConfig("t", "t", in_channels=2, kernels=6, kernel_side=1,
                         layer_side=1, input_vectors=16)
     run_convolution(layer, cfg, mode, seed=3)
     with pytest.raises(SimulationError, match=r"^round 0: the whole mesh measures its 4x4 "):
-        run_convolution(layer, cfg, mode, seed=3, event_log=[])
+        run_convolution(layer, cfg, mode, seed=3, **checked)
 
 
 def test_class_measurement_builds_one_row_network_per_row_of_budgets(monkeypatch):
