@@ -92,7 +92,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 def cmd_fig1(args: argparse.Namespace) -> int:
     mesh = MeshConfig(rows=args.size, cols=args.size)
-    path = result_path(args.output, ".csv") if args.output else None
+    path = result_path(args.output, ".csv") if args.output is not None else None
     row = args.row if args.row is not None else max(0, args.size // 2 - 1)
     ru = run_ready_row(mesh, row, "ru")
     g = run_ready_row(mesh, row, "gather")
@@ -102,7 +102,7 @@ def cmd_fig1(args: argparse.Namespace) -> int:
           f"{ru.total_cycles:>8}{ru.energy:>10.1f}")
     print(f"{'gather':<20}{g.packets:>8}{g.flits:>8}{g.hops:>8}"
           f"{g.total_cycles:>8}{g.energy:>10.1f}")
-    if path:
+    if path is not None:
         emit_csv([stats_record(ru), stats_record(g), improvement_record(ru, g)], path)
         print(f"wrote {path}")
     return EXIT_OK

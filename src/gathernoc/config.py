@@ -6,6 +6,7 @@ All quantities are plain integers in cycles, bits, or flits.  A frozen
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConfigError
 
@@ -19,6 +20,8 @@ class MeshConfig:
     base per-hop patience used to derive each node's give-up budget (see
     :func:`default_timeout_table`).  ``buffer_commit_rate`` is how many
     packet transactions the shared result buffer can commit per cycle.
+    The derived sizes below are computed once per instance, on first read,
+    since packets are built and checked against them per packet.
     """
 
     rows: int = 8
@@ -66,17 +69,17 @@ class MeshConfig:
                     "whole payloads the packet's non-head flits hold"
                 )
 
-    @property
+    @cached_property
     def gather_payload_capacity_bits(self) -> int:
         """Total payload bits one gather packet can carry (non-head flits)."""
         return (self.gather_len - 1) * self.flit_width
 
-    @property
+    @cached_property
     def payload_slots_per_flit(self) -> int:
         """Whole payloads that fit in one flit's payload field."""
         return self.flit_width // self.gather_payload_bits
 
-    @property
+    @cached_property
     def gather_payload_slots(self) -> int:
         """Whole payloads one gather packet can carry (non-head flits)."""
         return (self.gather_len - 1) * self.payload_slots_per_flit

@@ -57,10 +57,8 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.p_override is not None and self.p_override < 1:
             raise ConfigError(f"p_override must be >= 1, got {self.p_override}")
-        if self.output == "":
-            raise ConfigError("output must not be empty: it is the stem of the result files")
         if self.output is not None:
-            result_path(self.output, "")  # rejects a stem that names a directory
+            result_path(self.output, "")  # rejects an empty stem or one naming a directory
         if self.out_format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
         if not self.layers:
@@ -81,9 +79,11 @@ class RunConfig:
 
 def result_path(stem: str, suffix: str) -> Path:
     """The file ``<stem><suffix>``: the suffix is appended, so a dot in the
-    stem stays (``exp.1`` gives ``exp.1.csv``).  A stem whose last part is
-    empty (it ends in a path separator), ``.`` or ``..`` names a directory,
-    not a file, and is a config error."""
+    stem stays (``exp.1`` gives ``exp.1.csv``).  An empty stem is a config
+    error, and so is one whose last part is empty (it ends in a path
+    separator), ``.`` or ``..``: it names a directory, not a file."""
+    if not stem:
+        raise ConfigError("output must not be empty: it is the stem of the result files")
     if os.path.basename(stem) in ("", ".", ".."):
         raise ConfigError(f"output {stem!r} names a directory: "
                           "it must be the stem of the result files")

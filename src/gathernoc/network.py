@@ -32,9 +32,11 @@ at most one flit, decided on the pre-cycle state:
 
 A head is routed where it lands: at injection, and in the commit phase at
 the router it enters, so the phase after the commit sees only gather flits
-and runs their load/upload/nack handshake.  Every packet sent to the
-buffer is addressed to the buffer column (``schedule_injection`` checks the
-packets it is handed), so routing never fails partway through a commit.
+and runs their load/upload/nack handshake, one ``router.gather_arrival``
+call per arrival under limits resolved once per network.  Every packet
+sent to the buffer is addressed to the buffer column
+(``schedule_injection`` checks the packets it is handed), so routing never
+fails partway through a commit.
 
 A cycle costs time in proportion to what is present, not to the size of the
 mesh: arbitration visits only queue heads whose pipeline delay has passed
@@ -43,12 +45,16 @@ units are looked at only once their give-up deadline has passed, and only
 non-empty NI queues and due sends are touched.  Event-log lines are
 formatted only when a log is attached.  ``stall_fn`` must be a pure
 function of its arguments: it is consulted only for outputs that have a
-candidate.
+candidate.  A head's hop count is not counted per move: XY routing makes it
+cross ``|drow| + |dcol|`` links, and its delivery record says so.
 
 State layout.  A network keeps every mutable per-router table as one flat
 list, indexed from the router id ``rid = row * cols + col`` one way each:
 the (input port, VC) queues of ``(enter cycle, flit)`` pairs at the queue
-key ``rid * len(INPUT_PORTS) * vc_count + port * vc_count + vc``; the
+key ``rid * len(INPUT_PORTS) * vc_count + port * vc_count + vc``, each
+allocated when its first flit enters (until then the key holds the shared
+empty ``_UNUSED``: a full 16x16 round enters 928 of its 5 120 queues in ru
+and 272 in gather, so building a network costs little); the
 wormhole owner of each output VC at ``(rid * len(Port) + out) * vc_count +
 vc``; the round-robin pointer of each arbitration group, one output of one
 router, at ``rid * len(OUTPUT_PORTS) + rank``; the routes, gather unit and
@@ -77,7 +83,7 @@ from .config import MeshConfig, give_up_budgets
 from .errors import ConfigError, DeadlockError, DrainError, SimulationError
 from .packet import Flit, FlitType, PacketType, build_packet, payload_bits
 from .power import ActivityCounters
-from .router import GatherPayload, GatherUnit, gather_load_check, upload_payload
+from .router import GatherPayload, GatherUnit, gather_arrival, gather_limits
 from .topology import INPUT_PORTS, NodeId, Port, step_toward, xy_route
 
 OUTPUT_PORTS = (Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH, Port.LOCAL, Port.BUFFER)
@@ -97,6 +103,10 @@ _HEAD = FlitType.HEAD
 _TAIL = FlitType.TAIL
 _GATHER = PacketType.GATHER
 
+# an input queue no flit has entered yet: empty, and replaced by a deque of
+# its own when the first flit enters (module docstring)
+_UNUSED: tuple = ()
+
 
 @dataclass
 class DeliveredPacket:
@@ -106,7 +116,7 @@ class DeliveredPacket:
     dst: NodeId
     to_buffer: bool
     payloads: list[tuple[NodeId, int]]
-    hops: int                 # inter-router links crossed by the head
+    hops: int                 # links the head crossed: |drow| + |dcol| under XY routing
     inject_cycle: int
     head_arrival: int
     tail_arrival: int
@@ -125,7 +135,6 @@ class _PendingSend:
 @dataclass(slots=True)
 class _PacketMeta:
     inject_cycle: int = -1
-    hops: int = 0
     head_arrival: int = -1
     timeout_init: bool = False
 
@@ -212,13 +221,14 @@ class MeshNetwork:
         self._nq = len(INPUT_PORTS) * config.vc_count
         self._nodes = tables.nodes
         self._entries = tables.entries
-        self._queues: list[deque[tuple[int, Flit]]] = [deque() for _ in range(n * self._nq)]
+        self._queues: list[deque[tuple[int, Flit]] | tuple] = [_UNUSED] * (n * self._nq)
         self._owners: list[int | None] = [None] * (n * len(Port) * self._vcs)
         self._rr = [0] * (n * len(OUTPUT_PORTS))
         self._routes: list[dict[int, tuple]] = [{} for _ in range(n)]  # pid -> entry
         self._ni: list[deque[Flit]] = [deque() for _ in range(n)]
         self.units = [GatherUnit(node, budget) for node, budget
                       in zip(self._nodes, give_up_budgets(config, timeout_table))]
+        self._limits = gather_limits(config)
 
         self._next_packet_id = 0
         self._meta: dict[int, _PacketMeta] = {}
@@ -268,14 +278,10 @@ class MeshNetwork:
         """Queue a result unicast that launches once its predecessor's tail
         has passed this node (in-order drain chain).  Returns the packet id."""
         pid = self.next_packet_id()
-        flits = build_packet(
-            PacketType.UNICAST, node, self.buffer_node(node.row), [(node, value)],
-            self.config, pid
-        )
-        for f in flits:
-            f.to_buffer = True
+        flits = build_packet(PacketType.UNICAST, node, self.buffer_node(node.row),
+                             [(node, value)], self.config, pid, to_buffer=True)
         self._meta[pid] = _PacketMeta()
-        seq = self._add_send(_PendingSend(node=node, flits=flits, ready_at=ready_cycle))
+        seq = self._add_send(_PendingSend(node, flits, ready_cycle))
         if after_packet is None:
             heappush(self._due_sends, (ready_cycle, seq))
         else:
@@ -415,7 +421,7 @@ class MeshNetwork:
         nodes, routes, owners = self._nodes, self._routes, self._owners
         cfg = self.config
         pipeline, depth, cols = cfg.pipeline_depth, cfg.buffer_depth, cfg.cols
-        wake, ready, meta, watch = self._wake, self._ready, self._meta, self._tail_watch
+        wake, ready, watch = self._wake, self._ready, self._tail_watch
         trace = self.link_trace if self.trace_links else None
         moved, rec = self.counters.moves, self.counters.recorded
         va, writes, links = rec["va_arb"], rec["buffer_write"], rec["link_traversal"]
@@ -450,6 +456,8 @@ class MeshNetwork:
             if len(nqueue) >= depth:
                 raise SimulationError("credit discipline violated")
             if not nqueue:
+                if nqueue is _UNUSED:
+                    nqueue = queues[nkey] = deque()
                 wake.setdefault(t + pipeline, []).append(nkey)
             nqueue.append((t, flit))
             writes[nrid] += 1
@@ -457,7 +465,6 @@ class MeshNetwork:
             if flit.pt == _GATHER:
                 arrivals.append((nrid, flit))
             if ft == _HEAD:
-                meta[pid].hops += 1
                 # XY routing, inline for a through hop
                 node, dst = nodes[nrid], flit.dst
                 if dst.col != node.col:
@@ -492,6 +499,7 @@ class MeshNetwork:
         meta = self._meta.pop(pid)
         cfg = self.config
         payloads = [slot for f in flits for slot in f.payload_slots]
+        src, dst = flits[0].src, flits[0].dst
         if flits[0].pt == PacketType.GATHER:
             total_bits = payload_bits(payloads, cfg)
             if total_bits > cfg.gather_payload_capacity_bits:
@@ -502,11 +510,11 @@ class MeshNetwork:
             DeliveredPacket(
                 packet_id=pid,
                 pt=flits[0].pt,
-                src=flits[0].src,
-                dst=flits[0].dst,
+                src=src,
+                dst=dst,
                 to_buffer=to_buffer,
                 payloads=payloads,
-                hops=meta.hops,
+                hops=abs(dst.row - src.row) + abs(dst.col - src.col),
                 inject_cycle=meta.inject_cycle,
                 head_arrival=meta.head_arrival,
                 tail_arrival=tail_arrival,
@@ -518,28 +526,18 @@ class MeshNetwork:
 
     # phase 3: the gather handshake of the gather flits that arrived
     def _process_arrivals(self, arrivals, t: int) -> None:
-        cfg = self.config
+        units, limits, log = self.units, self._limits, self.event_log
+        uploads = self.counters.recorded["payload_upload"]
         for rid, flit in arrivals:
-            pid = flit.packet_id
-            unit = self.units[rid]
-            if flit.ft == _HEAD:
-                if gather_load_check(flit, unit, cfg) and self.event_log is not None:
-                    self._log(t, unit.node, f"load pid={pid}")
-            elif unit.reserved_by == pid:
-                if upload_payload(flit, unit, cfg):
-                    self._holding -= 1
-                    self.counters.record("payload_upload", rid)
-                    if self.event_log is not None:
-                        self._log(t, unit.node, f"upload pid={pid} ack")
-            if flit.ft == _TAIL:
-                if unit.reserved_by == pid:
-                    raise SimulationError(
-                        f"reserved upload never completed at {unit.node}"
-                    )
-                if unit.has_unreserved_payload:
-                    unit.nack()
-                    if self.event_log is not None:
-                        self._log(t, unit.node, f"nack pid={pid}")
+            done = gather_arrival(flit, units[rid], limits)
+            if done is None:
+                continue
+            if done == "upload":
+                self._holding -= 1
+                uploads[rid] += 1
+            if log is not None:
+                ack = " ack" if done == "upload" else ""
+                self._log(t, units[rid].node, f"{done} pid={flit.packet_id}{ack}")
 
     # phase 4: PE-side work: posts, drain chain, timeouts, injection
     def _node_phase(self, t: int) -> None:
@@ -584,12 +582,8 @@ class MeshNetwork:
             payload = unit.take_for_self()
             self._holding -= 1
             pid = self.next_packet_id()
-            flits = build_packet(
-                PacketType.GATHER, unit.node, payload.dst,
-                [(payload.origin, payload.value)], cfg, pid,
-            )
-            for f in flits:
-                f.to_buffer = True
+            flits = build_packet(PacketType.GATHER, unit.node, payload.dst,
+                                 [(payload.origin, payload.value)], cfg, pid, to_buffer=True)
             meta = _PacketMeta(inject_cycle=t)
             meta.timeout_init = unit.timeout > 0
             if meta.timeout_init:
@@ -616,6 +610,8 @@ class MeshNetwork:
             if not queue:
                 self._ni_busy.discard(rid)
             if not local:
+                if local is _UNUSED:
+                    local = self._queues[key] = deque()
                 self._wake.setdefault(t + pipeline, []).append(key)
             local.append((t, flit))
             self._queued += 1

@@ -52,26 +52,8 @@ class Flit:
         return self.ft == FlitType.TAIL
 
 
-def assign_vc(pt: PacketType, packet_id: int, config: MeshConfig) -> int:
-    """Gather traffic owns VC 0; everything else rotates over the rest."""
-    if pt == PacketType.GATHER or config.vc_count == 1:
-        return 0
-    return 1 + packet_id % (config.vc_count - 1)
-
-
-def packet_length(pt: PacketType, config: MeshConfig) -> int:
-    return config.gather_len if pt == PacketType.GATHER else config.unicast_len
-
-
 def payload_bits(slots: list[tuple[NodeId, int]], config: MeshConfig) -> int:
     return len(slots) * config.gather_payload_bits
-
-
-def flit_has_room(flit: Flit, config: MeshConfig) -> bool:
-    """Whether one more whole payload fits in this flit's payload field."""
-    if flit.is_head:
-        return False
-    return (len(flit.payload_slots) + 1) * config.gather_payload_bits <= config.flit_width
 
 
 def build_packet(
@@ -82,42 +64,36 @@ def build_packet(
     config: MeshConfig,
     packet_id: int,
     vc: int | None = None,
+    to_buffer: bool = False,
 ) -> list[Flit]:
-    """Assemble a packet as a list of flits.
+    """Assemble a packet as a list of flits, each marked ``to_buffer``.
 
     Payloads fill body flits first, then the tail, whole payloads per flit.
     For gather packets the head's ``aspace`` is initialized to the remaining
-    bit capacity of the non-head flits.
+    bit capacity of the non-head flits.  Gather traffic owns VC 0, unless
+    ``vc`` is given; everything else rotates over the rest by packet id.
     """
-    length = packet_length(pt, config)
-    slots_per_flit = config.payload_slots_per_flit
-    slots = (length - 1) * slots_per_flit
-    if len(payloads) > slots:
-        raise CapacityError(f"{len(payloads)} payloads exceed the {slots} whole "
-                            f"payload slots of a {length}-flit packet")
-    for origin, value in payloads:
-        if not 0 <= value < (1 << config.gather_payload_bits):
+    gather = pt == PacketType.GATHER
+    length = config.gather_len if gather else config.unicast_len
+    per_flit = config.payload_slots_per_flit
+    if len(payloads) > (length - 1) * per_flit:
+        raise CapacityError(f"{len(payloads)} payloads exceed the {(length - 1) * per_flit} "
+                            f"whole payload slots of a {length}-flit packet")
+    bits = config.gather_payload_bits
+    for _, value in payloads:
+        if not 0 <= value < 1 << bits:
             raise CapacityError(f"payload value {value} exceeds the payload width")
 
+    vcs = config.vc_count
     if vc is None:
-        vc = assign_vc(pt, packet_id, config)
-    if not 0 <= vc < config.vc_count:
-        raise ConfigError(f"vc {vc} out of range for {config.vc_count} VCs")
+        vc = 0 if gather or vcs == 1 else 1 + packet_id % (vcs - 1)
+    elif not 0 <= vc < vcs:
+        raise ConfigError(f"vc {vc} out of range for {vcs} VCs")
 
-    aspace = (config.gather_payload_capacity_bits - payload_bits(payloads, config)
-              if pt == PacketType.GATHER else 0)
-    flits = [
-        Flit(ft=FlitType.HEAD, pt=pt, src=src, dst=dst, packet_id=packet_id,
-             vc=vc, aspace=aspace)
-    ]
-    remaining = list(payloads)
+    aspace = config.gather_payload_capacity_bits - len(payloads) * bits if gather else 0
+    flits = [Flit(FlitType.HEAD, pt, src, dst, packet_id, vc, aspace, to_buffer, [])]
+    slots = list(payloads)  # each flit's slots a list of its own, which uploads extend
     for i in range(1, length):
-        ft = FlitType.TAIL if i == length - 1 else FlitType.BODY
-        take = remaining[:slots_per_flit]
-        remaining = remaining[slots_per_flit:]
-        flits.append(
-            Flit(ft=ft, pt=pt, src=src, dst=dst, packet_id=packet_id,
-                 vc=vc, payload_slots=take)
-        )
+        flits.append(Flit(FlitType.TAIL if i == length - 1 else FlitType.BODY, pt, src, dst,
+                          packet_id, vc, 0, to_buffer, slots[(i - 1) * per_flit:i * per_flit]))
     return flits
-

@@ -1,9 +1,13 @@
 """The gather collection protocol: the PE-side gather unit of one node and
-the load/upload/timeout handshake between it and passing gather packets.
+the load/upload/nack handshake between it and passing gather packets,
+defined once, in ``gather_arrival``.
 
 A network keeps one ``GatherUnit`` per router, next to its flat switching
 tables; :mod:`gathernoc.network` holds those tables and the cycle-by-cycle
-rules that act on them.
+rules that act on them.  ``gather_load_check`` and ``upload_payload`` run
+the handshake for a head and for a body or tail flit, the way the frozen
+reference kernel of the differential tests (``tests/seed_kernel.py``)
+calls it.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 from .config import MeshConfig
 from .errors import SimulationError
-from .packet import Flit, FlitType, PacketType, flit_has_room
+from .packet import Flit, FlitType, PacketType
 from .topology import NodeId
 
 
@@ -54,17 +58,6 @@ class GatherUnit:
         self.posted_at = now
         self.reserved_by = None
 
-    def reserve(self, packet_id: int) -> None:
-        self.reserved_by = packet_id
-
-    def take_payload(self, packet_id: int) -> GatherPayload:
-        if self.reserved_by != packet_id or self.pending is None:
-            raise SimulationError(f"node {self.node}: upload without reservation")
-        payload = self.pending
-        self.pending = None
-        self.reserved_by = None
-        return payload
-
     def nack(self) -> None:
         self.nacks += 1
 
@@ -83,45 +76,78 @@ class GatherUnit:
         )
 
 
-def gather_load_check(head: Flit, unit: GatherUnit, config: MeshConfig) -> bool:
-    """Decide whether this node piggybacks its payload onto a passing packet.
+def gather_limits(config: MeshConfig) -> tuple[int, int, int, int]:
+    """What the handshake reads of ``config``, resolved once per network:
+    the bits of one payload, the payload bits and the payload budget of a
+    gather packet, and the whole payloads one flit holds."""
+    return (config.gather_payload_bits, config.gather_payload_capacity_bits,
+            config.resolved_gather_capacity(), config.payload_slots_per_flit)
 
-    The load is granted when the head is a gather head with enough free
-    space, its destination matches the pending payload's, and the packet is
-    still under its payload-count budget.  On a grant the head's free-space
-    field is decremented here, before the head traverses the switch, and the
-    unit is reserved for the packet's body/tail.
+
+def gather_arrival(flit: Flit, unit: GatherUnit, limits: tuple[int, int, int, int]) -> str | None:
+    """The load/upload/nack handshake of one gather flit arriving at
+    ``unit``'s router, under ``gather_limits``: the one definition of the
+    protocol, which the network calls once per gather arrival.
+
+    * A head loads the unit's payload when the unit holds one unreserved,
+      the head is bound for the payload's destination and has the free
+      space, and the packet is under its payload budget: the head's
+      free-space field is decremented here, before the head traverses the
+      switch, and the unit is reserved for the packet's body/tail.
+    * A body or tail flit of the reserving packet absorbs the payload if it
+      has room for one more whole payload (upload, with a same-cycle ack);
+      a reserving packet whose tail passes without room has lost the
+      upload, which raises ``SimulationError``.
+    * Any other tail that passes a unit holding an unreserved payload is a
+      nack, which leaves the payload's give-up budget running.
+
+    Returns ``"load"``, ``"upload"``, ``"nack"`` or None, what happened.
     """
+    pending, pid = unit.pending, flit.packet_id
+    if pending is None:
+        return None
+    if flit.ft == FlitType.HEAD:
+        if unit.reserved_by is not None:
+            return None
+        bits, capacity_bits, capacity, _ = limits
+        dst, aspace = flit.dst, flit.aspace
+        if (dst.col != pending.dst.col or dst.row != pending.dst.row or aspace < bits
+                or (capacity_bits - aspace) // bits >= capacity):
+            return None
+        flit.aspace = aspace - bits
+        unit.reserved_by = pid
+        return "load"
+    if unit.reserved_by == pid:
+        if len(flit.payload_slots) < limits[3]:
+            flit.payload_slots.append((pending.origin, pending.value))
+            unit.pending = unit.reserved_by = None
+            return "upload"
+        if flit.ft == FlitType.TAIL:
+            raise SimulationError(f"reserved upload never completed at {unit.node}")
+        return None
+    if flit.ft == FlitType.TAIL and unit.reserved_by is None:
+        unit.nack()
+        return "nack"
+    return None
+
+
+def gather_load_check(head: Flit, unit: GatherUnit, config: MeshConfig) -> bool:
+    """Whether this node piggybacks its payload onto a passing packet:
+    ``gather_arrival`` of a head, True for a load."""
     if head.ft != FlitType.HEAD:
         raise SimulationError("load check applies to head flits")
     if head.pt != PacketType.GATHER:
         return False
-    if not unit.has_unreserved_payload:
-        return False
-    assert unit.pending is not None
-    if head.dst != unit.pending.dst:
-        return False
-    if head.aspace < config.gather_payload_bits:
-        return False
-    capacity_used = (config.gather_payload_capacity_bits - head.aspace)
-    count = capacity_used // config.gather_payload_bits
-    if count >= config.resolved_gather_capacity():
-        return False
-    head.aspace -= config.gather_payload_bits
-    unit.reserve(head.packet_id)
-    return True
+    return gather_arrival(head, unit, gather_limits(config)) == "load"
 
 
 def upload_payload(flit: Flit, unit: GatherUnit, config: MeshConfig) -> bool:
-    """Append the reserved payload into the first passing body/tail flit
-    with room.  Returns True when the upload (and same-cycle ack) happened."""
+    """Append the reserved payload into a passing body/tail flit with room:
+    ``gather_arrival`` of a body or tail flit of the reserving packet, True
+    for an upload (and same-cycle ack); a reserving tail without room
+    raises, as there."""
     if flit.ft not in (FlitType.BODY, FlitType.TAIL):
         raise SimulationError("uploads target body or tail flits")
     if unit.reserved_by != flit.packet_id:
         return False
-    if not flit_has_room(flit, config):
-        return False
-    payload = unit.take_payload(flit.packet_id)
-    flit.payload_slots.append((payload.origin, payload.value))
-    return True
-
+    return gather_arrival(flit, unit, gather_limits(config)) == "upload"

@@ -45,7 +45,7 @@ import numpy as np
 from .analytic import gather_collection_cycles, ru_collection_cycles
 from .config import MeshConfig, check_timeout_table, give_up_budgets
 from .errors import ConfigError, LostPayloadError, OracleMismatchError, SimulationError
-from .network import MeshNetwork
+from .network import MeshNetwork, mesh_tables
 from .power import EVENT_KINDS, ActivityCounters, EnergyCoefficients, total_energy
 from .stats import RoundClass, RoundMeasurement, RunStats
 from .topology import NodeId
@@ -447,7 +447,10 @@ def _simulate_round(net: MeshNetwork, mode: CollectionMode, shape: tuple[int, in
     """Collect one round of ``shape``, its active ``(rows, cols)``, on ``net``
     (built with ``timeout_table``), PE ``(r, c)`` ready ``r + c`` cycles after
     ``ready_base``; ``what`` names the round in error messages."""
-    ready = [(NodeId(r, c), ready_base + r + c) for r in range(shape[0]) for c in range(shape[1])]
+    cfg = net.config
+    nodes = mesh_tables(cfg.rows, cfg.cols, cfg.vc_count).nodes
+    ready = [(nodes[r * cfg.cols + c], ready_base + r + c)
+             for r in range(shape[0]) for c in range(shape[1])]
     return _collect(net, mode, ready, ready_base, what, timeout_table)
 
 
@@ -523,7 +526,8 @@ def _measure_row(row_config: MeshConfig, mode: CollectionMode, row_budgets: tupl
     order of its ``head_latencies``."""
     row_table = {(0, c): b for c, b in enumerate(row_budgets)}
     net = MeshNetwork(row_config, timeout_table=row_table)
-    m = _collect(net, mode, [(NodeId(0, c), c) for c in range(active_cols)], 0, what, row_table)
+    nodes = mesh_tables(1, row_config.cols, row_config.vc_count).nodes
+    m = _collect(net, mode, [(nodes[c], c) for c in range(active_cols)], 0, what, row_table)
     return m, [pkt.tail_arrival for pkt in net.delivered]
 
 
@@ -547,9 +551,11 @@ def _collect(net: MeshNetwork, mode: CollectionMode, ready: list[tuple[NodeId, i
     flits_before = net.flits_injected
     timeout_before = net.timeout_packets
 
-    expected = [(node, node.index(config.cols)) for node, _ in ready]
+    values = []
     prev_pid: dict[int, int] = {}  # each row's in-order unicast chain
-    for (node, cycle), (_, value) in zip(ready, expected):
+    for node, cycle in ready:
+        value = node.index(config.cols)
+        values.append(value)
         if mode == CollectionMode.RU:
             prev_pid[node.row] = net.schedule_unicast_result(
                 node, value, cycle, prev_pid.get(node.row))
@@ -566,10 +572,12 @@ def _collect(net: MeshNetwork, mode: CollectionMode, ready: list[tuple[NodeId, i
 
     round_delivered = net.delivered[delivered_before:]
     delivered_payloads = [p for pkt in round_delivered for p in pkt.payloads]
-    # stand-in values are distinct per node, so ordering by value alone puts
-    # two lists of the same payloads in the same order
-    value = operator.itemgetter(1)
-    if sorted(delivered_payloads, key=value) != sorted(expected, key=value):
+    # exactly once: every posted stand-in value is delivered once and no
+    # other, and each from its own node, the node of that flat index
+    nodes = mesh_tables(config.rows, config.cols, config.vc_count).nodes
+    if sorted(v for _, v in delivered_payloads) != sorted(values) or any(
+            origin is not nodes[v] and origin != nodes[v] for origin, v in delivered_payloads):
+        expected = [(node, value) for (node, _), value in zip(ready, values)]
         missing = set(expected) - set(delivered_payloads)
         raise LostPayloadError(
             f"{what}: delivered payloads do not match posted ones "

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gathernoc import harness
+from gathernoc import harness, network
 from gathernoc.cli import main
 from gathernoc.config import MeshConfig
 from gathernoc.errors import ConfigError, SimulationError
@@ -202,10 +202,22 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"configuration error: {message}\n"
 
+    def test_empty_fig1_output_exits_config_error(self, tmp_path, monkeypatch, capsys):
+        # fig1 validates its stem as run does, before simulating anything
+        monkeypatch.chdir(tmp_path)
+        assert main(["fig1", "--output", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("configuration error: output must not be empty: "
+                                "it is the stem of the result files\n")
+        assert not any(tmp_path.iterdir())
+
     def test_invariant_violation_exits_simulation_error(self, monkeypatch, capsys):
-        # every gather upload is dropped, so the first reserved load fails
-        monkeypatch.setattr("gathernoc.network.upload_payload",
-                            lambda flit, unit, config: False)
+        # no flit has room for a payload, so the first reserved load is
+        # never uploaded
+        arrival = network.gather_arrival
+        monkeypatch.setattr("gathernoc.network.gather_arrival",
+                            lambda flit, unit, limits: arrival(flit, unit, (*limits[:3], 0)))
         assert main(["run", "--mesh", "4x4", "--layers", "conv3", "--p-override", "4",
                      "--modes", "gather"]) == 3
         captured = capsys.readouterr()

@@ -17,17 +17,6 @@ from gathernoc.workload import LayerConfig
 CFG = MeshConfig(rows=4, cols=4)
 
 
-def _patch_after_finish(monkeypatch, corrupt):
-    """Run ``corrupt`` on each packet as it is delivered."""
-    finish = MeshNetwork._finish_packet
-
-    def patched(self, *args, **kwargs):
-        finish(self, *args, **kwargs)
-        corrupt(self.delivered[-1])
-
-    monkeypatch.setattr(MeshNetwork, "_finish_packet", patched)
-
-
 def _busy_without(monkeypatch, attr):
     """``busy`` that overlooks one kind of outstanding work."""
     def busy(self):
@@ -39,27 +28,59 @@ def _busy_without(monkeypatch, attr):
 
 
 class TestExactlyOnce:
-    def test_dropped_payload(self, monkeypatch):
-        def drop(pkt):
-            if pkt.src == NodeId(0, 1):
-                pkt.payloads.clear()
+    # row 1 of the 4x4 mesh posts (NodeId(1, c), 4 + c); each fault rewrites
+    # the payloads delivered so far, once, as soon as they hold what it
+    # rewrites (ValueError until then), whichever packets carry them
+    @staticmethod
+    def _drop(slots):
+        slots.remove((NodeId(1, 1), 5))
 
-        _patch_after_finish(monkeypatch, drop)
+    @staticmethod
+    def _duplicate(slots):
+        slots.append(slots[slots.index((NodeId(1, 1), 5))])
+
+    @staticmethod
+    def _swap_origins(slots):
+        i, j = slots.index((NodeId(1, 1), 5)), slots.index((NodeId(1, 2), 6))
+        slots[i], slots[j] = (NodeId(1, 2), 5), (NodeId(1, 1), 6)
+
+    @staticmethod
+    def _alias_origin(slots):
+        # NodeId(0, 4) lies outside the 4-column mesh, yet its flat index
+        # 0 * 4 + 4 is NodeId(1, 0)'s
+        slots[slots.index((NodeId(1, 0), 4))] = (NodeId(0, 4), 4)
+
+    @pytest.mark.parametrize("mode", ["ru", "gather"])
+    @pytest.mark.parametrize("fault, missing", [
+        ("_drop", r"\[\(NodeId\(row=1, col=1\), 5\)\]"),
+        ("_duplicate", r"duplicates"),
+        ("_swap_origins", r"\[\(NodeId\(row=1, col=1\), 5\), \(NodeId\(row=1, col=2\), 6\)\]"),
+        ("_alias_origin", r"\[\(NodeId\(row=1, col=0\), 4\)\]"),
+    ], ids=["drop", "duplicate", "swap_origins", "alias_origin"])
+    def test_corrupted_payloads(self, monkeypatch, mode, fault, missing):
+        corrupt, done = getattr(self, fault), []
+        finish = MeshNetwork._finish_packet
+
+        def patched(net, *args, **kwargs):
+            finish(net, *args, **kwargs)
+            if done:
+                return
+            slots = [slot for pkt in net.delivered for slot in pkt.payloads]
+            try:
+                corrupt(slots)
+            except ValueError:
+                return
+            done.append(True)
+            # hand the rewritten payloads back to the packets, in order
+            for pkt in net.delivered:
+                pkt.payloads[:], slots = slots[:len(pkt.payloads)], slots[len(pkt.payloads):]
+            net.delivered[-1].payloads.extend(slots)
+
+        monkeypatch.setattr(MeshNetwork, "_finish_packet", patched)
         with pytest.raises(LostPayloadError, match=(
-                r"^ready row 0: delivered payloads do not match posted ones "
-                r"\(missing or duplicated: \[\(NodeId\(row=0, col=1\), 1\)\]\)$")):
-            run_ready_row(CFG, 0, "ru")
-
-    def test_duplicated_payload(self, monkeypatch):
-        def duplicate(pkt):
-            if pkt.src == NodeId(0, 1):
-                pkt.payloads.append(pkt.payloads[0])
-
-        _patch_after_finish(monkeypatch, duplicate)
-        with pytest.raises(LostPayloadError, match=(
-                r"^ready row 0: delivered payloads do not match posted ones "
-                r"\(missing or duplicated: duplicates\)$")):
-            run_ready_row(CFG, 0, "ru")
+                r"^ready row 1: delivered payloads do not match posted ones "
+                rf"\(missing or duplicated: {missing}\)$")):
+            run_ready_row(CFG, 1, mode)
 
 
 class TestDrain:
@@ -110,36 +131,41 @@ class TestDrain:
 
 
 class TestGatherPacket:
+    # ``limits``: payload bits, payload bits and budget of a packet, and the
+    # whole payloads one flit holds (``router.gather_limits``)
     def test_upload_duplicated_past_capacity(self, monkeypatch):
-        upload = network_module.upload_payload
+        arrival = network_module.gather_arrival
 
-        def patched(flit, unit, config):
-            done = upload(flit, unit, config)
-            if done:
+        def patched(flit, unit, limits):
+            done = arrival(flit, unit, limits)
+            if done == "upload":
                 flit.payload_slots.append(flit.payload_slots[-1])
             return done
 
-        monkeypatch.setattr(network_module, "upload_payload", patched)
+        monkeypatch.setattr(network_module, "gather_arrival", patched)
         with pytest.raises(SimulationError, match=(
                 r"^gather packet exceeded its payload capacity$")):
             run_ready_row(MeshConfig(rows=6, cols=6), 2, "gather")
 
     def test_load_not_counted_in_head(self, monkeypatch):
-        load = network_module.gather_load_check
+        arrival = network_module.gather_arrival
 
-        def patched(head, unit, config):
-            granted = load(head, unit, config)
-            if granted:
-                head.aspace += config.gather_payload_bits
-            return granted
+        def patched(flit, unit, limits):
+            done = arrival(flit, unit, limits)
+            if done == "load":
+                flit.aspace += limits[0]
+            return done
 
-        monkeypatch.setattr(network_module, "gather_load_check", patched)
+        monkeypatch.setattr(network_module, "gather_arrival", patched)
         with pytest.raises(SimulationError, match=(
                 r"^head free-space field out of sync with payloads$")):
             run_ready_row(CFG, 0, "gather")
 
     def test_upload_dropped(self, monkeypatch):
-        monkeypatch.setattr(network_module, "upload_payload", lambda flit, unit, config: False)
+        # no flit has room for a payload, so a load is never uploaded
+        arrival = network_module.gather_arrival
+        monkeypatch.setattr(network_module, "gather_arrival",
+                            lambda flit, unit, limits: arrival(flit, unit, (*limits[:3], 0)))
         with pytest.raises(SimulationError, match=(
                 r"^reserved upload never completed at \(0,1\)$")):
             run_ready_row(CFG, 0, "gather")

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gathernoc.config import (MeshConfig, default_timeout_table, flat_timeout_table,
                               give_up_budgets)
 from gathernoc.errors import ConfigError, DeadlockError, SimulationError
-from gathernoc import systolic
+from gathernoc import network, systolic
 from gathernoc.network import OUTPUT_PORTS, MeshNetwork, mesh_tables
 from gathernoc.packet import PacketType, build_packet
 from gathernoc.systolic import buffer_commits
@@ -311,6 +311,24 @@ def _stepped_port(ejects, rate: int) -> list:
     return commits
 
 
+def _row_pairs(net) -> set[int]:
+    """The (queue key, output) pairs, as ``key * len(Port) + output``, that
+    the packets ``net`` delivered took: each entered at its source's local
+    port and crossed its row eastwards through west input ports to the
+    buffer port of the last column."""
+    cfg = net.config
+    nq, last = len(INPUT_PORTS) * cfg.vc_count, cfg.cols - 1
+    pairs = set()
+    for pkt in net.delivered:
+        r, c0 = pkt.src.row, pkt.src.col
+        for c in range(c0, cfg.cols):
+            port = Port.LOCAL if c == c0 else Port.WEST
+            out = Port.EAST if c < last else Port.BUFFER
+            key = (r * cfg.cols + c) * nq + port * cfg.vc_count + pkt.vc
+            pairs.add(key * len(Port) + out)
+    return pairs
+
+
 class TestSharedTables:
     def test_networks_of_one_config_share_the_tables(self):
         cfg = MeshConfig(rows=3, cols=5)
@@ -330,17 +348,31 @@ class TestSharedTables:
         for name, size in sizes.items():
             ta, tb = getattr(a, name), getattr(b, name)
             assert ta is not tb and len(ta) == len(tb) == size, name
-        # no deque, route dict or unit is shared between two networks, or
+        # no route dict, unit or NI queue is shared between two networks, or
         # between two indices of one
-        for name in ("_queues", "_routes", "units", "_ni"):
+        for name in ("_routes", "units", "_ni"):
             objects = {id(x) for net in (a, b) for x in getattr(net, name)}
             assert len(objects) == 2 * sizes[name], name
+        # an input queue is allocated when its first flit enters: until then
+        # every index holds the one empty placeholder
+        assert network._UNUSED == ()
+        assert all(q is network._UNUSED for net in (a, b) for q in net._queues)
         # an explicit budget overlays the defaults of one network only
         defaults = default_timeout_table(cfg)
         expected = [defaults[r, c] for r in range(3) for c in range(5)]
         assert [u.timeout for u in a.units] == give_up_budgets(cfg) == expected
         expected[1 * 5 + 2] = 7
         assert [u.timeout for u in b.units] == give_up_budgets(cfg, {(1, 2): 7}) == expected
+
+    @pytest.mark.parametrize("mode", list(systolic.CollectionMode))
+    def test_input_queues_are_allocated_when_a_flit_first_enters(self, mode):
+        cfg = MeshConfig(rows=16, cols=16)
+        net = MeshNetwork(cfg)
+        systolic._simulate_round(net, mode, (16, 16), "lazy queues", 0, None)
+        allocated = {key for key, q in enumerate(net._queues) if q is not network._UNUSED}
+        assert all(isinstance(net._queues[key], deque) for key in allocated)
+        assert allocated == {pair // len(Port) for pair in _row_pairs(net)}
+        assert len(net._queues) == 5_120 and len(allocated) < 5_120 // 5
 
     def test_a_network_built_after_another_ran_steps_as_in_a_fresh_process(self):
         seeds = range(8)
@@ -413,19 +445,9 @@ class TestSharedTables:
         assert len(net._entries) == 0
         systolic._simulate_round(net, systolic.CollectionMode.RU, (16, 16),
                                  "memo probe", 0, None)
-        # each packet enters at its source's local port and crosses its row
-        # eastwards through west input ports to the buffer port of column 15
-        nq = len(INPUT_PORTS) * cfg.vc_count
-        used = set()
-        for pkt in net.delivered:
-            r, c0 = pkt.src.row, pkt.src.col
-            for c in range(c0, 16):
-                port = Port.LOCAL if c == c0 else Port.WEST
-                out = Port.EAST if c < 15 else Port.BUFFER
-                key = (r * 16 + c) * nq + port * cfg.vc_count + pkt.vc
-                used.add(key * len(Port) + out)
+        used = _row_pairs(net)
         assert len(net.delivered) == 256
         assert set(net._entries) == used
-        dense = 256 * nq * len(OUTPUT_PORTS)
+        dense = 256 * len(INPUT_PORTS) * cfg.vc_count * len(OUTPUT_PORTS)
         assert dense == 30_720 and len(used) < dense // 10
 
