@@ -39,9 +39,15 @@ sent to the buffer is addressed to the buffer column
 fails partway through a commit.
 
 A cycle costs time in proportion to what is present, not to the size of the
-mesh: arbitration visits only queue heads whose pipeline delay has passed
-(heads still in the pipeline wait in per-cycle wake-up buckets), gather
-units are looked at only once their give-up deadline has passed, and only
+mesh.  Arbitration reads only the queue heads woken that cycle: every
+non-empty input queue holds exactly one pending wake-up in the per-cycle
+wake-up buckets, and an empty one none.  A queue is woken when its head
+clears the pipeline, and a head that is not granted (no cached route, its
+output VC owned by another packet, no credit, stalled, or lost round-robin)
+is woken again the next cycle, so no set of ready heads is kept beside the
+buckets.  When no ``stall_fn`` is set and no output has two candidates,
+every eligible head is granted without a per-output scan.  Gather units
+are looked at only once their give-up deadline has passed, and only
 non-empty NI queues and due sends are touched.  Event-log lines are
 formatted only when a log is attached.  ``stall_fn`` must be a pure
 function of its arguments: it is consulted only for outputs that have a
@@ -54,11 +60,13 @@ the (input port, VC) queues of ``(enter cycle, flit)`` pairs at the queue
 key ``rid * len(INPUT_PORTS) * vc_count + port * vc_count + vc``, each
 allocated when its first flit enters (until then the key holds the shared
 empty ``_UNUSED``: a full 16x16 round enters 928 of its 5 120 queues in ru
-and 272 in gather, so building a network costs little); the
-wormhole owner of each output VC at ``(rid * len(Port) + out) * vc_count +
-vc``; the round-robin pointer of each arbitration group, one output of one
-router, at ``rid * len(OUTPUT_PORTS) + rank``; the routes, gather unit and
-NI queue at ``rid``.  Node ids and the arbitration entries come from
+and 272 in gather, so building a network costs little), and a queue's
+pending wake-up is its key in the bucket of one cycle, one key per
+non-empty queue (the wake-up buckets map a cycle to the keys woken
+then); the wormhole owner of each output VC at ``(rid * len(Port) + out)
+* vc_count + vc``; the round-robin pointer of each arbitration group, one
+output of one router, at ``rid * len(OUTPUT_PORTS) + rank``; the routes,
+gather unit and NI queue at ``rid``.  Node ids and the arbitration entries come from
 ``mesh_tables``, shared by every network of one geometry (rows, cols and
 VCs).  The arbitration entry of a (queue key, output) pair is everything a
 move of that queue's head through that output reads, resolved once: the
@@ -101,6 +109,7 @@ _OPPOSITE = {
 
 _HEAD = FlitType.HEAD
 _TAIL = FlitType.TAIL
+_BUFFER = Port.BUFFER
 _GATHER = PacketType.GATHER
 
 # an input queue no flit has entered yet: empty, and replaced by a deque of
@@ -233,8 +242,7 @@ class MeshNetwork:
         self._next_packet_id = 0
         self._meta: dict[int, _PacketMeta] = {}
         self._queued = 0                                  # flits in router queues
-        self._wake: dict[int, list[int]] = {}             # ready cycle -> queue keys
-        self._ready: set[int] = set()                     # keys of heads past the pipeline
+        self._wake: dict[int, list[int]] = {}             # cycle -> queue keys woken then
         self._ni_busy: set[int] = set()                   # rids with a non-empty NI queue
         self._posts: dict[int, list[tuple[NodeId, GatherPayload]]] = {}
         self._holding = 0                                 # gather units holding a payload
@@ -365,35 +373,44 @@ class MeshNetwork:
         self._watchdog(t, bool(moves))
         self.cycle = t + 1
 
-    # phase 1: read-only arbitration over the ready queue heads
+    # phase 1: arbitration over the queue heads woken this cycle, on the
+    # pre-cycle state; a head that is not granted is woken again next cycle
     def _arbitrate(self, t: int):
-        ready = self._ready
         woken = self._wake.pop(t, None)
-        if woken is not None:
-            ready.update(woken)
-        if not ready:
+        if woken is None:
             return []
         nq, depth = self._nq, self.config.buffer_depth
         routes, owners, queues = self._routes, self._owners, self._queues
         # the arbitration entries of the eligible heads, each the cached route
         # of its head (fields as the module docstring lists them)
-        eligible = []
-        for key in ready:
+        eligible, again = [], []
+        for key in woken:
             flit = queues[key][0][1]
             pid = flit.packet_id
             entry = routes[key // nq].get(pid)
             if entry is None:
+                again.append(key)
                 continue
             owner = owners[entry[7]]      # entry[7]: the owner slot
             if owner != pid and (owner is not None or flit.ft != _HEAD):
-                continue          # wormhole: the output VC belongs to another packet
+                again.append(key)         # wormhole: the VC belongs to another packet
+                continue
             nkey = entry[8]               # entry[8]: the downstream queue key
             if nkey >= 0 and len(queues[nkey]) >= depth:
-                continue          # no credit downstream
+                again.append(key)         # no credit downstream
+                continue
             eligible.append(entry)
         eligible.sort()                   # by grant index, the first field
 
-        stall_fn, nodes, rr = self.stall_fn, self._nodes, self._rr
+        stall_fn, rr = self.stall_fn, self._rr
+        if stall_fn is None and len({entry[1] for entry in eligible}) == len(eligible):
+            # one candidate per output group: every eligible head is granted
+            for entry in eligible:
+                rr[entry[1]] = entry[2]   # entry[2]: the pointer after this grant
+            self._wake_at(t + 1, again)
+            return eligible
+
+        nodes = self._nodes
         moves = []
         i, n = 0, len(eligible)
         while i < n:
@@ -403,12 +420,17 @@ class MeshNetwork:
             while j < n and eligible[j][1] == group:
                 j += 1
             # entry[5] and entry[4]: the router id and the output
+            granted = None
             if stall_fn is None or not stall_fn(t, nodes[entry[5]], entry[4]):
-                if j > i + 1:
-                    entry = _round_robin(eligible[i:j], group * nq + rr[group])
-                rr[group] = entry[2]      # entry[2]: the pointer after this grant
-                moves.append(entry)
+                granted = entry if j == i + 1 else _round_robin(eligible[i:j],
+                                                                group * nq + rr[group])
+                rr[group] = granted[2]
+                moves.append(granted)
+            if granted is None or j > i + 1:
+                # other[3]: the queue key
+                again.extend(other[3] for other in eligible[i:j] if other is not granted)
             i = j
+        self._wake_at(t + 1, again)
         return moves
 
     # phase 2: commit all granted moves simultaneously, routing each head at
@@ -419,9 +441,12 @@ class MeshNetwork:
             return arrivals
         queues, entries = self._queues, self._entries
         nodes, routes, owners = self._nodes, self._routes, self._owners
+        meta, staging, log = self._meta, self._staging, self.event_log
         cfg = self.config
         pipeline, depth, cols = cfg.pipeline_depth, cfg.buffer_depth, cfg.cols
-        wake, ready, watch = self._wake, self._ready, self._tail_watch
+        wake, watch = self._wake, self._tail_watch
+        soon, entered = [], []    # keys woken at t + 1, and at t + pipeline
+        ejected = 0
         trace = self.link_trace if self.trace_links else None
         moved, rec = self.counters.moves, self.counters.recorded
         va, writes, links = rec["va_arb"], rec["buffer_write"], rec["link_traversal"]
@@ -429,13 +454,12 @@ class MeshNetwork:
             queue = queues[key]
             flit = queue.popleft()[1]
             if queue:
-                # the next head stays ready if its delay has already passed
+                # the next head is woken once its pipeline delay has passed
                 at = queue[0][0] + pipeline
-                if at > t:
-                    ready.discard(key)
+                if at <= t + 1:
+                    soon.append(key)
+                else:
                     wake.setdefault(at, []).append(key)
-            else:
-                ready.discard(key)
             pid, ft = flit.packet_id, flit.ft
             moved[rid] += 1
             if ft == _HEAD:
@@ -449,8 +473,18 @@ class MeshNetwork:
                 trace.setdefault((rid, out, vc), []).append((t, pid))
 
             if nkey < 0:
-                self._queued -= 1
-                self._eject(flit, rid, out, t)
+                # eject: a packet's head ejects first, its tail last
+                ejected += 1
+                if ft == _HEAD:
+                    meta[pid].head_arrival = t
+                    staging[pid] = [flit]
+                else:
+                    staging[pid].append(flit)
+                if log is not None:
+                    self._log(t, nodes[rid], f"eject pid={pid} {ft.name.lower()}")
+                if ft == _TAIL:
+                    # in grant order, so ``delivered`` is in (eject cycle, router id) order
+                    self._finish_packet(pid, t, out == _BUFFER)
                 continue
             nqueue = queues[nkey]
             if len(nqueue) >= depth:
@@ -458,7 +492,7 @@ class MeshNetwork:
             if not nqueue:
                 if nqueue is _UNUSED:
                     nqueue = queues[nkey] = deque()
-                wake.setdefault(t + pipeline, []).append(nkey)
+                entered.append(nkey)
             nqueue.append((t, flit))
             writes[nrid] += 1
             links[rid] += 1
@@ -480,19 +514,21 @@ class MeshNetwork:
                     del watch[pid]
                     ready_at = self._pending_sends[seq].ready_at
                     heappush(self._due_sends, (max(ready_at, t + 1), seq))
+        self._queued -= ejected
+        self.flits_ejected += ejected
+        self._wake_at(t + 1, soon)
+        self._wake_at(t + pipeline, entered)
         return arrivals
 
-    def _eject(self, flit: Flit, rid: int, out_port: Port, t: int) -> None:
-        pid, ft = flit.packet_id, flit.ft
-        self.flits_ejected += 1
-        if ft == _HEAD:
-            self._meta[pid].head_arrival = t
-        self._staging.setdefault(pid, []).append(flit)
-        if self.event_log is not None:
-            self._log(t, self._nodes[rid], f"eject pid={pid} {ft.name.lower()}")
-        if ft == _TAIL:
-            # in grant order, so ``delivered`` is in (eject cycle, router id) order
-            self._finish_packet(pid, t, out_port == Port.BUFFER)
+    def _wake_at(self, cycle: int, keys: list[int]) -> None:
+        """Add the queue keys ``keys`` to the wake-up bucket of ``cycle``;
+        no bucket is made for none."""
+        if keys:
+            bucket = self._wake.get(cycle)
+            if bucket is None:
+                self._wake[cycle] = keys
+            else:
+                bucket.extend(keys)
 
     def _finish_packet(self, pid: int, tail_arrival: int, to_buffer: bool) -> None:
         flits = self._staging.pop(pid)
@@ -500,29 +536,17 @@ class MeshNetwork:
         cfg = self.config
         payloads = [slot for f in flits for slot in f.payload_slots]
         src, dst = flits[0].src, flits[0].dst
-        if flits[0].pt == PacketType.GATHER:
+        if flits[0].pt == _GATHER:
             total_bits = payload_bits(payloads, cfg)
             if total_bits > cfg.gather_payload_capacity_bits:
                 raise SimulationError("gather packet exceeded its payload capacity")
             if flits[0].aspace != cfg.gather_payload_capacity_bits - total_bits:
                 raise SimulationError("head free-space field out of sync with payloads")
-        self.delivered.append(
-            DeliveredPacket(
-                packet_id=pid,
-                pt=flits[0].pt,
-                src=src,
-                dst=dst,
-                to_buffer=to_buffer,
-                payloads=payloads,
-                hops=abs(dst.row - src.row) + abs(dst.col - src.col),
-                inject_cycle=meta.inject_cycle,
-                head_arrival=meta.head_arrival,
-                tail_arrival=tail_arrival,
-                flit_count=len(flits),
-                vc=flits[0].vc,
-                timeout_init=meta.timeout_init,
-            )
-        )
+        self.delivered.append(DeliveredPacket(
+            pid, flits[0].pt, src, dst, to_buffer, payloads,
+            abs(dst.row - src.row) + abs(dst.col - src.col),  # hops under XY routing
+            meta.inject_cycle, meta.head_arrival, tail_arrival, len(flits), flits[0].vc,
+            meta.timeout_init))
 
     # phase 3: the gather handshake of the gather flits that arrived
     def _process_arrivals(self, arrivals, t: int) -> None:
@@ -598,24 +622,27 @@ class MeshNetwork:
         if not self._ni_busy:
             return
         nq, pipeline, depth = self._nq, cfg.pipeline_depth, cfg.buffer_depth
+        local_base = Port.LOCAL * self._vcs
+        queues, ni, busy = self._queues, self._ni, self._ni_busy
         counts = self.counters.recorded["buffer_write"]
-        for rid in sorted(self._ni_busy):
-            queue = self._ni[rid]
+        entered = []              # keys woken at t + pipeline
+        injected = 0
+        for rid in sorted(busy):
+            queue = ni[rid]
             flit = queue[0]
-            key = rid * nq + Port.LOCAL * self._vcs + flit.vc
-            local = self._queues[key]
+            key = rid * nq + local_base + flit.vc
+            local = queues[key]
             if len(local) >= depth:
                 continue
             queue.popleft()
             if not queue:
-                self._ni_busy.discard(rid)
+                busy.discard(rid)
             if not local:
                 if local is _UNUSED:
-                    local = self._queues[key] = deque()
-                self._wake.setdefault(t + pipeline, []).append(key)
+                    local = queues[key] = deque()
+                entered.append(key)
             local.append((t, flit))
-            self._queued += 1
-            self.flits_injected += 1
+            injected += 1
             counts[rid] += 1
             if flit.ft == _HEAD:
                 # an initiator carries its own payload from birth, so the
@@ -625,6 +652,9 @@ class MeshNetwork:
                 out = xy_route(self._nodes[rid], flit.dst, cfg.cols,
                                sink_is_buffer=flit.to_buffer)
                 self._routes[rid][pid] = self._entries[key * _N_PORTS + out]
+        self._queued += injected
+        self.flits_injected += injected
+        self._wake_at(t + pipeline, entered)
 
     def _watchdog(self, t: int, progressed: bool) -> None:
         if progressed or not self._queued:

@@ -398,21 +398,23 @@ def run_convolution(
     _fold_rounds(stats, table, coefficients)
     if not replay:  # every round, back to back on one network that carries its state
         net = MeshNetwork(config, timeout_table=timeout_table, event_log=event_log)
+        budget = max(give_up_budgets(config, timeout_table))
         measured = {(c.active_rows, c.active_cols): c.measurement for c in table}
         for s, start in zip(build_round_schedules(layer, config),
                             accumulate(stats.per_round_latency, initial=0)):
             shape = (s.active_rows, s.active_cols)
             _whole_mesh_round(net, mode, shape, f"round {s.index}", start + ready_offset,
-                              timeout_table, measured[shape])
+                              budget, measured[shape])
     elif event_log is not None:
         starts = list(accumulate(stats.per_round_latency, initial=0))
+        budget = max(give_up_budgets(config, timeout_table))
         for c in table:  # each class's lines "<cycle> <rest>", shifted to its first round
             shape = (c.active_rows, c.active_cols)
             key = ("event lines", config, mode, timeouts, *shape)
             if (lines := shared.get(key)) is None:
                 lines = []
                 net = MeshNetwork(config, timeout_table=timeout_table, event_log=lines)
-                _whole_mesh_round(net, mode, shape, f"round {c.first_round}", 0, timeout_table,
+                _whole_mesh_round(net, mode, shape, f"round {c.first_round}", 0, budget,
                                   c.measurement)
                 shared[key] = lines
             shift = starts[c.first_round] + ready_offset
@@ -442,26 +444,25 @@ def _fold_rounds(stats: RunStats, table: list[RoundClass],
 
 
 def _simulate_round(net: MeshNetwork, mode: CollectionMode, shape: tuple[int, int], what: str,
-                    ready_base: int,
-                    timeout_table: dict[tuple[int, int], int] | None) -> RoundMeasurement:
+                    ready_base: int, budget: int) -> RoundMeasurement:
     """Collect one round of ``shape``, its active ``(rows, cols)``, on ``net``
-    (built with ``timeout_table``), PE ``(r, c)`` ready ``r + c`` cycles after
-    ``ready_base``; ``what`` names the round in error messages."""
+    (whose longest give-up budget is ``budget``), PE ``(r, c)`` ready ``r +
+    c`` cycles after ``ready_base``; ``what`` names the round in error
+    messages."""
     cfg = net.config
     nodes = mesh_tables(cfg.rows, cfg.cols, cfg.vc_count).nodes
     ready = [(nodes[r * cfg.cols + c], ready_base + r + c)
              for r in range(shape[0]) for c in range(shape[1])]
-    return _collect(net, mode, ready, ready_base, what, timeout_table)
+    return _collect(net, mode, ready, ready_base, what, budget)
 
 
 def _whole_mesh_round(net: MeshNetwork, mode: CollectionMode, shape: tuple[int, int], what: str,
-                      ready_base: int, timeout_table: dict[tuple[int, int], int] | None,
-                      expected: RoundMeasurement) -> None:
+                      ready_base: int, budget: int, expected: RoundMeasurement) -> None:
     """``_simulate_round`` on ``net``, a network of the whole mesh, checked
     against ``expected``, the measurement of its class from its row
     networks: if the round measures otherwise, the row decomposition or the
     independence of rounds is wrong and ``SimulationError`` is raised."""
-    if _simulate_round(net, mode, shape, what, ready_base, timeout_table) != expected:
+    if _simulate_round(net, mode, shape, what, ready_base, budget) != expected:
         raise SimulationError(f"{what}: the whole mesh measures its {shape[0]}x{shape[1]} "
                               f"class otherwise than its row networks do")
 
@@ -527,16 +528,19 @@ def _measure_row(row_config: MeshConfig, mode: CollectionMode, row_budgets: tupl
     row_table = {(0, c): b for c, b in enumerate(row_budgets)}
     net = MeshNetwork(row_config, timeout_table=row_table)
     nodes = mesh_tables(1, row_config.cols, row_config.vc_count).nodes
-    m = _collect(net, mode, [(nodes[c], c) for c in range(active_cols)], 0, what, row_table)
+    m = _collect(net, mode, [(nodes[c], c) for c in range(active_cols)], 0, what,
+                 max(row_budgets))
     return m, [pkt.tail_arrival for pkt in net.delivered]
 
 
 def _collect(net: MeshNetwork, mode: CollectionMode, ready: list[tuple[NodeId, int]],
-             ready_base: int, what: str,
-             timeout_table: dict[tuple[int, int], int] | None) -> RoundMeasurement:
+             ready_base: int, what: str, budget: int) -> RoundMeasurement:
     """Post a result of every ``(node, ready cycle)``, drain them to the
     buffer, check each was delivered exactly once and the network drained,
-    and measure the round on ``net`` (built with ``timeout_table``).
+    and measure the round on ``net``, whose longest give-up budget is
+    ``budget``, resolved once by the caller (not read from ``net``: the
+    frozen reference kernel ``tests/seed_kernel.py``, which the kernel
+    differential runs through here, keeps its budgets in another layout).
     ``ready_base`` is the earliest ready cycle.  The network ejects into
     the buffer without limit, and ``buffer_commits`` times the commit port
     over the delivered tails' ejects: the round ends at its last commit.
@@ -567,7 +571,7 @@ def _collect(net: MeshNetwork, mode: CollectionMode, ready: list[tuple[NodeId, i
     # a payload no packet picks up waits out its node's give-up budget
     limit = ready_base + (config.rows + config.cols) * (config.pipeline_depth + 2) * 4 \
         + config.rows * config.cols * config.unicast_len + 10_000 \
-        + max(give_up_budgets(config, timeout_table))
+        + budget
     net.run_until_idle(limit)
 
     round_delivered = net.delivered[delivered_before:]
@@ -634,7 +638,7 @@ def run_ready_row(
         raise ConfigError(f"row {row} outside the {config.rows}-row mesh")
     m = _collect(MeshNetwork(config, timeout_table=timeout_table), mode,
                  [(NodeId(row, c), 0) for c in range(config.cols)], ready_base=0,
-                 what=f"ready row {row}", timeout_table=timeout_table)
+                 what=f"ready row {row}", budget=max(give_up_budgets(config, timeout_table)))
     stats = RunStats(model="demo", layer=f"ready-row-{row}", mode=mode.value,
                      rows=config.rows, cols=config.cols, seed=0, rounds=1,
                      ideal_collection=ideal_collection_cycles(config, mode))

@@ -85,13 +85,14 @@ class TestExactlyOnce:
 
 class TestDrain:
     def test_stray_staged_flit(self, monkeypatch):
-        eject = MeshNetwork._eject
+        finish = MeshNetwork._finish_packet
 
-        def patched(self, flit, *args):
-            eject(self, flit, *args)
+        def patched(self, pid, *args):
+            flit = self._staging[pid][-1]
+            finish(self, pid, *args)
             self._staging.setdefault(-1, [flit])   # one flit staged twice
 
-        monkeypatch.setattr(MeshNetwork, "_eject", patched)
+        monkeypatch.setattr(MeshNetwork, "_finish_packet", patched)
         with pytest.raises(DrainError, match=(
                 r"^network did not drain: flits left behind$")):
             run_ready_row(CFG, 0, "ru")
@@ -115,16 +116,16 @@ class TestDrain:
             net.assert_drained()
 
     def test_flit_counted_twice(self, monkeypatch):
-        eject = MeshNetwork._eject
+        finish = MeshNetwork._finish_packet
         extra = []
 
         def patched(self, *args):
-            eject(self, *args)
+            finish(self, *args)
             if not extra:
                 extra.append(True)
                 self.flits_ejected += 1
 
-        monkeypatch.setattr(MeshNetwork, "_eject", patched)
+        monkeypatch.setattr(MeshNetwork, "_finish_packet", patched)
         with pytest.raises(DrainError, match=(
                 r"^flit conservation violated: 8 injected, 9 ejected$")):
             run_ready_row(CFG, 0, "ru")
@@ -196,8 +197,8 @@ def test_round_measured_unlike_its_class(monkeypatch):
                         layer_side=1, input_vectors=16)
     simulate = systolic._simulate_round
 
-    def patched(net, mode, shape, what, ready_base, timeout_table):
-        m = simulate(net, mode, shape, what, ready_base, timeout_table)
+    def patched(net, mode, shape, what, ready_base, budget):
+        m = simulate(net, mode, shape, what, ready_base, budget)
         return dataclasses.replace(m, collection=m.collection + (what == "round 4"))
 
     monkeypatch.setattr(systolic, "_simulate_round", patched)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import deque
@@ -155,6 +156,75 @@ class TestConservation:
                 net.step()
                 net._routes[0].clear()
                 net._routes[1].clear()
+
+
+def _wake_up_scenario(seed: int) -> tuple[MeshNetwork, set[int]]:
+    """A random ru or gather network with crossing unicasts, a stall window
+    and, on even seeds, one input VC deep (every full queue credit-blocks the
+    head behind it).  Returns the network and the routers whose cached
+    routes the caller clears while stepping (a wedged route)."""
+    rng = random.Random(seed)
+    rows, cols = rng.choice(((2, 4), (3, 3), (4, 4)))
+    cfg = MeshConfig(rows=rows, cols=cols, vc_count=rng.choice((1, 2)),
+                     buffer_depth=1 if seed % 2 == 0 else rng.choice((2, 4)),
+                     pipeline_depth=rng.choice((1, 2, 5)))
+    node = NodeId(rng.randrange(rows), rng.randrange(cols))
+    port = rng.choice((Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH, Port.LOCAL))
+    start = rng.randrange(0, 30)
+    end = start + rng.randrange(1, 20)
+
+    def stall_fn(cycle, at, out):
+        return at == node and out == port and start <= cycle < end
+
+    net = MeshNetwork(cfg, timeout_table=flat_timeout_table(cfg, rng.randrange(0, 20)),
+                      stall_fn=stall_fn)
+    prev: dict[int, int | None] = {}
+    for r in range(rows):
+        for c in range(cols):
+            at = rng.randrange(0, 15)
+            if rng.random() < 0.5:
+                prev[r] = net.schedule_unicast_result(NodeId(r, c), 0, at, prev.get(r))
+            else:
+                net.schedule_post(at, NodeId(r, c), 0)
+    for _ in range(rng.randrange(2, 8)):
+        src = NodeId(rng.randrange(rows), rng.randrange(cols))
+        dst = NodeId(rng.randrange(rows), rng.randrange(cols))
+        if src != dst:
+            _send(net, src, dst, net.next_packet_id(), cycle=rng.randrange(0, 20))
+    wedged = {rng.randrange(rows * cols)} if seed % 3 == 0 else set()
+    return net, wedged
+
+
+def _check_wake_ups(net: MeshNetwork) -> None:
+    """Every non-empty input queue sits exactly once across the pending
+    wake-up buckets, at or after the clock and not before its head clears
+    the pipeline; no empty queue and no empty bucket is pending."""
+    pending = [(cycle, key) for cycle, keys in net._wake.items() for key in keys]
+    assert all(net._wake.values())
+    counts: dict[int, int] = {}
+    for cycle, key in pending:
+        counts[key] = counts.get(key, 0) + 1
+        queue = net._queues[key]
+        assert queue, f"empty queue {key} woken at {cycle}"
+        assert cycle >= net.cycle and cycle >= queue[0][0] + net.config.pipeline_depth
+    assert all(n == 1 for n in counts.values()), "a queue woken more than once"
+    assert set(counts) == {key for key, queue in enumerate(net._queues) if queue}
+
+
+class TestWakeUps:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_one_wake_up_per_non_empty_queue(self, seed):
+        net, wedged = _wake_up_scenario(seed)
+        # a stall_fn exempts the network from the watchdog, so a wedged
+        # route keeps it busy until the cycle cap
+        while net.busy() and net.cycle < 400:
+            net.step()
+            if net.cycle < 60:
+                for rid in wedged:
+                    net._routes[rid].clear()
+            _check_wake_ups(net)
+        if not wedged:
+            net.assert_drained()
 
 
 class TestClockAndScheduling:
@@ -368,7 +438,8 @@ class TestSharedTables:
     def test_input_queues_are_allocated_when_a_flit_first_enters(self, mode):
         cfg = MeshConfig(rows=16, cols=16)
         net = MeshNetwork(cfg)
-        systolic._simulate_round(net, mode, (16, 16), "lazy queues", 0, None)
+        systolic._simulate_round(net, mode, (16, 16), "lazy queues", 0,
+                                 max(give_up_budgets(cfg)))
         allocated = {key for key, q in enumerate(net._queues) if q is not network._UNUSED}
         assert all(isinstance(net._queues[key], deque) for key in allocated)
         assert allocated == {pair // len(Port) for pair in _row_pairs(net)}
@@ -444,7 +515,7 @@ class TestSharedTables:
         net = MeshNetwork(cfg)
         assert len(net._entries) == 0
         systolic._simulate_round(net, systolic.CollectionMode.RU, (16, 16),
-                                 "memo probe", 0, None)
+                                 "memo probe", 0, max(give_up_budgets(cfg)))
         used = _row_pairs(net)
         assert len(net.delivered) == 256
         assert set(net._entries) == used

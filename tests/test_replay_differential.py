@@ -117,7 +117,7 @@ def test_row_merged_class_measurement_matches_full_mesh(case):
     mode = CollectionMode(mode)
     merged = systolic._measure_class(cfg, mode, shape, "round 0", timeouts)
     full = systolic._simulate_round(MeshNetwork(cfg, timeout_table=timeouts), mode, shape,
-                                    "round 0", 0, timeouts)
+                                    "round 0", 0, max(give_up_budgets(cfg, timeouts)))
     assert merged == full
 
 
