@@ -17,6 +17,7 @@ from .harness import (
     RunConfig,
     emit_csv,
     improvement_record,
+    improvement_table,
     parse_kv_text,
     parse_layers,
     parse_mesh,
@@ -81,12 +82,9 @@ def cmd_table2(args: argparse.Namespace) -> int:
     if args.simulate:
         table["simulated"] = [result.stats[(*key, "ru")].improvement_pct for key in cfg.layers]
     names = [name for _, name in cfg.layers]
-    width = max(len(n) for n in names) + 4
-    lines = [f"{args.model} improvement over repetitive unicast (%), {rows}x{cols} mesh",
-             "result".ljust(12) + "".join(n.rjust(width) for n in names)]
-    lines += [label.ljust(12) + "".join(f"{v:.2f}".rjust(width) for v in values)
-              for label, values in table.items()]
-    print("\n".join(lines))
+    sys.stdout.write(improvement_table(
+        f"{args.model} improvement over repetitive unicast (%), {rows}x{cols} mesh",
+        "result", names, max(len(n) for n in names) + 4, table))
     return EXIT_OK
 
 

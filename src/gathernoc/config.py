@@ -18,7 +18,7 @@ class MeshConfig:
     ``pipeline_depth`` is the number of cycles a flit spends in an
     uncontended router, link traversal included.  ``gather_timeout`` is the
     base per-hop patience used to derive each node's give-up budget (see
-    :func:`default_timeout_table`).  ``buffer_commit_rate`` is how many
+    :func:`give_up_budgets`).  ``buffer_commit_rate`` is how many
     packet transactions the shared result buffer can commit per cycle.
     The derived sizes below are computed once per instance, on first read,
     since packets are built and checked against them per packet.
@@ -107,8 +107,11 @@ def check_timeout_table(config: MeshConfig, table: dict[tuple[int, int], int] | 
                               f">= 0, got {budget}")
 
 
-def default_timeout_table(config: MeshConfig) -> dict[tuple[int, int], int]:
-    """Per-node give-up budgets for gather collection.
+def give_up_budgets(config: MeshConfig,
+                    timeout_table: dict[tuple[int, int], int] | None = None) -> list[int]:
+    """Every node's give-up budget, in router-id order (``row * cols +
+    col``): the explicit entries of ``timeout_table``, once checked, laid
+    over the default staircase.
 
     A node ``c`` hops from the start of its row waits ``(c + 1)`` timeout
     units after posting a payload before initiating its own gather packet:
@@ -116,23 +119,20 @@ def default_timeout_table(config: MeshConfig) -> dict[tuple[int, int], int]:
     check/upload window.  The row-start node initiates immediately.  With the
     timeout unit equal to the router pipeline depth this guarantees a packet
     launched anywhere upstream arrives before the local budget expires, so a
-    row collapses into the minimum number of gather packets.
+    row collapses into the minimum number of gather packets.  A run resolves
+    its table once; tables that resolve to equal budgets are one policy.
     """
-    table: dict[tuple[int, int], int] = {}
-    for r in range(config.rows):
-        for c in range(config.cols):
-            table[(r, c)] = 0 if c == 0 else (c + 1) * config.gather_timeout
-    return table
+    check_timeout_table(config, timeout_table)  # before an entry such as (-1, 0) is indexed
+    cols, unit = config.cols, config.gather_timeout
+    budgets = [0, *((c + 1) * unit for c in range(1, cols))] * config.rows
+    for (r, c), budget in (timeout_table or {}).items():
+        budgets[r * cols + c] = budget
+    return budgets
 
 
-def give_up_budgets(config: MeshConfig,
-                    timeout_table: dict[tuple[int, int], int] | None = None) -> list[int]:
-    """Every node's give-up budget, in router-id order (``row * cols +
-    col``): the explicit entries of ``timeout_table`` laid over the default
-    staircase of :func:`default_timeout_table`."""
-    check_timeout_table(config, timeout_table)
-    table = {**default_timeout_table(config), **(timeout_table or {})}
-    return [table[r, c] for r in range(config.rows) for c in range(config.cols)]
+def default_timeout_table(config: MeshConfig) -> dict[tuple[int, int], int]:
+    """The default staircase of :func:`give_up_budgets`, keyed by ``(row, col)``."""
+    return {divmod(i, config.cols): b for i, b in enumerate(give_up_budgets(config))}
 
 
 def flat_timeout_table(config: MeshConfig, timeout: int) -> dict[tuple[int, int], int]:

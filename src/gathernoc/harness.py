@@ -153,7 +153,9 @@ def run(config: RunConfig) -> RunResult:
     shared: dict = {}
 
     for model, layer_name in config.layers:
-        layer = load_layer(model, layer_name, db).with_vectors(config.p_override)
+        layer = load_layer(model, layer_name, db)
+        if config.p_override is not None:  # truncates, never inflates
+            layer = layer.with_vectors(min(config.p_override, layer.vectors))
         for mode in config.modes:
             if mode == "analytic":
                 params = AnalyticParams.for_run(mesh, layer)
@@ -192,28 +194,30 @@ def run(config: RunConfig) -> RunResult:
     return result
 
 
+def improvement_table(title: str, corner: str, names: list[str], width: int,
+                      rows: dict[str, list[float | None]]) -> str:
+    """``title``, then a header of ``corner`` and ``names``, then one line
+    per ``rows`` label with its values to two decimals, ``-`` for a missing
+    one; every name and value is right-aligned in ``width`` columns."""
+    out = [title, corner.ljust(12) + "".join(n.rjust(width) for n in names)]
+    out += [label.ljust(12) + "".join(("-" if v is None else f"{v:.2f}").rjust(width)
+                                      for v in values)
+            for label, values in rows.items()]
+    return "\n".join(out) + "\n"
+
+
 def comparison_table(config: RunConfig, stats, estimated) -> str:
     """Estimated vs simulated improvement, one column per layer."""
     names = [f"{m}/{l}" for m, l in config.layers]
-    width = max([12] + [len(n) + 2 for n in names])
-    out = ["Improvement over repetitive unicast (%), "
-           f"{config.mesh.rows}x{config.mesh.cols} mesh"]
-    header = "layer".ljust(12) + "".join(n.rjust(width) for n in names)
-    out.append(header)
+    rows = {}
     if estimated:
-        row = "estimated".ljust(12)
-        for m, l in config.layers:
-            v = estimated.get((m, l))
-            row += (f"{v:.2f}" if v is not None else "-").rjust(width)
-        out.append(row)
+        rows["estimated"] = [estimated.get(key) for key in config.layers]
     if "ru" in config.modes and "gather" in config.modes:
-        row = "simulated".ljust(12)
-        for m, l in config.layers:
-            st = stats.get((m, l, "ru"))
-            v = st.improvement_pct if st else None
-            row += (f"{v:.2f}" if v is not None else "-").rjust(width)
-        out.append(row)
-    return "\n".join(out) + "\n"
+        rows["simulated"] = [st.improvement_pct if (st := stats.get((*key, "ru"))) else None
+                             for key in config.layers]
+    return improvement_table("Improvement over repetitive unicast (%), "
+                             f"{config.mesh.rows}x{config.mesh.cols} mesh", "layer", names,
+                             max([12] + [len(n) + 2 for n in names]), rows)
 
 
 def _csv_cell(value) -> str:

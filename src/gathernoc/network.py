@@ -297,18 +297,16 @@ class MeshNetwork:
             self._tail_watch[after_packet] = (node.index(self.config.cols), seq)
         return pid
 
-    def schedule_injection(self, cycle: int, node: NodeId, flits: list[Flit],
-                           to_buffer: bool = False) -> None:
+    def schedule_injection(self, cycle: int, node: NodeId, flits: list[Flit]) -> None:
         """Low-level: push a pre-built packet into a node's injection queue
-        at a given cycle (used by protocol tests)."""
+        at a given cycle (used by protocol tests).  The packet goes to the
+        buffer if ``build_packet`` marked its flits ``to_buffer``."""
         pid, dst = flits[0].packet_id, flits[0].dst
-        if to_buffer and dst.col != self.config.cols - 1:
+        if flits[0].to_buffer and dst.col != self.config.cols - 1:
             raise ConfigError(
                 f"packet {pid} is sent to the buffer at {dst}, but the buffer is "
                 f"attached to column {self.config.cols - 1} only"
             )
-        for f in flits:
-            f.to_buffer = to_buffer
         if pid >= self._next_packet_id:
             self._next_packet_id = pid + 1
         self._meta[pid] = _PacketMeta()

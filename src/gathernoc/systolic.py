@@ -43,7 +43,7 @@ from itertools import accumulate
 import numpy as np
 
 from .analytic import gather_collection_cycles, ru_collection_cycles
-from .config import MeshConfig, check_timeout_table, give_up_budgets
+from .config import MeshConfig, give_up_budgets
 from .errors import ConfigError, LostPayloadError, OracleMismatchError, SimulationError
 from .network import MeshNetwork, mesh_tables
 from .power import EVENT_KINDS, ActivityCounters, EnergyCoefficients, total_energy
@@ -328,46 +328,51 @@ def run_convolution(
 ) -> RunStats:
     """Execute all rounds of one layer in one collection mode.
 
-    The oracle runs first, before any network is built: it checks every PE
-    of every round while the layer's work is within
-    ``FULL_ORACLE_WORK_LIMIT``, else at most four PEs of every
-    ``rounds // 32``-th round, and ``_check_oracle`` generates the operands
-    of the checked PEs only, a bounded chunk at a time.  The network then
-    carries no operands: each PE posts a stand-in payload, so a round's
-    measurement depends on the mesh, mode, timeout table and the round's
-    shape alone: ``_measure_class`` and ``_simulate_round`` take the shape,
-    never the round's vector ids.
+    The give-up policy is resolved first, once per call: ``give_up_budgets``
+    checks ``timeout_table`` (a bad entry fails before the oracle) and lays
+    it over the default staircase.  The measurements, their keys and the
+    drain allowance take that budget vector; only the networks of the whole
+    mesh are built from the table itself.  The oracle runs next, before any
+    network is built: it checks every PE of every round while the layer's
+    work is within ``FULL_ORACLE_WORK_LIMIT``, else at most four PEs of
+    every ``rounds // 32``-th round, and ``_check_oracle`` generates the
+    operands of the checked PEs only, a bounded chunk at a time.  The
+    network then carries no operands: each PE posts a stand-in payload, so
+    a round's measurement depends on the mesh, mode, give-up budgets and
+    the round's shape alone: ``_measure_class`` and ``_simulate_round``
+    take the shape, never the round's vector ids.
 
     Each round class ``(active_rows, active_cols)`` of the layer's
     ``RoundPlan`` is measured once by ``_measure_class``, relative to the
     class's ready cycle: from one row network per distinct row of give-up
-    budgets (one under the default table), the rows merged at the buffer
-    commit port in (eject cycle, router id) order.  Rounds of the whole
-    mesh only check that table, each through ``_whole_mesh_round``: with
-    ``replay`` and an event log, one round per class on a fresh network,
-    whose lines are logged shifted to the true ready cycle of the class's
-    first round; with ``replay=False``, the reference the replay
+    budgets (one under the default staircase), the rows merged at the
+    buffer commit port in (eject cycle, router id) order.  Rounds of the
+    whole mesh only check that table, each through ``_whole_mesh_round``:
+    with ``replay`` and an event log, one round per class on a fresh
+    network, whose lines are logged shifted to the true ready cycle of the
+    class's first round; with ``replay=False``, the reference the replay
     differential tests compare against, every round back to back on one
     network that carries its state, so the row decomposition and the
     independence of rounds are checked together.
 
     ``shared`` holds what several calls can reuse: the class measurements
     and, under keys of their own, the classes' event lines, keyed by
-    everything a class simulation depends on; the row networks' results,
-    keyed by everything a row simulation depends on (the one-row config,
-    mode, row budgets and active column count, not the class's row count),
-    so each distinct row network is simulated once and every class that
-    has it merges its result at the commit port; and the oracle's verdict
-    on a layer, keyed by the layer, mesh, seed and oracle rule (nothing
-    else sets the checked pairs and operand values).  A verdict or a
-    class's lines are stored only once their checks have passed.
-    ``harness.run`` passes one mapping to all its calls, so it measures
-    each class, runs its logged whole-mesh round if any, simulates each
-    row network once, and checks each layer once, per run; without a
+    everything a class simulation depends on (the mesh, mode, budget vector
+    and shape: tables that resolve to the same budgets share them); the
+    row networks' results, keyed by everything a row simulation depends on
+    (the one-row config, mode, row budgets and active column count, not
+    the class's row count), so each distinct row network is simulated once
+    and every class that has it merges its result at the commit port; and
+    the oracle's verdict on a layer, keyed by the layer, mesh, seed and
+    oracle rule (nothing else sets the checked pairs and operand values).
+    A verdict or a class's lines are stored only once their checks have
+    passed.  ``harness.run`` passes one mapping to all its calls, so it
+    measures each class, runs its logged whole-mesh round if any, simulates
+    each row network once, and checks each layer once, per run; without a
     mapping they last one call.
     """
     mode = _collection_mode(mode)
-    check_timeout_table(config, timeout_table)
+    budgets = tuple(give_up_budgets(config, timeout_table))
     check_payload_width(config, layer)
     _check_stand_in_width(config)
     plan = RoundPlan(layer, config)
@@ -384,21 +389,20 @@ def run_convolution(
         shared[verdict] = True
 
     ready_offset = plan.stream_len + config.mac_latency  # a round's ready cycle, from its start
-    timeouts = tuple(sorted(timeout_table.items())) if timeout_table else ()
     table = []
     for rows, row_count, ib in plan.row_blocks:
         for cols, col_count, fb in plan.col_blocks:
             first, shape = ib * plan.col_count + fb, (rows, cols)
-            key = (config, mode, timeouts, *shape)
+            key = (config, mode, budgets, *shape)
             if (m := shared.get(key)) is None:
                 m = shared[key] = _measure_class(config, mode, shape, f"round {first}",
-                                                 timeout_table, shared)
+                                                 budgets, shared)
             table.append(RoundClass(*shape, row_count, col_count, first,
                                     ready_offset + m.collection, m))
     _fold_rounds(stats, table, coefficients)
+    budget = max(budgets)
     if not replay:  # every round, back to back on one network that carries its state
         net = MeshNetwork(config, timeout_table=timeout_table, event_log=event_log)
-        budget = max(give_up_budgets(config, timeout_table))
         measured = {(c.active_rows, c.active_cols): c.measurement for c in table}
         for s, start in zip(build_round_schedules(layer, config),
                             accumulate(stats.per_round_latency, initial=0)):
@@ -407,10 +411,9 @@ def run_convolution(
                               budget, measured[shape])
     elif event_log is not None:
         starts = list(accumulate(stats.per_round_latency, initial=0))
-        budget = max(give_up_budgets(config, timeout_table))
         for c in table:  # each class's lines "<cycle> <rest>", shifted to its first round
             shape = (c.active_rows, c.active_cols)
-            key = ("event lines", config, mode, timeouts, *shape)
+            key = ("event lines", config, mode, budgets, *shape)
             if (lines := shared.get(key)) is None:
                 lines = []
                 net = MeshNetwork(config, timeout_table=timeout_table, event_log=lines)
@@ -468,17 +471,18 @@ def _whole_mesh_round(net: MeshNetwork, mode: CollectionMode, shape: tuple[int, 
 
 
 def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, int], what: str,
-                   timeout_table: dict[tuple[int, int], int] | None,
-                   shared: dict | None = None) -> RoundMeasurement:
+                   budgets: tuple[int, ...], shared: dict | None = None) -> RoundMeasurement:
     """Measure a round of ``shape``, as ``_simulate_round`` on a fresh
-    network of the whole mesh would, one mesh row at a time.
+    network of the whole mesh would, one mesh row at a time.  ``budgets``
+    is every node's give-up budget in router-id order, which the caller
+    resolved once (``give_up_budgets``).
 
     Every result goes to the buffer port at the right edge of its own row,
     and XY routing keeps its flits in that row; the network ejects into the
     buffer without limit, and the buffer's commit port, the one thing rows
-    share, is no part of it.  So a row's traffic depends on its own PEs'
-    give-up budgets alone (``give_up_budgets``), and rows with equal
-    budgets are copies of each other, row ``r`` shifted by ``r`` cycles.
+    share, is no part of it.  So a row's traffic depends on its own slice
+    of ``budgets`` alone, and rows with equal budgets are copies of each
+    other, row ``r`` shifted by ``r`` cycles.
     Each row is measured by its row network (``_measure_row``), simulated
     once per ``shared`` mapping: it depends on the one-row config, the
     mode, the budgets and the active column count, not on the row or the
@@ -490,7 +494,6 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, i
     of the whole mesh (``_whole_mesh_round``).
     """
     cols = config.cols
-    budgets = give_up_budgets(config, timeout_table)
     row_config = replace(config, rows=1)
     shared = {} if shared is None else shared
     sums = dict.fromkeys(("packets", "flits", "hops", "payloads", "timeout_packets"), 0)
@@ -520,16 +523,12 @@ def _measure_class(config: MeshConfig, mode: CollectionMode, shape: tuple[int, i
 
 def _measure_row(row_config: MeshConfig, mode: CollectionMode, row_budgets: tuple[int, ...],
                  active_cols: int, what: str) -> tuple[RoundMeasurement, list[int]]:
-    """Collect one row of ``active_cols`` PEs, PE ``c`` ready at cycle ``c``,
+    """Collect one row of ``active_cols`` PEs, as ``_simulate_round`` does,
     on a fresh one-row network, with no event log, whose PEs have
-    ``row_budgets``, through ``_collect`` and all its checks.  Returns the
-    row's measurement and each delivered packet's tail eject cycle, in the
-    order of its ``head_latencies``."""
-    row_table = {(0, c): b for c, b in enumerate(row_budgets)}
-    net = MeshNetwork(row_config, timeout_table=row_table)
-    nodes = mesh_tables(1, row_config.cols, row_config.vc_count).nodes
-    m = _collect(net, mode, [(nodes[c], c) for c in range(active_cols)], 0, what,
-                 max(row_budgets))
+    ``row_budgets``.  Returns the row's measurement and each delivered
+    packet's tail eject cycle, in the order of its ``head_latencies``."""
+    net = MeshNetwork(row_config, timeout_table={(0, c): b for c, b in enumerate(row_budgets)})
+    m = _simulate_round(net, mode, (1, active_cols), what, 0, max(row_budgets))
     return m, [pkt.tail_arrival for pkt in net.delivered]
 
 
@@ -632,13 +631,13 @@ def run_ready_row(
     """One row of PEs, all with a result ready at cycle 0 (motivating demo),
     drained to the buffer in ``mode``: the stats of a one-round run."""
     mode = _collection_mode(mode)
-    check_timeout_table(config, timeout_table)
+    budget = max(give_up_budgets(config, timeout_table))
     _check_stand_in_width(config)
     if not 0 <= row < config.rows:
         raise ConfigError(f"row {row} outside the {config.rows}-row mesh")
     m = _collect(MeshNetwork(config, timeout_table=timeout_table), mode,
                  [(NodeId(row, c), 0) for c in range(config.cols)], ready_base=0,
-                 what=f"ready row {row}", budget=max(give_up_budgets(config, timeout_table)))
+                 what=f"ready row {row}", budget=budget)
     stats = RunStats(model="demo", layer=f"ready-row-{row}", mode=mode.value,
                      rows=config.rows, cols=config.cols, seed=0, rounds=1,
                      ideal_collection=ideal_collection_cycles(config, mode))

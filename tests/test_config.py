@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from gathernoc.config import MeshConfig, default_timeout_table, flat_timeout_table
+from gathernoc.config import (MeshConfig, default_timeout_table, flat_timeout_table,
+                              give_up_budgets)
 from gathernoc.errors import ConfigError
 
 
@@ -54,6 +55,22 @@ class TestTimeoutTables:
         table = default_timeout_table(cfg)
         assert [table[(0, c)] for c in range(4)] == [0, 10, 15, 20]
         assert table[(1, 3)] == 20
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 8), st.data())
+    def test_budgets_are_the_entries_over_the_staircase(self, rows, cols, unit, data):
+        cfg = MeshConfig(rows=rows, cols=cols, gather_timeout=unit)
+        table = data.draw(st.dictionaries(st.tuples(st.integers(0, rows - 1),
+                                                    st.integers(0, cols - 1)),
+                                          st.integers(0, 40)))
+        assert give_up_budgets(cfg, table) == [
+            table.get((r, c), 0 if c == 0 else (c + 1) * unit)
+            for r in range(rows) for c in range(cols)]
+        assert give_up_budgets(cfg) == list(default_timeout_table(cfg).values())
+
+    @pytest.mark.parametrize("entry", [(-1, 0), (0, -1), (2, 0), (0, 3)])
+    def test_entry_outside_the_mesh_is_rejected_not_indexed(self, entry):
+        with pytest.raises(ConfigError, match="outside the 2x3 mesh"):
+            give_up_budgets(MeshConfig(rows=2, cols=3), {entry: 1})
 
     def test_flat_table(self):
         cfg = MeshConfig(rows=2, cols=2)

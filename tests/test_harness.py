@@ -528,6 +528,15 @@ def test_table2_simulated_rows_come_from_the_run(capsys):
     )
 
 
+def test_p_override_above_the_layer_vectors_truncates_nothing():
+    # alexnet/conv5 has 169 input vectors: a larger p_override runs them all
+    mesh = MeshConfig(rows=4, cols=4)
+    full, over = (run(RunConfig(mesh=mesh, layers=[("alexnet", "conv5")], p_override=p))
+                  for p in (None, 100_000))
+    assert over.records == full.records
+    assert full.stats[("alexnet", "conv5", "ru")].rounds == 43 * 64
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--config", "{cfg}"],
     ["run", "--mesh", "4x4", "--layers", "conv3", "--p-override", "4", "--seed", "-1"],
@@ -618,6 +627,17 @@ def test_grid_script_p_override_below_one_exits_config_error(tmp_path, capsys, m
 
 
 GRID_GOLDEN = Path(__file__).resolve().parent / "data" / "grid_golden"
+TIMEOUT_SWEEP_GOLDEN = Path(__file__).resolve().parent / "data" / "timeout_sweep_golden"
+
+
+@pytest.mark.parametrize("size", [8, 16])
+def test_timeout_sweep_script_matches_the_golden(capsys, monkeypatch, size):
+    # the only full-size outputs under give-up tables other than the default
+    script = Path(__file__).resolve().parents[1] / "scripts" / "timeout_sweep.py"
+    sweep_main = runpy.run_path(str(script))["main"]
+    monkeypatch.setattr(sys, "argv", ["timeout_sweep.py", "--size", str(size)])
+    assert sweep_main() == 0
+    assert capsys.readouterr().out == (TIMEOUT_SWEEP_GOLDEN / f"size{size}.txt").read_text()
 
 
 def test_full_scale_grid_files_match_the_golden(tmp_path, capsys, monkeypatch):

@@ -29,8 +29,9 @@ def _drain(net, limit=5000):
 
 def _send(net, src, dst, pid, payloads=None, pt=PacketType.UNICAST,
           cycle=0, to_buffer=False, vc=None):
-    flits = build_packet(pt, src, dst, payloads or [], net.config, pid, vc=vc)
-    net.schedule_injection(cycle, src, flits, to_buffer=to_buffer)
+    flits = build_packet(pt, src, dst, payloads or [], net.config, pid, vc=vc,
+                         to_buffer=to_buffer)
+    net.schedule_injection(cycle, src, flits)
     return flits
 
 
@@ -252,9 +253,9 @@ class TestClockAndScheduling:
         cfg = MeshConfig(rows=2, cols=3)
         net = MeshNetwork(cfg)
         flits = build_packet(PacketType.UNICAST, NodeId(0, 0), NodeId(1, 1),
-                             [(NodeId(0, 0), 1)], cfg, 0)
+                             [(NodeId(0, 0), 1)], cfg, 0, to_buffer=True)
         with pytest.raises(ConfigError, match="column 2 only"):
-            net.schedule_injection(0, NodeId(0, 0), flits, to_buffer=True)
+            net.schedule_injection(0, NodeId(0, 0), flits)
         assert not net.busy()
 
 

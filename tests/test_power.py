@@ -20,8 +20,8 @@ def test_single_router_crossing_counts_each_event_once():
     cfg = MeshConfig(rows=1, cols=2)
     net = MeshNetwork(cfg)
     flits = build_packet(PacketType.UNICAST, NodeId(0, 0), NodeId(0, 1),
-                         [(NodeId(0, 0), 1)], cfg, 0)
-    net.schedule_injection(0, NodeId(0, 0), flits, to_buffer=True)
+                         [(NodeId(0, 0), 1)], cfg, 0, to_buffer=True)
+    net.schedule_injection(0, NodeId(0, 0), flits)
     net.run_until_idle(1000)
     net.assert_drained()
     rid0 = 0

@@ -115,7 +115,8 @@ def test_row_merged_class_measurement_matches_full_mesh(case):
     # equal one round of its shape on a fresh network of the whole mesh
     cfg, shape, mode, timeouts = case
     mode = CollectionMode(mode)
-    merged = systolic._measure_class(cfg, mode, shape, "round 0", timeouts)
+    merged = systolic._measure_class(cfg, mode, shape, "round 0",
+                                     tuple(give_up_budgets(cfg, timeouts)))
     full = systolic._simulate_round(MeshNetwork(cfg, timeout_table=timeouts), mode, shape,
                                     "round 0", 0, max(give_up_budgets(cfg, timeouts)))
     assert merged == full
@@ -167,8 +168,10 @@ def test_replay_event_log_matches_full_simulation(case):
 def _spy_measurements(monkeypatch) -> list:
     """Record each class measurement of ``run_convolution`` as ``(entry
     point, shape, networks it ran on)``: ``_measure_class`` with the networks
-    built during the call, ``_simulate_round`` with the network it is given."""
-    calls, built = [], []
+    built during the call, ``_simulate_round`` with the network it is given,
+    for the rounds of the whole mesh only (not the row networks' rounds,
+    which are part of a ``_measure_class`` call)."""
+    calls, built, measuring = [], [], []
     network, measure, simulate = (systolic.MeshNetwork, systolic._measure_class,
                                   systolic._simulate_round)
 
@@ -178,12 +181,17 @@ def _spy_measurements(monkeypatch) -> list:
 
     def measure_spy(config, mode, shape, *rest):
         first = len(built)
-        m = measure(config, mode, shape, *rest)
+        measuring.append(shape)
+        try:
+            m = measure(config, mode, shape, *rest)
+        finally:
+            measuring.pop()
         calls.append(("measure", mode.value, *shape, built[first:]))
         return m
 
     def simulate_spy(net, mode, shape, *rest):
-        calls.append(("simulate", mode.value, *shape, [net]))
+        if not measuring:
+            calls.append(("simulate", mode.value, *shape, [net]))
         return simulate(net, mode, shape, *rest)
 
     monkeypatch.setattr(systolic, "MeshNetwork", build)
@@ -418,14 +426,14 @@ def test_shared_row_networks_measure_every_shape_as_fresh_ones(case):
     # equals its measurement in a fresh one; the mapping holds one row
     # network per distinct (mode, active cols, row budgets)
     cfg, timeouts = case
-    row_budgets = _row_budgets(cfg, timeouts)
+    budgets, row_budgets = tuple(give_up_budgets(cfg, timeouts)), _row_budgets(cfg, timeouts)
     shapes = [(k, c) for k in range(1, cfg.rows + 1) for c in range(1, cfg.cols + 1)]
     shared: dict = {}
     for mode in CollectionMode:
         for shape in shapes:
             what = f"{shape[0]}x{shape[1]}"
-            got = systolic._measure_class(cfg, mode, shape, what, timeouts, shared)
-            alone = systolic._measure_class(cfg, mode, shape, what, timeouts)
+            got = systolic._measure_class(cfg, mode, shape, what, budgets, shared)
+            alone = systolic._measure_class(cfg, mode, shape, what, budgets)
             assert got == alone, (mode, shape)
     assert len(shared) == 2 * len({(c, budgets) for c in range(1, cfg.cols + 1)
                                    for budgets in row_budgets})

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gathernoc import systolic
-from gathernoc.config import MeshConfig, flat_timeout_table
+from gathernoc.config import MeshConfig, default_timeout_table, flat_timeout_table
 from gathernoc.errors import ConfigError, SimulationError
 from gathernoc.network import MeshNetwork
 from gathernoc.packet import PacketType
@@ -532,6 +532,44 @@ class TestRunConvolution:
         cfg = MeshConfig()
         stats = run_convolution(_layer(q=8, p=8), cfg, "ru", seed=3)
         assert stats.delta_measured and all(d >= 0 for d in stats.delta_measured)
+
+    @pytest.mark.parametrize("mode", ["ru", "gather"])
+    @pytest.mark.parametrize("replay, logged", [(True, False), (True, True),
+                                                (False, False), (False, True)])
+    def test_give_up_policy_resolved_once_per_call(self, monkeypatch, mode, replay, logged):
+        # 11 input vectors x 6 filters on 4x4: four classes, rows that differ
+        resolved = []
+        resolve = systolic.give_up_budgets
+
+        def spy(*args):
+            resolved.append(args)
+            return resolve(*args)
+
+        monkeypatch.setattr(systolic, "give_up_budgets", spy)
+        run_convolution(_layer(q=6, p=11), MeshConfig(rows=4, cols=4), mode,
+                        timeout_table={(1, 2): 3}, replay=replay,
+                        event_log=[] if logged else None)
+        assert len(resolved) == 1
+
+    @pytest.mark.parametrize("mode", ["ru", "gather"])
+    def test_tables_of_equal_budgets_share_one_class_measurement(self, monkeypatch, mode):
+        # no table, the default staircase restated, and one entry that
+        # restates it are one policy: one measurement per class in one mapping
+        cfg = MeshConfig(rows=4, cols=4)
+        layer = _layer(q=6, p=11)
+        measured, measure = [], systolic._measure_class
+
+        def spy(config, mode, shape, *rest):
+            measured.append(shape)
+            return measure(config, mode, shape, *rest)
+
+        monkeypatch.setattr(systolic, "_measure_class", spy)
+        shared: dict = {}
+        runs = [run_convolution(layer, cfg, mode, timeout_table=table, shared=shared)
+                for table in (None, default_timeout_table(cfg), {(2, 0): 0})]
+        classes = {(s.active_rows, s.active_cols) for s in build_round_schedules(layer, cfg)}
+        assert sorted(measured) == sorted(classes) and len(classes) == 4
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def _longest_container(value) -> int:
