@@ -26,29 +26,40 @@ at most one flit, decided on the pre-cycle state:
 * candidates are ranked by the flat index ``input_port * vc_count + vc``,
   input ports in ``INPUT_PORTS`` order; the grant goes to the first
   candidate at or after the output's round-robin pointer, cyclically, and
-  the pointer then moves to the index after the grant;
+  the pointer then moves to the index after the grant (set as the grant
+  commits: no output grants twice in a cycle);
 * grants are listed router by router in id order, and within a router in
   ``OUTPUT_PORTS`` order; they are committed afterwards, in that order.
 
 A head is routed where it lands: at injection, and in the commit phase at
 the router it enters, so the phase after the commit sees only gather flits
 and runs their load/upload/nack handshake, one ``router.gather_arrival``
-call per arrival under limits resolved once per network.  Every packet
-sent to the buffer is addressed to the buffer column
+call per arrival under limits resolved once per network.  Only arrivals at
+a router whose gather unit holds a payload are handed to it: the handshake
+does nothing at any other, and no arrival gives a unit a payload.  Every
+packet sent to the buffer is addressed to the buffer column
 (``schedule_injection`` checks the packets it is handed), so routing never
 fails partway through a commit.
 
 A cycle costs time in proportion to what is present, not to the size of the
-mesh.  Arbitration reads only the queue heads woken that cycle: every
-non-empty input queue holds exactly one pending wake-up in the per-cycle
-wake-up buckets, and an empty one none.  A queue is woken when its head
-clears the pipeline, and a head that is not granted (no cached route, its
-output VC owned by another packet, no credit, stalled, or lost round-robin)
-is woken again the next cycle, so no set of ready heads is kept beside the
-buckets.  When no ``stall_fn`` is set and no output has two candidates,
-every eligible head is granted without a per-output scan.  Gather units
-are looked at only once their give-up deadline has passed, and only
-non-empty NI queues and due sends are touched.  Event-log lines are
+mesh, and ``step`` calls a phase only when it has work: ``_arbitrate`` when
+the cycle has a wake-up bucket, ``_commit`` when a head was granted, the
+handshake when a gather flit arrived at a unit holding a payload, and
+``_node_phase`` when a payload post or a send is due, a give-up deadline
+falls, a unit is expiring or an NI queue is non-empty.  Arbitration reads
+only the queue heads woken that cycle: every non-empty input queue holds
+exactly one pending wake-up in the per-cycle wake-up buckets, and an empty
+one none.  A queue is woken when its head clears the pipeline, and a head
+that is not granted (no cached route, its output VC owned by another
+packet, no credit, stalled, or lost round-robin) is woken again the next
+cycle, so no set of ready heads is kept beside the buckets.  When no
+``stall_fn`` is set and no output has two candidates, every eligible head
+is granted without a per-output scan.  Gather units are looked at only once
+their give-up deadline has passed: a unit holding a payload sits in the
+per-cycle deadline bucket of its deadline until the payload is uploaded or
+the deadline falls, and then among the expiring units until it sends the
+payload itself or is served, so a drained network keeps no give-up state.
+Only non-empty NI queues and due sends are touched.  Event-log lines are
 formatted only when a log is attached.  ``stall_fn`` must be a pure
 function of its arguments: it is consulted only for outputs that have a
 candidate.  A head's hop count is not counted per move: XY routing makes it
@@ -56,17 +67,18 @@ cross ``|drow| + |dcol|`` links, and its delivery record says so.
 
 State layout.  A network keeps every mutable per-router table as one flat
 list, indexed from the router id ``rid = row * cols + col`` one way each:
-the (input port, VC) queues of ``(enter cycle, flit)`` pairs at the queue
-key ``rid * len(INPUT_PORTS) * vc_count + port * vc_count + vc``, each
-allocated when its first flit enters (until then the key holds the shared
-empty ``_UNUSED``: a full 16x16 round enters 928 of its 5 120 queues in ru
-and 272 in gather, so building a network costs little), and a queue's
-pending wake-up is its key in the bucket of one cycle, one key per
-non-empty queue (the wake-up buckets map a cycle to the keys woken
-then); the wormhole owner of each output VC at ``(rid * len(Port) + out)
-* vc_count + vc``; the round-robin pointer of each arbitration group, one
-output of one router, at ``rid * len(OUTPUT_PORTS) + rank``; the routes,
-gather unit and NI queue at ``rid``.  Node ids and the arbitration entries come from
+the (input port, VC) queues of flits at the queue key ``rid *
+len(INPUT_PORTS) * vc_count + port * vc_count + vc``, each flit's
+``entered`` slot the cycle it entered its queue, and each queue allocated
+when its first flit enters (until then the key holds the shared empty
+``_UNUSED``: a full 16x16 round enters 928 of its 5 120 queues in ru and
+272 in gather, so building a network costs little), and a queue's pending
+wake-up is its key in the bucket of one cycle, one key per non-empty queue
+(the wake-up buckets map a cycle to the keys woken then); the wormhole
+owner of each output VC at ``(rid * len(Port) + out) * vc_count + vc``; the
+round-robin pointer of each arbitration group, one output of one router,
+at ``rid * len(OUTPUT_PORTS) + rank``; the routes, gather unit and NI
+queue at ``rid``.  Node ids and the arbitration entries come from
 ``mesh_tables``, shared by every network of one geometry (rows, cols and
 VCs).  The arbitration entry of a (queue key, output) pair is everything a
 move of that queue's head through that output reads, resolved once: the
@@ -86,6 +98,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
+from operator import itemgetter
 
 from .config import MeshConfig, give_up_budgets
 from .errors import ConfigError, DeadlockError, DrainError, SimulationError
@@ -116,6 +129,9 @@ _GATHER = PacketType.GATHER
 # its own when the first flit enters (module docstring)
 _UNUSED: tuple = ()
 
+# the sort key of an arbitration entry: its grant index, the first field
+_grant_index = itemgetter(0)
+
 
 @dataclass
 class DeliveredPacket:
@@ -136,7 +152,7 @@ class DeliveredPacket:
 
 @dataclass(slots=True)
 class _PendingSend:
-    node: NodeId
+    rid: int                  # the sending node's router id
     flits: list[Flit]
     ready_at: int
 
@@ -230,7 +246,7 @@ class MeshNetwork:
         self._nq = len(INPUT_PORTS) * config.vc_count
         self._nodes = tables.nodes
         self._entries = tables.entries
-        self._queues: list[deque[tuple[int, Flit]] | tuple] = [_UNUSED] * (n * self._nq)
+        self._queues: list[deque[Flit] | tuple] = [_UNUSED] * (n * self._nq)
         self._owners: list[int | None] = [None] * (n * len(Port) * self._vcs)
         self._rr = [0] * (n * len(OUTPUT_PORTS))
         self._routes: list[dict[int, tuple]] = [{} for _ in range(n)]  # pid -> entry
@@ -244,9 +260,9 @@ class MeshNetwork:
         self._queued = 0                                  # flits in router queues
         self._wake: dict[int, list[int]] = {}             # cycle -> queue keys woken then
         self._ni_busy: set[int] = set()                   # rids with a non-empty NI queue
-        self._posts: dict[int, list[tuple[NodeId, GatherPayload]]] = {}
+        self._posts: dict[int, list[tuple[int, GatherPayload]]] = {}  # cycle -> (rid, payload)
         self._holding = 0                                 # gather units holding a payload
-        self._deadlines: list[tuple[int, int]] = []       # (give-up cycle, rid) heap
+        self._deadlines: dict[int, list[int]] = {}        # give-up cycle -> rids
         self._expiring: set[int] = set()                  # rids past a give-up deadline
         self._pending_sends: dict[int, _PendingSend] = {}  # by schedule order
         self._due_sends: list[tuple[int, int]] = []       # (eligible cycle, seq) heap
@@ -266,14 +282,12 @@ class MeshNetwork:
         self._next_packet_id += 1
         return pid
 
-    def buffer_node(self, row: int) -> NodeId:
-        cols = self.config.cols
-        return self._nodes[row * cols + cols - 1]
-
     def schedule_post(self, cycle: int, node: NodeId, value: int) -> GatherPayload:
         """Make ``node``'s result payload pending from ``cycle`` on (gather mode)."""
-        payload = GatherPayload(origin=node, value=value, dst=self.buffer_node(node.row))
-        self._posts.setdefault(cycle, []).append((node, payload))
+        cols = self.config.cols
+        base = node.row * cols
+        payload = GatherPayload(origin=node, value=value, dst=self._nodes[base + cols - 1])
+        self._posts.setdefault(cycle, []).append((base + node.col, payload))
         return payload
 
     def schedule_unicast_result(
@@ -285,16 +299,21 @@ class MeshNetwork:
     ) -> int:
         """Queue a result unicast that launches once its predecessor's tail
         has passed this node (in-order drain chain).  Returns the packet id."""
-        pid = self.next_packet_id()
-        flits = build_packet(PacketType.UNICAST, node, self.buffer_node(node.row),
-                             [(node, value)], self.config, pid, to_buffer=True)
+        cfg = self.config
+        base = node.row * cfg.cols
+        pid = self._next_packet_id
+        self._next_packet_id = pid + 1
+        flits = build_packet(PacketType.UNICAST, node, self._nodes[base + cfg.cols - 1],
+                             [(node, value)], cfg, pid, to_buffer=True)
         self._meta[pid] = _PacketMeta()
-        seq = self._add_send(_PendingSend(node, flits, ready_cycle))
+        seq = self._send_seq
+        self._send_seq = seq + 1
+        self._pending_sends[seq] = _PendingSend(base + node.col, flits, ready_cycle)
         if after_packet is None:
             heappush(self._due_sends, (ready_cycle, seq))
         else:
             # due once the predecessor's tail has reached this node (_commit)
-            self._tail_watch[after_packet] = (node.index(self.config.cols), seq)
+            self._tail_watch[after_packet] = (base + node.col, seq)
         return pid
 
     def schedule_injection(self, cycle: int, node: NodeId, flits: list[Flit]) -> None:
@@ -310,14 +329,10 @@ class MeshNetwork:
         if pid >= self._next_packet_id:
             self._next_packet_id = pid + 1
         self._meta[pid] = _PacketMeta()
-        seq = self._add_send(_PendingSend(node=node, flits=flits, ready_at=cycle))
-        heappush(self._due_sends, (cycle, seq))
-
-    def _add_send(self, send: _PendingSend) -> int:
         seq = self._send_seq
-        self._send_seq += 1
-        self._pending_sends[seq] = send
-        return seq
+        self._send_seq = seq + 1
+        self._pending_sends[seq] = _PendingSend(node.index(self.config.cols), flits, cycle)
+        heappush(self._due_sends, (cycle, seq))
 
     # ------------------------------------------------------------- lifecycle
 
@@ -363,27 +378,36 @@ class MeshNetwork:
     # ----------------------------------------------------------------- cycle
 
     def step(self) -> None:
+        """One cycle, calling only the phases that have work (module docstring)."""
         t = self.cycle
-        moves = self._arbitrate(t)
-        arrivals = self._commit(moves, t)
-        self._process_arrivals(arrivals, t)
-        self._node_phase(t)
-        self._watchdog(t, bool(moves))
+        moves = self._arbitrate(t) if t in self._wake else None
+        if moves:
+            arrivals = self._commit(moves, t)
+            if arrivals:
+                self._process_arrivals(arrivals, t)
+        due = self._due_sends
+        if (self._ni_busy or self._expiring or t in self._posts or t in self._deadlines
+                or (due and due[0][0] <= t)):
+            self._node_phase(t)
+        if moves or not self._queued or self.stall_fn is not None:
+            # progress, an empty network, or externally stalled cycles,
+            # which are exempt from the progress check
+            self._idle_streak = 0
+        else:
+            self._watchdog(t)
         self.cycle = t + 1
 
     # phase 1: arbitration over the queue heads woken this cycle, on the
     # pre-cycle state; a head that is not granted is woken again next cycle
     def _arbitrate(self, t: int):
-        woken = self._wake.pop(t, None)
-        if woken is None:
-            return []
+        woken = self._wake.pop(t)
         nq, depth = self._nq, self.config.buffer_depth
         routes, owners, queues = self._routes, self._owners, self._queues
         # the arbitration entries of the eligible heads, each the cached route
         # of its head (fields as the module docstring lists them)
         eligible, again = [], []
         for key in woken:
-            flit = queues[key][0][1]
+            flit = queues[key][0]
             pid = flit.packet_id
             entry = routes[key // nq].get(pid)
             if entry is None:
@@ -398,17 +422,15 @@ class MeshNetwork:
                 again.append(key)         # no credit downstream
                 continue
             eligible.append(entry)
-        eligible.sort()                   # by grant index, the first field
+        eligible.sort(key=_grant_index)
 
-        stall_fn, rr = self.stall_fn, self._rr
+        stall_fn = self.stall_fn
         if stall_fn is None and len({entry[1] for entry in eligible}) == len(eligible):
             # one candidate per output group: every eligible head is granted
-            for entry in eligible:
-                rr[entry[1]] = entry[2]   # entry[2]: the pointer after this grant
             self._wake_at(t + 1, again)
             return eligible
 
-        nodes = self._nodes
+        nodes, rr = self._nodes, self._rr
         moves = []
         i, n = 0, len(eligible)
         while i < n:
@@ -422,7 +444,6 @@ class MeshNetwork:
             if stall_fn is None or not stall_fn(t, nodes[entry[5]], entry[4]):
                 granted = entry if j == i + 1 else _round_robin(eligible[i:j],
                                                                 group * nq + rr[group])
-                rr[group] = granted[2]
                 moves.append(granted)
             if granted is None or j > i + 1:
                 # other[3]: the queue key
@@ -431,13 +452,11 @@ class MeshNetwork:
         self._wake_at(t + 1, again)
         return moves
 
-    # phase 2: commit all granted moves simultaneously, routing each head at
-    # the router it enters
+    # phase 2: commit all granted moves simultaneously, moving each grant's
+    # round-robin pointer past it and routing each head at the router it enters
     def _commit(self, moves, t: int):
-        arrivals = []
-        if not moves:
-            return arrivals
-        queues, entries = self._queues, self._entries
+        arrivals = []             # (rid, gather flit) at a unit holding a payload
+        queues, entries, units = self._queues, self._entries, self.units
         nodes, routes, owners = self._nodes, self._routes, self._owners
         meta, staging, log = self._meta, self._staging, self.event_log
         cfg = self.config
@@ -448,12 +467,14 @@ class MeshNetwork:
         trace = self.link_trace if self.trace_links else None
         moved, rec = self.counters.moves, self.counters.recorded
         va, writes, links = rec["va_arb"], rec["buffer_write"], rec["link_traversal"]
-        for _, _, _, key, out, rid, vc, slot, nkey, nrid in moves:
+        rr = self._rr
+        for _, group, after, key, out, rid, vc, slot, nkey, nrid in moves:
+            rr[group] = after
             queue = queues[key]
-            flit = queue.popleft()[1]
+            flit = queue.popleft()
             if queue:
                 # the next head is woken once its pipeline delay has passed
-                at = queue[0][0] + pipeline
+                at = queue[0].entered + pipeline
                 if at <= t + 1:
                     soon.append(key)
                 else:
@@ -491,10 +512,13 @@ class MeshNetwork:
                 if nqueue is _UNUSED:
                     nqueue = queues[nkey] = deque()
                 entered.append(nkey)
-            nqueue.append((t, flit))
+            flit.entered = t
+            nqueue.append(flit)
             writes[nrid] += 1
             links[rid] += 1
-            if flit.pt == _GATHER:
+            if flit.pt == _GATHER and units[nrid].pending is not None:
+                # the handshake does nothing at a unit without a payload, and
+                # no arrival of this cycle can give a unit one
                 arrivals.append((nrid, flit))
             if ft == _HEAD:
                 # XY routing, inline for a through hop
@@ -549,32 +573,45 @@ class MeshNetwork:
     # phase 3: the gather handshake of the gather flits that arrived
     def _process_arrivals(self, arrivals, t: int) -> None:
         units, limits, log = self.units, self._limits, self.event_log
+        deadlines = self._deadlines
         uploads = self.counters.recorded["payload_upload"]
         for rid, flit in arrivals:
-            done = gather_arrival(flit, units[rid], limits)
+            unit = units[rid]
+            done = gather_arrival(flit, unit, limits)
             if done is None:
                 continue
             if done == "upload":
                 self._holding -= 1
                 uploads[rid] += 1
+                # the payload is served: its unit leaves the bucket of its
+                # give-up deadline, which _node_phase reads after the
+                # arrivals of that cycle, or else the expiring units
+                deadline = unit.posted_at + unit.timeout
+                if deadline >= t:
+                    bucket = deadlines[deadline]
+                    bucket.remove(rid)
+                    if not bucket:
+                        del deadlines[deadline]
+                else:
+                    self._expiring.discard(rid)
             if log is not None:
                 ack = " ack" if done == "upload" else ""
-                self._log(t, units[rid].node, f"{done} pid={flit.packet_id}{ack}")
+                self._log(t, unit.node, f"{done} pid={flit.packet_id}{ack}")
 
     # phase 4: PE-side work: posts, drain chain, timeouts, injection
     def _node_phase(self, t: int) -> None:
         cfg = self.config
         units = self.units
+        deadlines, expiring = self._deadlines, self._expiring
         posts = self._posts.pop(t, None)
         if posts:
-            for node, payload in posts:
-                rid = node.index(cfg.cols)
+            for rid, payload in posts:
                 unit = units[rid]
                 unit.post(payload, t)
                 self._holding += 1
-                heappush(self._deadlines, (t + unit.timeout, rid))
+                deadlines.setdefault(t + unit.timeout, []).append(rid)
                 if self.event_log is not None:
-                    self._log(t, node, "post")
+                    self._log(t, unit.node, "post")
 
         due = self._due_sends
         if due and due[0][0] <= t:
@@ -583,19 +620,19 @@ class MeshNetwork:
                 launch.append(heappop(due)[1])
             for seq in sorted(launch):
                 send = self._pending_sends.pop(seq)
-                rid = send.node.index(cfg.cols)
+                rid = send.rid
                 self._ni[rid].extend(send.flits)
                 self._ni_busy.add(rid)
                 if self.event_log is not None:
-                    self._log(t, send.node, f"send pid={send.flits[0].packet_id}")
+                    self._log(t, self._nodes[rid], f"send pid={send.flits[0].packet_id}")
 
-        deadlines, expiring = self._deadlines, self._expiring
-        while deadlines and deadlines[0][0] <= t:
-            expiring.add(heappop(deadlines)[1])
-        for rid in sorted(expiring):
+        expired = deadlines.pop(t, None)
+        if expired:
+            expiring.update(expired)
+        for rid in sorted(expiring) if expiring else ():
             unit = units[rid]
             if not unit.expired(t):
-                # served, reserved, or re-posted with a deadline of its own
+                # reserved by a passing packet, whose body or tail uploads it
                 expiring.discard(rid)
                 continue
             if self._ni[rid]:
@@ -639,7 +676,8 @@ class MeshNetwork:
                 if local is _UNUSED:
                     local = queues[key] = deque()
                 entered.append(key)
-            local.append((t, flit))
+            flit.entered = t
+            local.append(flit)
             injected += 1
             counts[rid] += 1
             if flit.ft == _HEAD:
@@ -654,14 +692,9 @@ class MeshNetwork:
         self.flits_injected += injected
         self._wake_at(t + pipeline, entered)
 
-    def _watchdog(self, t: int, progressed: bool) -> None:
-        if progressed or not self._queued:
-            self._idle_streak = 0
-            return
-        if self.stall_fn is not None:
-            # externally stalled cycles are exempt from the progress check
-            self._idle_streak = 0
-            return
+    def _watchdog(self, t: int) -> None:
+        """Count a cycle in which flits were queued, none moved and no
+        ``stall_fn`` was set; too many in a row is a deadlock."""
         self._idle_streak += 1
         limit = 4 * self.config.pipeline_depth + self.config.buffer_depth + 8
         if self._idle_streak > limit:

@@ -30,7 +30,9 @@ class Flit:
 
     ``aspace`` (head flits) counts the payload bits still free across the
     packet's body/tail flits.  ``payload_slots`` (body/tail flits) holds the
-    (origin, value) results the flit carries.
+    (origin, value) results the flit carries.  ``entered`` is simulator
+    bookkeeping, not a header field: the cycle the flit entered the router
+    input queue it is in (-1 before its first), which the network sets.
     """
 
     ft: FlitType
@@ -42,6 +44,7 @@ class Flit:
     aspace: int = 0
     to_buffer: bool = False
     payload_slots: list[tuple[NodeId, int]] = field(default_factory=list)
+    entered: int = field(default=-1, compare=False)
 
     @property
     def is_head(self) -> bool:

@@ -647,9 +647,12 @@ def run_ready_row(
 def _oracle_pairs(plan: RoundPlan, oracle_mode: str, size: int):
     """The layer's checked pairs, ``size`` at a time, as four int64 arrays
     ``(round, PE, input id, filter id)``, the PE its row-major index among
-    the round's active PEs, in round-then-PE order: every active PE of
-    every round under ``full``; under ``sample`` at most four PEs, evenly
-    spaced in row-major order, of every ``rounds // 32``-th round.  Every
+    the round's active PEs, in round order: every active PE of every round,
+    in PE order, under ``full``; under ``sample`` the ``j``-th of ``n =
+    min(4, rows * cols)`` PEs of every ``rounds // 32``-th round with
+    ``rows`` x ``cols`` active PEs, in ``j`` order, is the PE at ``(j *
+    rows // n, j mod cols)``, so the PEs are distinct and span two rows and
+    two columns wherever the round has them.  Every
     piece but the last holds ``size`` pairs.  By block arithmetic on the
     plan: round ``ib * col_count + fb`` has ``rows * cols`` active PEs, and
     PE ``r * cols + c`` pairs input ``ib * n + r`` with filter ``fb * m +
@@ -676,18 +679,18 @@ def _oracle_pairs(plan: RoundPlan, oracle_mode: str, size: int):
 
 def _sampled_pairs(plan: RoundPlan) -> tuple[np.ndarray, ...]:
     """The pairs ``_oracle_pairs`` checks under ``sample``, all at once:
-    PEs 0, step, 2 * step, ... of every ``rounds // 32``-th round, four of
-    them, or all if fewer."""
+    PEs ``(j * rows // n, j mod cols)``, ``j < n = min(4, rows * cols)``,
+    of every ``rounds // 32``-th round of ``rows`` x ``cols`` active PEs."""
     rounds = np.arange(0, plan.rounds, max(1, plan.rounds // 32))
     ib, fb = np.divmod(rounds, plan.col_count)
+    rows = np.minimum(plan.n, plan.p - ib * plan.n)
     cols = np.minimum(plan.m, plan.q - fb * plan.m)
-    active = np.minimum(plan.n, plan.p - ib * plan.n) * cols
-    counts = np.minimum(4, active)
-    # the j-th checked PE of its round is PE j * max(1, active // 4)
-    pes = np.arange(counts.sum())
-    pes -= np.repeat(np.cumsum(counts) - counts, counts)
-    pes *= np.repeat(np.maximum(1, active // 4), counts)
-    r, c = np.divmod(pes, np.repeat(cols, counts))
+    counts = np.minimum(4, rows * cols)
+    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    cols = np.repeat(cols, counts)
+    r = j * np.repeat(rows, counts) // np.repeat(counts, counts)
+    c = j % cols
+    pes = r * cols + c
     r += np.repeat(ib * plan.n, counts)
     c += np.repeat(fb * plan.m, counts)
     return np.repeat(rounds, counts), pes, r, c

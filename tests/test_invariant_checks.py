@@ -131,6 +131,36 @@ class TestDrain:
             run_ready_row(CFG, 0, "ru")
 
 
+class TestGatherArrivals:
+    # row 1 of a 2x8 mesh: one gather packet collects the row, and its body
+    # flits are full by (1,6), so (1,6) and (1,7) upload into its tail.  A
+    # dropped head or body arrival goes unseen (a later flit uploads, or the
+    # unit's give-up budget sends the payload); a dropped tail arrival that
+    # would upload leaves the head's free-space field a payload short
+    @pytest.mark.parametrize("col", [6, 7])
+    def test_tail_arrival_dropped_at_a_unit_holding_a_payload(self, monkeypatch, col):
+        process = MeshNetwork._process_arrivals
+        dropped = []
+
+        def patched(self, arrivals, t):
+            # a faulty arrival filter: it drops the tail's arrival at (1,
+            # col), whose unit holds a payload reserved for that packet
+            kept = []
+            for rid, flit in arrivals:
+                if (rid == 8 + col and flit.is_tail
+                        and self.units[rid].reserved_by == flit.packet_id):
+                    dropped.append(rid)
+                else:
+                    kept.append((rid, flit))
+            return process(self, kept, t)
+
+        monkeypatch.setattr(MeshNetwork, "_process_arrivals", patched)
+        with pytest.raises(SimulationError, match=(
+                r"^head free-space field out of sync with payloads$")):
+            run_ready_row(MeshConfig(rows=2, cols=8), 1, "gather")
+        assert len(dropped) == 1
+
+
 class TestGatherPacket:
     # ``limits``: payload bits, payload bits and budget of a packet, and the
     # whole payloads one flit holds (``router.gather_limits``)

@@ -207,9 +207,23 @@ def _check_wake_ups(net: MeshNetwork) -> None:
         counts[key] = counts.get(key, 0) + 1
         queue = net._queues[key]
         assert queue, f"empty queue {key} woken at {cycle}"
-        assert cycle >= net.cycle and cycle >= queue[0][0] + net.config.pipeline_depth
+        assert cycle >= net.cycle and cycle >= queue[0].entered + net.config.pipeline_depth
     assert all(n == 1 for n in counts.values()), "a queue woken more than once"
     assert set(counts) == {key for key, queue in enumerate(net._queues) if queue}
+
+
+def _check_give_up_state(net: MeshNetwork) -> None:
+    """Each gather unit holding a payload whose give-up deadline is still
+    ahead sits once in that deadline's bucket, and no other unit sits in
+    one; the expiring units hold a payload."""
+    assert all(net._deadlines.values())
+    pending = sorted((cycle, rid) for cycle, rids in net._deadlines.items() for rid in rids)
+    holding = {rid: unit.posted_at + unit.timeout for rid, unit in enumerate(net.units)
+               if unit.pending is not None}
+    assert len(holding) == net._holding
+    assert pending == sorted((deadline, rid) for rid, deadline in holding.items()
+                             if deadline >= net.cycle)
+    assert net._expiring <= set(holding)
 
 
 class TestWakeUps:
@@ -224,6 +238,7 @@ class TestWakeUps:
                 for rid in wedged:
                     net._routes[rid].clear()
             _check_wake_ups(net)
+            _check_give_up_state(net)
         if not wedged:
             net.assert_drained()
 
@@ -246,6 +261,26 @@ class TestClockAndScheduling:
         assert net.timeout_packets == 1
         net.jump_to(100)
         assert net.cycle == 100
+
+    def test_a_drained_network_keeps_no_give_up_state(self):
+        # two gather rounds of a 4x4 mesh on one network, as a replay=False
+        # run steps them: each row's first PE sends at once and the others,
+        # with budgets far past the round, upload into its packet; neither
+        # their deadlines nor expiring units outlive the round or the jump
+        cfg = MeshConfig(rows=4, cols=4)
+        net = MeshNetwork(cfg, timeout_table={(r, c): 0 if c == 0 else 400
+                                              for r in range(4) for c in range(4)})
+        for start in (0, 1_000):
+            if net.cycle < start:
+                net.jump_to(start)
+            assert not net._deadlines and not net._expiring
+            for r in range(cfg.rows):
+                for c in range(cfg.cols):
+                    net.schedule_post(start + r + c, NodeId(r, c), r * cfg.cols + c)
+            net.run_until_idle(start + 100)
+            net.assert_drained()
+            assert net.timeout_packets == 0 and len(net.delivered) == 4 * (start > 0) + 4
+            assert not net._deadlines and not net._expiring
 
     def test_buffer_traffic_off_the_buffer_column_is_refused_when_scheduled(self):
         # routing such a packet would fail only once it reached its

@@ -35,14 +35,18 @@ def nested_round_schedules(layer: LayerConfig, config: MeshConfig) -> list[Round
 
 def explicit_oracle_checks(schedules: list[RoundSchedule], oracle: str):
     """``(round, PE)`` pairs the oracle checks, in order, by the rule on
-    explicit lists: every ``len // 32``-th round and ``pairs[::len // 4][:4]``
-    under ``sample``."""
+    explicit lists: every ``len // 32``-th round and, of ``n = min(4, rows
+    * cols)`` PEs, the ``j``-th at ``(j * rows // n, j mod cols)`` under
+    ``sample``."""
     stride = max(1, len(schedules) // 32) if oracle == "sample" else 1
     checks = []
     for s in schedules[::stride]:
-        pairs = [(r, c) for r in range(s.active_rows) for c in range(s.active_cols)]
+        rows, cols = s.active_rows, s.active_cols
         if oracle == "sample":
-            pairs = pairs[:: max(1, len(pairs) // 4)][:4]
+            n = min(4, rows * cols)
+            pairs = [(j * rows // n, j % cols) for j in range(n)]
+        else:
+            pairs = [(r, c) for r in range(rows) for c in range(cols)]
         checks += [(s.index, pe) for pe in pairs]
     return checks
 
@@ -129,10 +133,13 @@ def generated_oracle_pairs(plan: RoundPlan, oracle: str):
     one Python step per pair: the reference for the array version."""
     stride = 1 if oracle == "full" else max(1, plan.rounds // 32)
     for schedule in map(plan.schedule, range(0, plan.rounds, stride)):
-        pes = range(schedule.active_rows * schedule.active_cols)
+        rows, cols = schedule.active_rows, schedule.active_cols
         if oracle == "sample":
-            pes = pes[:: max(1, len(pes) // 4)][:4]
-        for r, c in (divmod(k, schedule.active_cols) for k in pes):
+            n = min(4, rows * cols)
+            pes = [(j * rows // n, j % cols) for j in range(n)]
+        else:
+            pes = [divmod(k, cols) for k in range(rows * cols)]
+        for r, c in pes:
             yield schedule.index, r, c, schedule.input_ids[r], schedule.filter_ids[c]
 
 
@@ -165,6 +172,19 @@ def test_pair_arrays_list_the_generated_pairs(rows, cols, name):
             assert pairs == list(generated_oracle_pairs(plan, oracle))
 
 
+@pytest.mark.parametrize("side", [8, 16])
+def test_sampled_pes_of_a_full_round_span_four_columns(side):
+    # striding through a full round's row-major PEs by a multiple of the
+    # row length would check column 0 alone
+    plan = RoundPlan(load_layer("alexnet", "conv1"), MeshConfig(rows=side, cols=side))
+    rounds, pes, _, _ = systolic._sampled_pairs(plan)
+    full = [pe for index, pe in zip(rounds.tolist(), pes.tolist()) if index == 0]
+    assert plan.schedule(0).active_rows == plan.schedule(0).active_cols == side
+    assert len(full) == 4
+    assert len({pe % side for pe in full}) == 4
+    assert len({pe // side for pe in full}) == 4
+
+
 def whole_pair_arrays(plan: RoundPlan, oracle: str) -> tuple[np.ndarray, ...]:
     """Every checked pair at once, as four int64 arrays ``(round, PE, input
     id, filter id)``: the arrays the oracle once built in one piece, kept
@@ -172,14 +192,17 @@ def whole_pair_arrays(plan: RoundPlan, oracle: str) -> tuple[np.ndarray, ...]:
     sample = oracle == "sample"
     rounds = np.arange(0, plan.rounds, max(1, plan.rounds // 32) if sample else 1)
     ib, fb = np.divmod(rounds, plan.col_count)
+    rows = np.minimum(plan.n, plan.p - ib * plan.n)
     cols = np.minimum(plan.m, plan.q - fb * plan.m)
-    active = np.minimum(plan.n, plan.p - ib * plan.n) * cols
-    step = np.maximum(1, active // 4) if sample else 1
-    counts = np.minimum(4, active) if sample else active
+    counts = np.minimum(4, rows * cols) if sample else rows * cols
     pes = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     if sample:
-        pes *= np.repeat(step, counts)
-    r, c = np.divmod(pes, np.repeat(cols, counts))
+        # the j-th of n checked PEs is (j * rows // n, j mod cols)
+        r = pes * np.repeat(rows, counts) // np.repeat(counts, counts)
+        c = pes % np.repeat(cols, counts)
+        pes = r * np.repeat(cols, counts) + c
+    else:
+        r, c = np.divmod(pes, np.repeat(cols, counts))
     return (np.repeat(rounds, counts), pes, r + np.repeat(ib * plan.n, counts),
             c + np.repeat(fb * plan.m, counts))
 
@@ -496,14 +519,14 @@ def test_a_fault_in_a_later_chunk_names_its_own_round_and_pe(monkeypatch):
 @pytest.mark.parametrize("oracle", ["full", "sample"])
 def test_a_fault_names_its_pe_by_the_active_columns_of_its_round(monkeypatch, oracle):
     # 3x4 mesh, 10 filters: column blocks of 4, 4 and 2, so round 2 has two
-    # active columns, and row-major PE 5 of it is (2,1), which the sampled
-    # rule does not check; it checks row-major PEs 0 to 3, so PE 3, (1,1)
+    # active columns, and row-major PE 5 of it is (2,1), which both rules
+    # check (the sampled rule's last PE, j = 3: (3 * 3 // 4, 3 mod 2))
     cfg = MeshConfig(rows=3, cols=4)
     layer = LayerConfig("t", "t", in_channels=2, kernels=10, kernel_side=1, layer_side=1,
                         input_vectors=3)
     guard = RoundPlan(layer, cfg).schedule(2)
     assert (guard.active_rows, guard.active_cols) == (3, 2)
-    r, c = (2, 1) if oracle == "full" else (1, 1)
+    r, c = 2, 1
     use_rule(monkeypatch, oracle)
     monkeypatch.setattr(systolic, "round_accumulators", off_by_one_at(
         systolic.round_accumulators, {(guard.input_ids[r], guard.filter_ids[c])}))
