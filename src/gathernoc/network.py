@@ -65,6 +65,17 @@ function of its arguments: it is consulted only for outputs that have a
 candidate.  A head's hop count is not counted per move: XY routing makes it
 cross ``|drow| + |dcol|`` links, and its delivery record says so.
 
+Set-up once per network.  A sparse network, such as a row network of a few
+columns, makes one or two moves a cycle, so the set-up of ``_commit``, its
+costliest phase per move, is a large share of its time.  So each network
+binds, when it is built, one tuple (``_commit_setup``) of the containers and
+config constants ``_commit`` reads, and ``_commit`` unpacks it in one
+statement instead of walking attribute chains and dicts on every call.
+Those containers are only ever changed in place, never reassigned: a
+reassigned one would leave the tuple holding the old object.  The public
+``event_log`` and ``trace_links`` are still read on every call, so setting
+them on a built network takes effect.
+
 State layout.  A network keeps every mutable per-router table as one flat
 list, indexed from the router id ``rid = row * cols + col`` one way each:
 the (input port, VC) queues of flits at the queue key ``rid *
@@ -275,6 +286,16 @@ class MeshNetwork:
         self.timeout_packets = 0
         self._idle_streak = 0
 
+        # what _commit reads of the network and its config, bound once
+        # (module docstring): never reassign these containers
+        rec = self.counters.recorded
+        self._commit_setup = (
+            self._queues, self._entries, self.units, self._nodes, self._routes,
+            self._owners, self._rr, self._meta, self._staging, self._wake,
+            self._tail_watch, self._pending_sends, self._due_sends, self.counters.moves,
+            rec["va_arb"], rec["buffer_write"], rec["link_traversal"],
+            config.pipeline_depth, config.buffer_depth, config.cols)
+
     # ------------------------------------------------------------------ api
 
     def next_packet_id(self) -> int:
@@ -355,12 +376,13 @@ class MeshNetwork:
         self.cycle = cycle
 
     def run_until_idle(self, limit: int) -> None:
-        while self.busy():
+        busy, step = self.busy, self.step
+        while busy():
             if self.cycle > limit:
                 raise DeadlockError(
                     f"network still busy at cycle {self.cycle} (limit {limit})"
                 )
-            self.step()
+            step()
 
     def assert_drained(self) -> None:
         if self._queued or self._ni_busy or self._staging:
@@ -455,19 +477,13 @@ class MeshNetwork:
     # phase 2: commit all granted moves simultaneously, moving each grant's
     # round-robin pointer past it and routing each head at the router it enters
     def _commit(self, moves, t: int):
+        (queues, entries, units, nodes, routes, owners, rr, meta, staging, wake, watch,
+         pending, due, moved, va, writes, links, pipeline, depth, cols) = self._commit_setup
+        log = self.event_log
+        trace = self.link_trace if self.trace_links else None
         arrivals = []             # (rid, gather flit) at a unit holding a payload
-        queues, entries, units = self._queues, self._entries, self.units
-        nodes, routes, owners = self._nodes, self._routes, self._owners
-        meta, staging, log = self._meta, self._staging, self.event_log
-        cfg = self.config
-        pipeline, depth, cols = cfg.pipeline_depth, cfg.buffer_depth, cfg.cols
-        wake, watch = self._wake, self._tail_watch
         soon, entered = [], []    # keys woken at t + 1, and at t + pipeline
         ejected = 0
-        trace = self.link_trace if self.trace_links else None
-        moved, rec = self.counters.moves, self.counters.recorded
-        va, writes, links = rec["va_arb"], rec["buffer_write"], rec["link_traversal"]
-        rr = self._rr
         for _, group, after, key, out, rid, vc, slot, nkey, nrid in moves:
             rr[group] = after
             queue = queues[key]
@@ -534,8 +550,7 @@ class MeshNetwork:
                 watcher, seq = watch[pid]
                 if watcher == nrid:
                     del watch[pid]
-                    ready_at = self._pending_sends[seq].ready_at
-                    heappush(self._due_sends, (max(ready_at, t + 1), seq))
+                    heappush(due, (max(pending[seq].ready_at, t + 1), seq))
         self._queued -= ejected
         self.flits_ejected += ejected
         self._wake_at(t + 1, soon)

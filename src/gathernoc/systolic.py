@@ -70,7 +70,7 @@ FULL_ORACLE_WORK_LIMIT = 2_000_000
 # Operands per side (checked pairs x stream length) one oracle chunk holds at
 # most, unless a single pair is longer; bounds the check's operand arrays
 # (``_oracle_pairs`` lists the pairs a chunk at a time).
-ORACLE_CHUNK_ELEMENTS = 1 << 16
+ORACLE_CHUNK_ELEMENTS = 1 << 17
 
 
 class CollectionMode(Enum):
@@ -87,11 +87,13 @@ def partial_conv_oracle(inputs, weights) -> int | list[int]:
     chosen by the bound ``max|x| * max|w| * L`` on every partial sum,
     never by the operands' own dtype: ``uint32`` when no operand is
     negative and the bound is below ``2**32`` (every 8-bit layer up to
-    ``L = 66051``), else ``int64``.  An integer array that int64 holds
-    exactly is widened inside the multiply, anything else is converted to
-    int64 first.  The result is exact: an operand pair whose bound reaches
-    ``2**63`` raises ``SimulationError``.  Returns an ``int`` for two
-    vectors, a list of ints for a stack.
+    ``L = 66051``), else ``int64``.  The products themselves are ``uint16``
+    when no operand is negative and ``max|x| * max|w| < 2**16`` (every pair
+    of 8-bit operands), else of the accumulator's type.  An integer array
+    that int64 holds exactly is widened inside the multiply, anything else
+    is converted to int64 first.  The result is exact: an operand pair
+    whose bound reaches ``2**63`` raises ``SimulationError``.  Returns an
+    ``int`` for two vectors, a list of ints for a stack.
     """
     try:
         x, w = _int64_exact(inputs), _int64_exact(weights)
@@ -101,13 +103,16 @@ def partial_conv_oracle(inputs, weights) -> int | list[int]:
     if length != w.shape[-1]:
         raise ConfigError("oracle operands must have equal length")
     (x_min, x_max), (w_min, w_max) = _extremes(x), _extremes(w)
-    bound = max(-x_min, x_max) * max(-w_min, w_max) * length
-    if bound >= 1 << 63:
+    largest = max(-x_min, x_max) * max(-w_min, w_max)
+    if largest * length >= 1 << 63:
         raise SimulationError(f"oracle dot products of length {length} could overflow int64")
-    acc = np.uint32 if min(x_min, w_min) >= 0 and bound < 1 << 32 else np.int64
-    # unsafe casting is exact here: under a uint32 bound every operand that
-    # meets a nonzero partner is below 2**32, and any other product is 0
-    return np.multiply(x, w, dtype=acc, casting="unsafe").sum(axis=-1, dtype=acc).tolist()
+    unsigned = min(x_min, w_min) >= 0
+    acc = np.uint32 if unsigned and largest * length < 1 << 32 else np.int64
+    product = np.uint16 if unsigned and largest < 1 << 16 else acc
+    # unsafe casting is exact here: under a uint16 or uint32 bound every
+    # operand that meets a nonzero partner is below 2**16 or 2**32, and any
+    # other product is 0
+    return np.multiply(x, w, dtype=product, casting="unsafe").sum(axis=-1, dtype=acc).tolist()
 
 
 def _int64_exact(a) -> np.ndarray:

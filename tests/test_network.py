@@ -435,6 +435,63 @@ def _row_pairs(net) -> set[int]:
     return pairs
 
 
+def _stalled_gather_round(net: MeshNetwork) -> dict:
+    """Every node of ``net``'s mesh posts a result at cycle ``col``; the
+    round is drained and its outcome returned (``scenario_outcome``)."""
+    cfg = net.config
+    for r in range(cfg.rows):
+        for c in range(cfg.cols):
+            net.schedule_post(c, NodeId(r, c), r * cfg.cols + c)
+    _drain(net)
+    return scenario_outcome(net)
+
+
+class TestConstruction:
+    def test_commit_setup_still_holds_the_network_containers(self):
+        # _commit reads its containers from a tuple bound at construction,
+        # so none of them may be reassigned, by a round or by a clock jump
+        cfg = MeshConfig(rows=2, cols=4)
+        net = MeshNetwork(cfg, timeout_table=flat_timeout_table(cfg, 3))
+        for _ in range(2):
+            net.jump_to(net.cycle + 50)
+            base = net.cycle
+            for rid, node in enumerate(net._nodes):
+                net.schedule_post(base + node.col, node, rid)
+            _drain(net)
+        rec = net.counters.recorded
+        held = (net._queues, net._entries, net.units, net._nodes, net._routes, net._owners,
+                net._rr, net._meta, net._staging, net._wake, net._tail_watch,
+                net._pending_sends, net._due_sends, net.counters.moves,
+                rec["va_arb"], rec["buffer_write"], rec["link_traversal"])
+        bound = net._commit_setup
+        assert len(bound) == len(held) + 3
+        assert all(b is h for b, h in zip(bound, held))
+        assert bound[len(held):] == (cfg.pipeline_depth, cfg.buffer_depth, cfg.cols)
+
+    def test_public_attributes_set_after_construction_take_effect(self):
+        # _commit binds its containers once, but the event log, the stall
+        # function and link tracing are read on every call
+        cfg = MeshConfig(rows=2, cols=4)
+        calls = []
+
+        def stall_fn(cycle, node, port):
+            calls.append(cycle)
+            return cycle < 30 and node == NodeId(1, 2)
+
+        built = MeshNetwork(cfg, stall_fn=stall_fn, event_log=[], trace_links=True)
+        expected = _stalled_gather_round(built)
+        stalled_calls = len(calls)
+        later = MeshNetwork(cfg)
+        later.stall_fn, later.event_log, later.trace_links = stall_fn, [], True
+        assert _stalled_gather_round(later) == expected
+        assert len(calls) == 2 * stalled_calls > 0
+        assert expected["events"] and expected["link_trace"] != "[]"
+        # the stall held the packets of row 1 back
+        free = _stalled_gather_round(MeshNetwork(cfg))
+        assert free["cycle"] < expected["cycle"]
+        assert free["events"] is None and free["link_trace"] == "[]"
+
+
 class TestSharedTables:
     def test_networks_of_one_config_share_the_tables(self):
         cfg = MeshConfig(rows=3, cols=5)

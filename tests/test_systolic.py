@@ -217,6 +217,49 @@ def test_oracle_is_exact_at_the_edge_of_its_narrow_accumulator(length, x, w):
                                np.full(length, w, np.uint32)) == [expected] * 2
 
 
+class _MultiplySpy:
+    """numpy, as ``systolic`` sees it, with the dtype of every product
+    array ``multiply`` returns recorded in ``dtypes``."""
+
+    def __init__(self) -> None:
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, *args, **kwargs):
+        products = np.multiply(*args, **kwargs)
+        self.dtypes.append(products.dtype)
+        return products
+
+
+@pytest.mark.parametrize("xs, ws, width", [
+    # 255 * 257 = 65 535, the largest product a uint16 holds
+    ([255, 1, 0], [257, 3, 9], np.uint16),
+    ([257, 2, 255], [255, 255, 1], np.uint16),
+    # 256 * 256 = 65 536, the first it does not
+    ([256, 2, 0], [256, 1, 7], np.uint32),
+    ([255, 1], [258, 1], np.uint32),
+    ([-1, 3], [2, 5], np.int64),
+])
+def test_oracle_product_width_at_its_boundary(monkeypatch, xs, ws, width):
+    spy = _MultiplySpy()
+    monkeypatch.setattr(systolic, "np", spy)
+    assert partial_conv_oracle(xs, ws) == _python_dot(xs, ws)
+    assert partial_conv_oracle(np.array([xs, xs[::-1]], np.int32), ws) == [
+        _python_dot(xs, ws), _python_dot(xs[::-1], ws)]
+    assert spy.dtypes == [width, width]
+
+
+@pytest.mark.parametrize("big", [2**16, 2**16 + 1, 70_000, 2**32, 2**40, 2**62])
+def test_oracle_is_exact_with_an_all_zero_side(big):
+    # the bound is 0, so the products are uint16, and an operand of 2**16
+    # or more wraps in the unsafe cast, but its partner is 0
+    xs = [big, 3, big - 1]
+    assert partial_conv_oracle(xs, [0, 0, 0]) == 0 == _python_dot(xs, [0] * 3)
+    assert partial_conv_oracle(np.zeros(3, np.uint8), np.array([xs, xs])) == [0, 0]
+
+
 def test_oracle_keeps_a_negative_product_negative_under_a_small_bound():
     assert partial_conv_oracle([-1, 3], [2, -2]) == -8
     assert partial_conv_oracle(np.array([[0, 1], [-1, 0]], np.int8),
