@@ -54,7 +54,8 @@ that is not granted (no cached route, its output VC owned by another
 packet, no credit, stalled, or lost round-robin) is woken again the next
 cycle, so no set of ready heads is kept beside the buckets.  When no
 ``stall_fn`` is set and no output has two candidates, every eligible head
-is granted without a per-output scan.  Gather units are looked at only once
+is granted without a per-output scan; a lone eligible head is granted
+without a sort or a set of its group.  Gather units are looked at only once
 their give-up deadline has passed: a unit holding a payload sits in the
 per-cycle deadline bucket of its deadline until the payload is uploaded or
 the deadline falls, and then among the expiring units until it sends the
@@ -64,6 +65,34 @@ formatted only when a log is attached.  ``stall_fn`` must be a pure
 function of its arguments: it is consulted only for outputs that have a
 candidate.  A head's hop count is not counted per move: XY routing makes it
 cross ``|drow| + |dcol|`` links, and its delivery record says so.
+
+A round outside its moves.  A full 16x16 round posts 256 results (ru: 256
+two-flit unicasts; gather: 256 payloads), so what each packet costs to
+build, launch, inject and deliver is paid hundreds of times a round, and
+is kept to a few container operations:
+
+* posting a gather payload builds one ``GatherPayload``, a named tuple;
+* scheduling a unicast builds its flits (``build_packet`` has a path of
+  its own for a head and a tail), one ``[inject cycle, head arrival,
+  timeout-initiated]`` list in ``_meta`` and one send tuple ``(seq, rid,
+  flits, ready cycle)``, kept by ``seq`` until it launches;
+* a send that is due sits in the launch bucket of its cycle, the cycle it
+  was scheduled for (or the clock, if that is later) or the cycle after
+  its drain-chain predecessor's tail passed; the sends of one bucket
+  launch in schedule order, sorted only when there are two or more;
+* NI injection routes a packet's head inline, as ``_commit`` routes it
+  at every hop: XY routing without a call, and at the destination the
+  buffer port for a buffer packet (``schedule_injection`` checks it is
+  addressed to the buffer column) or else the local port;
+* delivery appends one record per packet, its tail's eject cycle
+  non-decreasing along ``delivered``, so the checks of a round
+  (``systolic._collect``) time the commit port without sorting.
+
+Flit types, packet types and ports are enum members, so the kernel
+compares them by identity (``is``), not by integer value: ``build_packet``
+turns a packet type given as an integer into its member,
+``schedule_injection`` does the same for the flit and packet types of the
+packets it is handed, and the arbitration entries hold ``Port`` members.
 
 Set-up once per network.  A sparse network, such as a row network of a few
 columns, makes one or two moves a cycle, so the set-up of ``_commit``, its
@@ -108,7 +137,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heappop, heappush
 from operator import itemgetter
 
 from .config import MeshConfig, give_up_budgets
@@ -116,13 +144,14 @@ from .errors import ConfigError, DeadlockError, DrainError, SimulationError
 from .packet import Flit, FlitType, PacketType, build_packet, payload_bits
 from .power import ActivityCounters
 from .router import GatherPayload, GatherUnit, gather_arrival, gather_limits
-from .topology import INPUT_PORTS, NodeId, Port, step_toward, xy_route
+from .topology import INPUT_PORTS, NodeId, Port, step_toward
 
 OUTPUT_PORTS = (Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH, Port.LOCAL, Port.BUFFER)
 # grant order of each output port (indexed by port value) within a router
 _OUT_RANK = [OUTPUT_PORTS.index(p) for p in Port]
 _N_PORTS = len(Port)   # an Enum's len() is slow enough to matter per cycle
 _EAST, _WEST, _NORTH, _SOUTH = Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH
+_LOCAL = Port.LOCAL
 
 _OPPOSITE = {
     Port.EAST: Port.WEST,
@@ -135,13 +164,16 @@ _HEAD = FlitType.HEAD
 _TAIL = FlitType.TAIL
 _BUFFER = Port.BUFFER
 _GATHER = PacketType.GATHER
+_UNICAST = PacketType.UNICAST
 
 # an input queue no flit has entered yet: empty, and replaced by a deque of
 # its own when the first flit enters (module docstring)
 _UNUSED: tuple = ()
 
-# the sort key of an arbitration entry: its grant index, the first field
+# the sort key of an arbitration entry, its grant index, and its group: its
+# first two fields
 _grant_index = itemgetter(0)
+_group = itemgetter(1)
 
 
 @dataclass
@@ -159,20 +191,6 @@ class DeliveredPacket:
     flit_count: int
     vc: int
     timeout_init: bool
-
-
-@dataclass(slots=True)
-class _PendingSend:
-    rid: int                  # the sending node's router id
-    flits: list[Flit]
-    ready_at: int
-
-
-@dataclass(slots=True)
-class _PacketMeta:
-    inject_cycle: int = -1
-    head_arrival: int = -1
-    timeout_init: bool = False
 
 
 class _ArbitrationEntries(dict):
@@ -267,7 +285,8 @@ class MeshNetwork:
         self._limits = gather_limits(config)
 
         self._next_packet_id = 0
-        self._meta: dict[int, _PacketMeta] = {}
+        # pid -> [inject cycle, head arrival, timeout-initiated], -1 until known
+        self._meta: dict[int, list] = {}
         self._queued = 0                                  # flits in router queues
         self._wake: dict[int, list[int]] = {}             # cycle -> queue keys woken then
         self._ni_busy: set[int] = set()                   # rids with a non-empty NI queue
@@ -275,10 +294,13 @@ class MeshNetwork:
         self._holding = 0                                 # gather units holding a payload
         self._deadlines: dict[int, list[int]] = {}        # give-up cycle -> rids
         self._expiring: set[int] = set()                  # rids past a give-up deadline
-        self._pending_sends: dict[int, _PendingSend] = {}  # by schedule order
-        self._due_sends: list[tuple[int, int]] = []       # (eligible cycle, seq) heap
+        # a send is (seq, rid, flits, ready cycle), seq its schedule order;
+        # until it launches it is due, in the bucket of its launch cycle, or
+        # waits for its drain-chain predecessor's tail to pass its router
+        self._pending_sends: dict[int, tuple] = {}        # seq -> send, not launched
+        self._due_sends: dict[int, list[tuple]] = {}      # launch cycle -> sends
         self._send_seq = 0
-        self._tail_watch: dict[int, tuple[int, int]] = {}  # pid -> (rid, send seq)
+        self._tail_watch: dict[int, tuple] = {}           # predecessor pid -> send
         self._staging: dict[int, list[Flit]] = {}
         self.delivered: list[DeliveredPacket] = []
         self.flits_injected = 0
@@ -292,9 +314,9 @@ class MeshNetwork:
         self._commit_setup = (
             self._queues, self._entries, self.units, self._nodes, self._routes,
             self._owners, self._rr, self._meta, self._staging, self._wake,
-            self._tail_watch, self._pending_sends, self._due_sends, self.counters.moves,
+            self._tail_watch, self._due_sends, self.counters.moves,
             rec["va_arb"], rec["buffer_write"], rec["link_traversal"],
-            config.pipeline_depth, config.buffer_depth, config.cols)
+            config.pipeline_depth, config.buffer_depth)
 
     # ------------------------------------------------------------------ api
 
@@ -307,7 +329,7 @@ class MeshNetwork:
         """Make ``node``'s result payload pending from ``cycle`` on (gather mode)."""
         cols = self.config.cols
         base = node.row * cols
-        payload = GatherPayload(origin=node, value=value, dst=self._nodes[base + cols - 1])
+        payload = GatherPayload(node, value, self._nodes[base + cols - 1])
         self._posts.setdefault(cycle, []).append((base + node.col, payload))
         return payload
 
@@ -324,23 +346,27 @@ class MeshNetwork:
         base = node.row * cfg.cols
         pid = self._next_packet_id
         self._next_packet_id = pid + 1
-        flits = build_packet(PacketType.UNICAST, node, self._nodes[base + cfg.cols - 1],
+        flits = build_packet(_UNICAST, node, self._nodes[base + cfg.cols - 1],
                              [(node, value)], cfg, pid, to_buffer=True)
-        self._meta[pid] = _PacketMeta()
+        self._meta[pid] = [-1, -1, False]
         seq = self._send_seq
         self._send_seq = seq + 1
-        self._pending_sends[seq] = _PendingSend(base + node.col, flits, ready_cycle)
+        send = self._pending_sends[seq] = (seq, base + node.col, flits, ready_cycle)
         if after_packet is None:
-            heappush(self._due_sends, (ready_cycle, seq))
+            self._due_sends.setdefault(max(ready_cycle, self.cycle), []).append(send)
         else:
             # due once the predecessor's tail has reached this node (_commit)
-            self._tail_watch[after_packet] = (base + node.col, seq)
+            self._tail_watch[after_packet] = send
         return pid
 
     def schedule_injection(self, cycle: int, node: NodeId, flits: list[Flit]) -> None:
         """Low-level: push a pre-built packet into a node's injection queue
         at a given cycle (used by protocol tests).  The packet goes to the
-        buffer if ``build_packet`` marked its flits ``to_buffer``."""
+        buffer if ``build_packet`` marked its flits ``to_buffer``.  A flit
+        type or packet type given as its integer value is replaced by its
+        enum member, which the kernel compares by identity."""
+        for flit in flits:
+            flit.ft, flit.pt = FlitType(flit.ft), PacketType(flit.pt)
         pid, dst = flits[0].packet_id, flits[0].dst
         if flits[0].to_buffer and dst.col != self.config.cols - 1:
             raise ConfigError(
@@ -349,11 +375,11 @@ class MeshNetwork:
             )
         if pid >= self._next_packet_id:
             self._next_packet_id = pid + 1
-        self._meta[pid] = _PacketMeta()
+        self._meta[pid] = [-1, -1, False]
         seq = self._send_seq
         self._send_seq = seq + 1
-        self._pending_sends[seq] = _PendingSend(node.index(self.config.cols), flits, cycle)
-        heappush(self._due_sends, (cycle, seq))
+        send = self._pending_sends[seq] = (seq, node.index(self.config.cols), flits, cycle)
+        self._due_sends.setdefault(max(cycle, self.cycle), []).append(send)
 
     # ------------------------------------------------------------- lifecycle
 
@@ -371,7 +397,7 @@ class MeshNetwork:
             raise SimulationError("jump would skip a held payload's give-up deadline")
         if any(t < cycle for t in self._posts):
             raise SimulationError("jump would skip scheduled payload posts")
-        if any(s.ready_at < cycle for s in self._pending_sends.values()):
+        if any(send[3] < cycle for send in self._pending_sends.values()):
             raise SimulationError("jump would skip scheduled packet sends")
         self.cycle = cycle
 
@@ -407,9 +433,8 @@ class MeshNetwork:
             arrivals = self._commit(moves, t)
             if arrivals:
                 self._process_arrivals(arrivals, t)
-        due = self._due_sends
         if (self._ni_busy or self._expiring or t in self._posts or t in self._deadlines
-                or (due and due[0][0] <= t)):
+                or t in self._due_sends):
             self._node_phase(t)
         if moves or not self._queued or self.stall_fn is not None:
             # progress, an empty network, or externally stalled cycles,
@@ -436,7 +461,7 @@ class MeshNetwork:
                 again.append(key)
                 continue
             owner = owners[entry[7]]      # entry[7]: the owner slot
-            if owner != pid and (owner is not None or flit.ft != _HEAD):
+            if owner != pid and (owner is not None or flit.ft is not _HEAD):
                 again.append(key)         # wormhole: the VC belongs to another packet
                 continue
             nkey = entry[8]               # entry[8]: the downstream queue key
@@ -444,12 +469,17 @@ class MeshNetwork:
                 again.append(key)         # no credit downstream
                 continue
             eligible.append(entry)
-        eligible.sort(key=_grant_index)
 
         stall_fn = self.stall_fn
-        if stall_fn is None and len({entry[1] for entry in eligible}) == len(eligible):
-            # one candidate per output group: every eligible head is granted
-            self._wake_at(t + 1, again)
+        if len(eligible) > 1:
+            eligible.sort(key=_grant_index)
+            uncontended = stall_fn is None and len(set(map(_group, eligible))) == len(eligible)
+        else:
+            uncontended = stall_fn is None
+        if uncontended:
+            # at most one candidate per output group: every eligible head is granted
+            if again:
+                self._wake_at(t + 1, again)
             return eligible
 
         nodes, rr = self._nodes, self._rr
@@ -471,14 +501,15 @@ class MeshNetwork:
                 # other[3]: the queue key
                 again.extend(other[3] for other in eligible[i:j] if other is not granted)
             i = j
-        self._wake_at(t + 1, again)
+        if again:
+            self._wake_at(t + 1, again)
         return moves
 
     # phase 2: commit all granted moves simultaneously, moving each grant's
     # round-robin pointer past it and routing each head at the router it enters
     def _commit(self, moves, t: int):
         (queues, entries, units, nodes, routes, owners, rr, meta, staging, wake, watch,
-         pending, due, moved, va, writes, links, pipeline, depth, cols) = self._commit_setup
+         due, moved, va, writes, links, pipeline, depth) = self._commit_setup
         log = self.event_log
         trace = self.link_trace if self.trace_links else None
         arrivals = []             # (rid, gather flit) at a unit holding a payload
@@ -497,11 +528,11 @@ class MeshNetwork:
                     wake.setdefault(at, []).append(key)
             pid, ft = flit.packet_id, flit.ft
             moved[rid] += 1
-            if ft == _HEAD:
+            if ft is _HEAD:
                 if owners[slot] is None:
                     va[rid] += 1
                 owners[slot] = pid
-            elif ft == _TAIL:
+            elif ft is _TAIL:
                 owners[slot] = None
                 routes[rid].pop(pid, None)
             if trace is not None:
@@ -510,16 +541,16 @@ class MeshNetwork:
             if nkey < 0:
                 # eject: a packet's head ejects first, its tail last
                 ejected += 1
-                if ft == _HEAD:
-                    meta[pid].head_arrival = t
+                if ft is _HEAD:
+                    meta[pid][1] = t      # the head arrival
                     staging[pid] = [flit]
                 else:
                     staging[pid].append(flit)
                 if log is not None:
                     self._log(t, nodes[rid], f"eject pid={pid} {ft.name.lower()}")
-                if ft == _TAIL:
+                if ft is _TAIL:
                     # in grant order, so ``delivered`` is in (eject cycle, router id) order
-                    self._finish_packet(pid, t, out == _BUFFER)
+                    self._finish_packet(pid, t, out is _BUFFER)
                 continue
             nqueue = queues[nkey]
             if len(nqueue) >= depth:
@@ -532,58 +563,62 @@ class MeshNetwork:
             nqueue.append(flit)
             writes[nrid] += 1
             links[rid] += 1
-            if flit.pt == _GATHER and units[nrid].pending is not None:
+            if flit.pt is _GATHER and units[nrid].pending is not None:
                 # the handshake does nothing at a unit without a payload, and
                 # no arrival of this cycle can give a unit one
                 arrivals.append((nrid, flit))
-            if ft == _HEAD:
-                # XY routing, inline for a through hop
+            if ft is _HEAD:
+                # XY routing (topology.xy_route), inline: a packet at its
+                # destination leaves by the buffer port, which schedule_injection
+                # checks a buffer packet's destination has, or the local one
                 node, dst = nodes[nrid], flit.dst
                 if dst.col != node.col:
                     nout = _EAST if dst.col > node.col else _WEST
                 elif dst.row != node.row:
                     nout = _SOUTH if dst.row > node.row else _NORTH
                 else:
-                    nout = xy_route(node, dst, cols, flit.to_buffer)
+                    nout = _BUFFER if flit.to_buffer else _LOCAL
                 routes[nrid][pid] = entries[nkey * _N_PORTS + nout]
-            elif ft == _TAIL and pid in watch:
-                watcher, seq = watch[pid]
-                if watcher == nrid:
+            elif ft is _TAIL and pid in watch:
+                send = watch[pid]
+                if send[1] == nrid:       # the successor's router: it is due
                     del watch[pid]
-                    heappush(due, (max(pending[seq].ready_at, t + 1), seq))
+                    due.setdefault(max(send[3], t + 1), []).append(send)
         self._queued -= ejected
         self.flits_ejected += ejected
-        self._wake_at(t + 1, soon)
-        self._wake_at(t + pipeline, entered)
+        if soon:
+            self._wake_at(t + 1, soon)
+        if entered:
+            self._wake_at(t + pipeline, entered)
         return arrivals
 
     def _wake_at(self, cycle: int, keys: list[int]) -> None:
-        """Add the queue keys ``keys`` to the wake-up bucket of ``cycle``;
-        no bucket is made for none."""
-        if keys:
-            bucket = self._wake.get(cycle)
-            if bucket is None:
-                self._wake[cycle] = keys
-            else:
-                bucket.extend(keys)
+        """Add the queue keys ``keys``, at least one, to the wake-up bucket
+        of ``cycle``; callers skip the call for none, so no empty bucket is
+        made."""
+        bucket = self._wake.get(cycle)
+        if bucket is None:
+            self._wake[cycle] = keys
+        else:
+            bucket.extend(keys)
 
     def _finish_packet(self, pid: int, tail_arrival: int, to_buffer: bool) -> None:
         flits = self._staging.pop(pid)
-        meta = self._meta.pop(pid)
-        cfg = self.config
+        inject_cycle, head_arrival, timeout_init = self._meta.pop(pid)
+        head = flits[0]
         payloads = [slot for f in flits for slot in f.payload_slots]
-        src, dst = flits[0].src, flits[0].dst
-        if flits[0].pt == _GATHER:
+        src, dst = head.src, head.dst
+        if head.pt is _GATHER:
+            cfg = self.config
             total_bits = payload_bits(payloads, cfg)
             if total_bits > cfg.gather_payload_capacity_bits:
                 raise SimulationError("gather packet exceeded its payload capacity")
-            if flits[0].aspace != cfg.gather_payload_capacity_bits - total_bits:
+            if head.aspace != cfg.gather_payload_capacity_bits - total_bits:
                 raise SimulationError("head free-space field out of sync with payloads")
         self.delivered.append(DeliveredPacket(
-            pid, flits[0].pt, src, dst, to_buffer, payloads,
+            pid, head.pt, src, dst, to_buffer, payloads,
             abs(dst.row - src.row) + abs(dst.col - src.col),  # hops under XY routing
-            meta.inject_cycle, meta.head_arrival, tail_arrival, len(flits), flits[0].vc,
-            meta.timeout_init))
+            inject_cycle, head_arrival, tail_arrival, len(flits), head.vc, timeout_init))
 
     # phase 3: the gather handshake of the gather flits that arrived
     def _process_arrivals(self, arrivals, t: int) -> None:
@@ -615,9 +650,7 @@ class MeshNetwork:
 
     # phase 4: PE-side work: posts, drain chain, timeouts, injection
     def _node_phase(self, t: int) -> None:
-        cfg = self.config
-        units = self.units
-        deadlines, expiring = self._deadlines, self._expiring
+        units, deadlines, expiring = self.units, self._deadlines, self._expiring
         posts = self._posts.pop(t, None)
         if posts:
             for rid, payload in posts:
@@ -628,18 +661,17 @@ class MeshNetwork:
                 if self.event_log is not None:
                     self._log(t, unit.node, "post")
 
-        due = self._due_sends
-        if due and due[0][0] <= t:
-            launch = []
-            while due and due[0][0] <= t:
-                launch.append(heappop(due)[1])
-            for seq in sorted(launch):
-                send = self._pending_sends.pop(seq)
-                rid = send.rid
-                self._ni[rid].extend(send.flits)
-                self._ni_busy.add(rid)
+        sends = self._due_sends.pop(t, None)
+        if sends:
+            if len(sends) > 1:
+                sends.sort()      # in schedule order: by seq, the first field
+            pending, ni, busy = self._pending_sends, self._ni, self._ni_busy
+            for seq, rid, flits, _ in sends:
+                del pending[seq]
+                ni[rid].extend(flits)
+                busy.add(rid)
                 if self.event_log is not None:
-                    self._log(t, self._nodes[rid], f"send pid={send.flits[0].packet_id}")
+                    self._log(t, self._nodes[rid], f"send pid={flits[0].packet_id}")
 
         expired = deadlines.pop(t, None)
         if expired:
@@ -656,21 +688,22 @@ class MeshNetwork:
             payload = unit.take_for_self()
             self._holding -= 1
             pid = self.next_packet_id()
-            flits = build_packet(PacketType.GATHER, unit.node, payload.dst,
-                                 [(payload.origin, payload.value)], cfg, pid, to_buffer=True)
-            meta = _PacketMeta(inject_cycle=t)
-            meta.timeout_init = unit.timeout > 0
-            if meta.timeout_init:
+            flits = build_packet(_GATHER, unit.node, payload.dst,
+                                 [(payload.origin, payload.value)], self.config, pid,
+                                 to_buffer=True)
+            timeout_init = unit.timeout > 0
+            if timeout_init:
                 self.timeout_packets += 1
-            self._meta[pid] = meta
+            self._meta[pid] = [t, -1, timeout_init]
             self._ni[rid].extend(flits)
             self._ni_busy.add(rid)
             if self.event_log is not None:
-                kind = "timeout-init" if meta.timeout_init else "gather-init"
+                kind = "timeout-init" if timeout_init else "gather-init"
                 self._log(t, unit.node, f"{kind} pid={pid}")
 
         if not self._ni_busy:
             return
+        cfg = self.config
         nq, pipeline, depth = self._nq, cfg.pipeline_depth, cfg.buffer_depth
         local_base = Port.LOCAL * self._vcs
         queues, ni, busy = self._queues, self._ni, self._ni_busy
@@ -695,17 +728,24 @@ class MeshNetwork:
             local.append(flit)
             injected += 1
             counts[rid] += 1
-            if flit.ft == _HEAD:
+            if flit.ft is _HEAD:
                 # an initiator carries its own payload from birth, so the
                 # gather handshake runs only at routers the packet arrives at
                 pid = flit.packet_id
-                self._meta[pid].inject_cycle = t
-                out = xy_route(self._nodes[rid], flit.dst, cfg.cols,
-                               sink_is_buffer=flit.to_buffer)
+                self._meta[pid][0] = t    # the inject cycle
+                node, dst = self._nodes[rid], flit.dst
+                if dst.col != node.col:   # XY routing, inline as in _commit
+                    out = _EAST if dst.col > node.col else _WEST
+                elif dst.row != node.row:
+                    out = _SOUTH if dst.row > node.row else _NORTH
+                else:
+                    out = _BUFFER if flit.to_buffer else _LOCAL
                 self._routes[rid][pid] = self._entries[key * _N_PORTS + out]
-        self._queued += injected
-        self.flits_injected += injected
-        self._wake_at(t + pipeline, entered)
+        if injected:
+            self._queued += injected
+            self.flits_injected += injected
+            if entered:
+                self._wake_at(t + pipeline, entered)
 
     def _watchdog(self, t: int) -> None:
         """Count a cycle in which flits were queued, none moved and no

@@ -24,6 +24,10 @@ class PacketType(IntEnum):
     GATHER = 2      # 1 is reserved (docs/wire-format.md)
 
 
+_HEAD, _BODY, _TAIL = FlitType.HEAD, FlitType.BODY, FlitType.TAIL
+_GATHER = PacketType.GATHER
+
+
 @dataclass(slots=True)
 class Flit:
     """One flow-control unit.
@@ -75,8 +79,14 @@ def build_packet(
     For gather packets the head's ``aspace`` is initialized to the remaining
     bit capacity of the non-head flits.  Gather traffic owns VC 0, unless
     ``vc`` is given; everything else rotates over the rest by packet id.
+    ``pt`` may be given as its integer value; the flits hold the
+    ``PacketType`` member, which the network compares by identity.
     """
-    gather = pt == PacketType.GATHER
+    try:
+        pt = PacketType(pt)
+    except ValueError:
+        raise ConfigError(f"packet type {pt!r} is not a PacketType") from None
+    gather = pt is _GATHER
     length = config.gather_len if gather else config.unicast_len
     per_flit = config.payload_slots_per_flit
     if len(payloads) > (length - 1) * per_flit:
@@ -94,9 +104,14 @@ def build_packet(
         raise ConfigError(f"vc {vc} out of range for {vcs} VCs")
 
     aspace = config.gather_payload_capacity_bits - len(payloads) * bits if gather else 0
-    flits = [Flit(FlitType.HEAD, pt, src, dst, packet_id, vc, aspace, to_buffer, [])]
-    slots = list(payloads)  # each flit's slots a list of its own, which uploads extend
+    head = Flit(_HEAD, pt, src, dst, packet_id, vc, aspace, to_buffer, [])
+    # each flit's slots a list of its own, which uploads extend
+    if length == 2:
+        # a head and a tail, which holds every payload: the default unicast
+        return [head, Flit(_TAIL, pt, src, dst, packet_id, vc, 0, to_buffer, list(payloads))]
+    flits = [head]
+    slots = list(payloads)
     for i in range(1, length):
-        flits.append(Flit(FlitType.TAIL if i == length - 1 else FlitType.BODY, pt, src, dst,
+        flits.append(Flit(_TAIL if i == length - 1 else _BODY, pt, src, dst,
                           packet_id, vc, 0, to_buffer, slots[(i - 1) * per_flit:i * per_flit]))
     return flits

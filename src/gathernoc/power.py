@@ -73,12 +73,17 @@ class ActivityCounters:
             bucket.extend([0] * (router + 1 - len(bucket)))
         bucket[router] += n
 
-    def total(self, kind: str) -> int:
+    def total(self, kind: str, moves: int | None = None) -> int:
+        """The count of ``kind``; ``moves``, if given, is ``sum(self.moves)``."""
         n = sum(self.recorded[kind]) + self.replayed[kind]
-        return n + sum(self.moves) if kind in MOVE_KINDS else n
+        if kind not in MOVE_KINDS:
+            return n
+        return n + (sum(self.moves) if moves is None else moves)
 
     def totals(self) -> dict[str, int]:
-        return {k: self.total(k) for k in EVENT_KINDS}
+        """``total`` of every kind, with the moves summed once."""
+        moves = sum(self.moves)
+        return {k: self.total(k, moves) for k in EVENT_KINDS}
 
     def add_scaled(self, delta: dict[str, int], factor: int) -> None:
         """Fold ``factor`` repetitions of a per-round delta into the counters.

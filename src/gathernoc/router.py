@@ -11,7 +11,7 @@ calls it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import MeshConfig
 from .errors import SimulationError
@@ -19,8 +19,13 @@ from .packet import Flit, FlitType, PacketType
 from .topology import NodeId
 
 
-@dataclass(frozen=True)
-class GatherPayload:
+_HEAD, _TAIL = FlitType.HEAD, FlitType.TAIL
+
+
+class GatherPayload(NamedTuple):
+    """One PE's pending result, immutable: a named tuple, built positionally
+    or by keyword, since a round builds one per gather PE."""
+
     origin: NodeId
     value: int
     dst: NodeId          # right-edge router of the origin's row
@@ -106,7 +111,7 @@ def gather_arrival(flit: Flit, unit: GatherUnit, limits: tuple[int, int, int, in
     pending, pid = unit.pending, flit.packet_id
     if pending is None:
         return None
-    if flit.ft == FlitType.HEAD:
+    if flit.ft is _HEAD:
         if unit.reserved_by is not None:
             return None
         bits, capacity_bits, capacity, _ = limits
@@ -122,10 +127,10 @@ def gather_arrival(flit: Flit, unit: GatherUnit, limits: tuple[int, int, int, in
             flit.payload_slots.append((pending.origin, pending.value))
             unit.pending = unit.reserved_by = None
             return "upload"
-        if flit.ft == FlitType.TAIL:
+        if flit.ft is _TAIL:
             raise SimulationError(f"reserved upload never completed at {unit.node}")
         return None
-    if flit.ft == FlitType.TAIL and unit.reserved_by is None:
+    if flit.ft is _TAIL and unit.reserved_by is None:
         unit.nack()
         return "nack"
     return None

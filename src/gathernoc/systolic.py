@@ -235,15 +235,34 @@ def operand_block(seed: int, tag: int, vec_ids, length: int) -> np.ndarray:
     id, index), the same on any byte order, and row ``k`` depends on
     ``vec_ids[k]`` alone, not on the other ids.
     """
-    # an id enters the key modulo 2**64, as in Python-int arithmetic; an
-    # integer array's cast to uint64 wraps the same way
-    if isinstance(vec_ids, np.ndarray) and vec_ids.dtype.kind in "iu":
-        ids = vec_ids.astype(np.uint64)
-    else:
-        ids = np.array([i & _MASK64 for i in vec_ids], dtype=np.uint64)
-    keys = _mix64_words((ids + 1) * _GOLDEN_WORD + _tag_key(seed, tag))
+    keys = _mix64_words((_id_words(vec_ids) + 1) * _GOLDEN_WORD + _tag_key(seed, tag))
     z = _mix64_words(_word_counters((length + 7) // 8) + keys[:, None])
     return z.astype("<u8", copy=False).view(np.uint8)[:, :length]
+
+
+def _id_words(vec_ids) -> np.ndarray:
+    """The vector ids as a new uint64 array: an id enters a vector's key
+    modulo 2**64, as in Python-int arithmetic, and an integer array's cast
+    to uint64 wraps the same way."""
+    if isinstance(vec_ids, np.ndarray) and vec_ids.dtype.kind in "iu":
+        return vec_ids.astype(np.uint64)
+    return np.array([i & _MASK64 for i in vec_ids], dtype=np.uint64)
+
+
+def _span_operands(seed: int, tag: int, vec_ids, length: int) -> np.ndarray:
+    """``operand_block(seed, tag, vec_ids, length)``, row for row, for ids
+    that repeat: when the ids (modulo 2**64) span fewer values than there
+    are ids, each id of the span is generated once and every row is a copy
+    of its id's, so no more rows are generated than listed; otherwise the
+    rows are generated as listed."""
+    ids = _id_words(vec_ids)
+    if ids.size:
+        low = ids.min()
+        span = int(ids.max() - low) + 1
+        if span < ids.size:
+            return operand_block(seed, tag, low + np.arange(span, dtype=np.uint64),
+                                 length)[ids - low]
+    return operand_block(seed, tag, ids, length)
 
 
 @lru_cache(maxsize=16)
@@ -265,16 +284,24 @@ def round_accumulators(seed: int, input_ids, filter_ids, length: int):
     """``(accumulators, inputs, weights)`` of the PEs that pair input vector
     ``input_ids[k]`` with filter ``filter_ids[k]``, from any rounds, ids
     repeating or not: the engine's final accumulator of each PE and the
-    operand vectors stacked one row per PE, so the oracle can check against
-    them without generating them again.  The engine is a batched dot
-    product by contraction (``einsum``), never the oracle's elementwise
-    multiply and sum.  It widens the 8-bit operands as it goes, so no wide
-    copy of them is made.  Its accumulator is ``uint32`` while the operand
-    dtype's bound on every partial sum, ``255 * 255 * L``, is below
-    ``2**32`` (``L <= 66051``: every built-in layer, and every layer a
+    operand vectors stacked one row per PE, each row equal to the
+    ``operand_block`` row of its id, so the oracle can check against them
+    without generating them again.  Each side makes one ``operand_block``
+    call (``_span_operands``): a side whose ids span fewer values than
+    there are PEs, as a full check's do (each input repeats across a
+    round's columns, each filter across its rows and row blocks),
+    generates each id of the span once and copies each PE's row from its
+    id's, so a repeated id costs a copy, not a generation; other ids, such
+    as the sampled rule's scattered ones, are generated as listed.  The
+    rows are the same either way.  The engine is a
+    batched dot product by contraction (``einsum``), never the oracle's
+    elementwise multiply and sum.  It widens the 8-bit operands as it goes,
+    so no wide copy of them is made.  Its accumulator is ``uint32`` while
+    the operand dtype's bound on every partial sum, ``255 * 255 * L``, is
+    below ``2**32`` (``L <= 66051``: every built-in layer, and every layer a
     32-bit result payload holds), else ``int64``."""
-    ins = operand_block(seed, _INPUT_TAG, input_ids, length)
-    wts = operand_block(seed, _WEIGHT_TAG, filter_ids, length)
+    ins = _span_operands(seed, _INPUT_TAG, input_ids, length)
+    wts = _span_operands(seed, _WEIGHT_TAG, filter_ids, length)
     acc = np.uint32 if 255 * 255 * length < 1 << 32 else np.int64
     return np.einsum("ij,ij->i", ins, wts, dtype=acc), ins, wts
 
@@ -559,16 +586,17 @@ def _collect(net: MeshNetwork, mode: CollectionMode, ready: list[tuple[NodeId, i
     flits_before = net.flits_injected
     timeout_before = net.timeout_packets
 
-    values = []
-    prev_pid: dict[int, int] = {}  # each row's in-order unicast chain
-    for node, cycle in ready:
-        value = node.index(config.cols)
-        values.append(value)
-        if mode == CollectionMode.RU:
-            prev_pid[node.row] = net.schedule_unicast_result(
-                node, value, cycle, prev_pid.get(node.row))
-        else:
-            net.schedule_post(cycle, node, value)
+    cols = config.cols
+    values = [node.row * cols + node.col for node, _ in ready]
+    if mode == CollectionMode.RU:
+        send = net.schedule_unicast_result
+        prev_pid: dict[int, int] = {}  # each row's in-order unicast chain
+        for (node, cycle), value in zip(ready, values):
+            prev_pid[node.row] = send(node, value, cycle, prev_pid.get(node.row))
+    else:
+        post = net.schedule_post
+        for (node, cycle), value in zip(ready, values):
+            post(cycle, node, value)
 
     if net.cycle < ready_base:
         net.jump_to(ready_base)
@@ -581,9 +609,12 @@ def _collect(net: MeshNetwork, mode: CollectionMode, ready: list[tuple[NodeId, i
     round_delivered = net.delivered[delivered_before:]
     delivered_payloads = [p for pkt in round_delivered for p in pkt.payloads]
     # exactly once: every posted stand-in value is delivered once and no
-    # other, and each from its own node, the node of that flat index
+    # other (the posted values are distinct, so as many delivered as posted
+    # and the same set), and each from its own node, the node of that flat
+    # index
     nodes = mesh_tables(config.rows, config.cols, config.vc_count).nodes
-    if sorted(v for _, v in delivered_payloads) != sorted(values) or any(
+    delivered_values = [v for _, v in delivered_payloads]
+    if len(delivered_values) != len(values) or set(delivered_values) != set(values) or any(
             origin is not nodes[v] and origin != nodes[v] for origin, v in delivered_payloads):
         expected = [(node, value) for (node, _), value in zip(ready, values)]
         missing = set(expected) - set(delivered_payloads)
@@ -593,9 +624,10 @@ def _collect(net: MeshNetwork, mode: CollectionMode, ready: list[tuple[NodeId, i
         )
 
     net.assert_drained()
-    ejects = [(pkt.tail_arrival, pkt.dst.index(config.cols)) for pkt in round_delivered]
+    # delivered tails come in eject-cycle order, the port's commit order
+    tails = [pkt.tail_arrival for pkt in round_delivered]
     return RoundMeasurement(
-        collection=buffer_commits(ejects, config.buffer_commit_rate)[-1][0] - ready_base,
+        collection=_commit_cycles(tails, config.buffer_commit_rate)[-1] - ready_base,
         packets=len(round_delivered),
         flits=net.flits_injected - flits_before,
         hops=sum(pkt.hops for pkt in round_delivered),
@@ -616,15 +648,20 @@ def buffer_commits(ejects, rate: int) -> list[tuple[int, tuple]]:
     max(c_{k-1}, e_k, c_{k-rate} + 1)``.  The port never holds a flit back,
     so the network's timing does not depend on it."""
     ejects = sorted(ejects)
+    return list(zip(_commit_cycles([eject[0] for eject in ejects], rate), ejects))
+
+
+def _commit_cycles(eject_cycles: list[int], rate: int) -> list[int]:
+    """The commit cycle of each tail, ``buffer_commits``'s ``c_k``, from the
+    tails' eject cycles in commit order (non-decreasing)."""
     cycles: list[int] = []
-    for k, eject in enumerate(ejects):
-        cycle = eject[0]
+    for k, cycle in enumerate(eject_cycles):
         if k and cycle < cycles[-1]:
             cycle = cycles[-1]
         if k >= rate and cycle <= cycles[k - rate]:
             cycle = cycles[k - rate] + 1
         cycles.append(cycle)
-    return list(zip(cycles, ejects))
+    return cycles
 
 
 def run_ready_row(

@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -242,6 +242,65 @@ class TestWakeUps:
         if not wedged:
             net.assert_drained()
 
+    def test_seeded_scenarios_exercise_every_arbitration_branch(self, monkeypatch):
+        # the benchmark's rounds never refuse a head, so these scenarios are
+        # what covers the retry, round-robin and stall branches of _arbitrate
+        seen = Counter()
+        pick = network._round_robin
+
+        def round_robin(candidates, start):
+            seen["round-robin grant"] += len(candidates) > 1
+            return pick(candidates, start)
+
+        monkeypatch.setattr(network, "_round_robin", round_robin)
+        for seed in range(24):
+            net, wedged = _wake_up_scenario(seed)
+            _count_arbitration_branches(net, seen)
+            while net.busy() and net.cycle < 400:
+                net.step()
+                if net.cycle < 60:
+                    for rid in wedged:
+                        net._routes[rid].clear()
+        assert all(seen[branch] for branch in ("no credit", "VC owned by another packet",
+                                                "round-robin grant", "stalled output")), seen
+
+
+def _count_arbitration_branches(net: MeshNetwork, seen: Counter) -> None:
+    """Make ``net`` count, in ``seen``, every woken head its arbitration
+    refuses for want of credit or because another packet owns its output
+    VC (each checked to be woken again the next cycle), and every output
+    its ``stall_fn`` stalls."""
+    arbitrate, stall_fn = net._arbitrate, net.stall_fn
+    depth = net.config.buffer_depth
+
+    def stalled(cycle, node, port):
+        stall = stall_fn(cycle, node, port)
+        seen["stalled output"] += stall
+        return stall
+
+    def counted(t):
+        refused = {}
+        for key in net._wake[t]:
+            flit = net._queues[key][0]
+            entry = net._routes[key // net._nq].get(flit.packet_id)
+            if entry is None:
+                continue
+            owner = net._owners[entry[7]]
+            if owner != flit.packet_id and (owner is not None or not flit.is_head):
+                refused[key] = "VC owned by another packet"
+            elif entry[8] >= 0 and len(net._queues[entry[8]]) >= depth:
+                refused[key] = "no credit"
+        moves = arbitrate(t)
+        again = net._wake.get(t + 1, [])
+        for key, branch in refused.items():
+            assert key in again, (t, key, branch)
+            seen[branch] += 1
+        return moves
+
+    net._arbitrate = counted
+    if stall_fn is not None:
+        net.stall_fn = stalled
+
 
 class TestClockAndScheduling:
     def test_jump_over_a_held_payloads_deadline_is_refused(self):
@@ -334,6 +393,30 @@ class TestGatherProtocolOnMesh:
         assert sizes == [7, 9]
         got = sorted(p for pkt in net.delivered for p in pkt.payloads)
         assert got == [(NodeId(0, c), 200 + c) for c in range(16)]
+
+    @pytest.mark.parametrize("by_hand", [False, True])
+    def test_packet_types_given_as_integers_still_gather(self, by_hand):
+        # the kernel compares flit and packet types by identity, so
+        # build_packet and schedule_injection turn integers into members
+        cfg = MeshConfig(rows=1, cols=8)
+        net = MeshNetwork(cfg, timeout_table=flat_timeout_table(cfg, 100))
+        net.schedule_post(0, NodeId(0, 4), 44)
+        src = NodeId(0, 0)
+        flits = build_packet(int(PacketType.GATHER), src, NodeId(0, 7), [(src, 40)], cfg, 0,
+                             to_buffer=True)
+        assert all(f.pt is PacketType.GATHER for f in flits)
+        if by_hand:
+            for f in flits:
+                f.ft, f.pt = int(f.ft), int(f.pt)
+        net.schedule_injection(0, src, flits)
+        _drain(net)
+        [pkt] = net.delivered
+        assert pkt.pt is PacketType.GATHER and net.timeout_packets == 0
+        assert sorted(pkt.payloads) == [(src, 40), (NodeId(0, 4), 44)]
+
+    def test_a_reserved_packet_type_is_refused(self):
+        with pytest.raises(ConfigError, match="not a PacketType"):
+            build_packet(1, NodeId(0, 0), NodeId(0, 7), [], MeshConfig(rows=1, cols=8), 0)
 
     def test_aspace_consistent_at_delivery(self):
         cfg = MeshConfig(rows=1, cols=8)
@@ -447,26 +530,27 @@ def _stalled_gather_round(net: MeshNetwork) -> dict:
 
 
 class TestConstruction:
-    def test_commit_setup_still_holds_the_network_containers(self):
+    @pytest.mark.parametrize("mode", list(systolic.CollectionMode))
+    def test_commit_setup_still_holds_the_network_containers(self, mode):
         # _commit reads its containers from a tuple bound at construction,
-        # so none of them may be reassigned, by a round or by a clock jump
+        # so none of them may be reassigned, by a round (posts or sends,
+        # launches, injections, deliveries) or by a clock jump
         cfg = MeshConfig(rows=2, cols=4)
         net = MeshNetwork(cfg, timeout_table=flat_timeout_table(cfg, 3))
         for _ in range(2):
             net.jump_to(net.cycle + 50)
-            base = net.cycle
-            for rid, node in enumerate(net._nodes):
-                net.schedule_post(base + node.col, node, rid)
-            _drain(net)
+            systolic._simulate_round(net, mode, (2, 4), "set-up probe", net.cycle, 3)
+            net.assert_drained()
+        assert sum(len(pkt.payloads) for pkt in net.delivered) == 16
         rec = net.counters.recorded
         held = (net._queues, net._entries, net.units, net._nodes, net._routes, net._owners,
                 net._rr, net._meta, net._staging, net._wake, net._tail_watch,
-                net._pending_sends, net._due_sends, net.counters.moves,
+                net._due_sends, net.counters.moves,
                 rec["va_arb"], rec["buffer_write"], rec["link_traversal"])
         bound = net._commit_setup
-        assert len(bound) == len(held) + 3
+        assert len(bound) == len(held) + 2
         assert all(b is h for b, h in zip(bound, held))
-        assert bound[len(held):] == (cfg.pipeline_depth, cfg.buffer_depth, cfg.cols)
+        assert bound[len(held):] == (cfg.pipeline_depth, cfg.buffer_depth)
 
     def test_public_attributes_set_after_construction_take_effect(self):
         # _commit binds its containers once, but the event log, the stall

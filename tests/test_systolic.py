@@ -393,11 +393,58 @@ class TestOperandGenerator:
         monkeypatch.setattr(systolic, "ORACLE_CHUNK_ELEMENTS", 5 * 8 + 7)
         plan = RoundPlan(_layer(c=2, r=2, q=3, p=4), MeshConfig(rows=4, cols=3))
         systolic._check_oracle(plan, "full", seed=11)
-        assert calls == [(11, 0, (0, 0, 0, 1, 1), 8), (11, 1, (0, 1, 2, 0, 1), 8),
-                         (11, 0, (1, 2, 2, 2, 3), 8), (11, 1, (2, 0, 1, 2, 0), 8),
-                         (11, 0, (3, 3), 8), (11, 1, (1, 2), 8)]
+        # the chunks pair inputs (0, 0, 0, 1, 1), (1, 2, 2, 2, 3) and (3, 3)
+        # with filters (0, 1, 2, 0, 1), (2, 0, 1, 2, 0) and (1, 2): each
+        # side generates its distinct ids once, in increasing order
+        assert calls == [(11, 0, (0, 1), 8), (11, 1, (0, 1, 2), 8),
+                         (11, 0, (1, 2, 3), 8), (11, 1, (0, 1, 2), 8),
+                         (11, 0, (3,), 8), (11, 1, (1, 2), 8)]
         accs, ins, wts = systolic.round_accumulators(11, (0, 3), (2, 1), 8)
         assert accs.shape == (2,) and ins.shape == (2, 8) and wts.shape == (2, 8)
+
+
+def _assert_rows_of_each_pair(seed, input_ids, filter_ids, length):
+    """``round_accumulators`` returns, bit for bit, one ``operand_block`` row
+    per pair on each side, and the accumulators of those rows."""
+    direct = operand_block(seed, _INPUT_TAG, input_ids, length).astype(np.int64)
+    weights = operand_block(seed, _WEIGHT_TAG, filter_ids, length).astype(np.int64)
+    accs, ins, wts = round_accumulators(seed, input_ids, filter_ids, length)
+    for got, tag, ids in ((ins, _INPUT_TAG, input_ids), (wts, _WEIGHT_TAG, filter_ids)):
+        want = operand_block(seed, tag, ids, length)
+        assert got.dtype == want.dtype == np.uint8 and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert accs.tolist() == (direct * weights).sum(axis=1).tolist()
+
+
+@pytest.mark.parametrize("pairs_per_chunk", [1, 5, 37, 10**6])
+@pytest.mark.parametrize("rows, cols", [(3, 4), (8, 8)])
+def test_round_accumulators_of_full_chunks_equal_one_generated_row_per_pair(
+        pairs_per_chunk, rows, cols):
+    # the full rule's chunks repeat each input across a round's columns and
+    # each filter across its rows and across row blocks; ragged blocks on
+    # both sides
+    layer = _layer(c=2, r=3, q=2 * cols + 1, p=3 * rows - 1)
+    plan = RoundPlan(layer, MeshConfig(rows=rows, cols=cols))
+    repeated = 0
+    for _, _, input_ids, filter_ids in systolic._oracle_pairs(plan, "full", pairs_per_chunk):
+        repeated += len(np.unique(input_ids)) < len(input_ids)
+        _assert_rows_of_each_pair(5, input_ids, filter_ids, plan.stream_len)
+    assert repeated or pairs_per_chunk == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(ids=st.lists(st.one_of(st.integers(0, 40), st.integers(2**63, 2**64 + 40)),
+                    min_size=1, max_size=16),
+       length=st.integers(0, 41), data=st.data())
+def test_round_accumulators_with_repeated_ids_equal_one_generated_row_per_pair(
+        ids, length, data):
+    # shuffled Python ints with repeats, some at or past 2**63, and ids
+    # equal modulo 2**64 (2**64 + k and k): each pair gets its own id's row
+    repeats = ids + data.draw(st.lists(st.sampled_from(ids), max_size=16))
+    input_ids = data.draw(st.permutations(repeats))
+    filter_ids = data.draw(st.permutations(repeats))
+    _assert_rows_of_each_pair(data.draw(st.sampled_from(EDGE_SEEDS)), input_ids, filter_ids,
+                              length)
 
 
 class TestStreamSchedule:
