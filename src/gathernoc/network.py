@@ -73,20 +73,22 @@ is kept to a few container operations:
 
 * posting a gather payload builds one ``GatherPayload``, a named tuple;
 * scheduling a unicast builds its flits (``build_packet`` has a path of
-  its own for a head and a tail), one ``[inject cycle, head arrival,
-  timeout-initiated]`` list in ``_meta`` and one send tuple ``(seq, rid,
-  flits, ready cycle)``, kept by ``seq`` until it launches;
+  its own for a head and a tail), the packet's record in ``_meta`` and
+  one send tuple ``(seq, rid, flits, ready cycle)`` (``_add_send``);
 * a send that is due sits in the launch bucket of its cycle, the cycle it
   was scheduled for (or the clock, if that is later) or the cycle after
   its drain-chain predecessor's tail passed; the sends of one bucket
   launch in schedule order, sorted only when there are two or more;
-* NI injection routes a packet's head inline, as ``_commit`` routes it
-  at every hop: XY routing without a call, and at the destination the
-  buffer port for a buffer packet (``schedule_injection`` checks it is
-  addressed to the buffer column) or else the local port;
-* delivery appends one record per packet, its tail's eject cycle
-  non-decreasing along ``delivered``, so the checks of a round
-  (``systolic._collect``) time the commit port without sorting.
+* NI injection routes a packet's head with ``topology.xy_route``, once
+  per packet; ``_commit`` routes it at every later hop by the same rule
+  inline, without a call.  At the destination a buffer packet leaves by
+  the buffer port (``schedule_injection`` checks it is addressed to the
+  buffer column) and any other by the local port;
+* delivery reads the packet's payloads, flit count, VC and free space
+  from the flit list of its record, the very flits that travelled (an
+  eject collects nothing), and appends one record per packet, its tail's
+  eject cycle non-decreasing along ``delivered``, so the checks of a
+  round (``systolic._collect``) time the commit port without sorting.
 
 Flit types, packet types and ports are enum members, so the kernel
 compares them by identity (``is``), not by integer value: ``build_packet``
@@ -131,12 +133,26 @@ first use, not built for every pair, to keep memory down: dense tables
 of the default 8x8 and 16x16 meshes (4 VCs) hold 38 400 entries in about
 12 MB, and XY-routed result traffic reads few of them: 2 184 in the
 ``replay=False`` runs of the perfbench ``kernel`` workload.
+
+Each in-flight fact is kept once.  A packet has one record in ``_meta``,
+``[inject cycle, head arrival, timeout-initiated, flits]`` (the cycles -1
+until known), from when it is scheduled or built until its tail is
+delivered.  A send that has not launched is in exactly one place: the
+launch bucket of its cycle in ``_due_sends``, or ``_tail_watch`` under
+its drain-chain predecessor's packet id until that tail reaches the
+send's router; a predecessor has at most one successor, and a second one
+is refused when it is scheduled.  No count of the gather units holding a
+payload is kept: such a unit is in the deadline bucket of its give-up
+deadline, among the expiring units, or reserved by a packet whose flits
+are still queued, so ``busy``, ``jump_to`` and ``assert_drained`` read
+those.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 
 from .config import MeshConfig, give_up_budgets
@@ -144,7 +160,7 @@ from .errors import ConfigError, DeadlockError, DrainError, SimulationError
 from .packet import Flit, FlitType, PacketType, build_packet, payload_bits
 from .power import ActivityCounters
 from .router import GatherPayload, GatherUnit, gather_arrival, gather_limits
-from .topology import INPUT_PORTS, NodeId, Port, step_toward
+from .topology import INPUT_PORTS, NodeId, Port, step_toward, xy_route
 
 OUTPUT_PORTS = (Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH, Port.LOCAL, Port.BUFFER)
 # grant order of each output port (indexed by port value) within a router
@@ -285,23 +301,20 @@ class MeshNetwork:
         self._limits = gather_limits(config)
 
         self._next_packet_id = 0
-        # pid -> [inject cycle, head arrival, timeout-initiated], -1 until known
+        # pid -> [inject cycle, head arrival, timeout-initiated, flits], the
+        # cycles -1 until known, until the packet is delivered
         self._meta: dict[int, list] = {}
         self._queued = 0                                  # flits in router queues
         self._wake: dict[int, list[int]] = {}             # cycle -> queue keys woken then
         self._ni_busy: set[int] = set()                   # rids with a non-empty NI queue
         self._posts: dict[int, list[tuple[int, GatherPayload]]] = {}  # cycle -> (rid, payload)
-        self._holding = 0                                 # gather units holding a payload
         self._deadlines: dict[int, list[int]] = {}        # give-up cycle -> rids
         self._expiring: set[int] = set()                  # rids past a give-up deadline
         # a send is (seq, rid, flits, ready cycle), seq its schedule order;
-        # until it launches it is due, in the bucket of its launch cycle, or
-        # waits for its drain-chain predecessor's tail to pass its router
-        self._pending_sends: dict[int, tuple] = {}        # seq -> send, not launched
+        # until it launches it is in exactly one of these (module docstring)
         self._due_sends: dict[int, list[tuple]] = {}      # launch cycle -> sends
-        self._send_seq = 0
         self._tail_watch: dict[int, tuple] = {}           # predecessor pid -> send
-        self._staging: dict[int, list[Flit]] = {}
+        self._send_seq = 0
         self.delivered: list[DeliveredPacket] = []
         self.flits_injected = 0
         self.flits_ejected = 0
@@ -313,8 +326,8 @@ class MeshNetwork:
         rec = self.counters.recorded
         self._commit_setup = (
             self._queues, self._entries, self.units, self._nodes, self._routes,
-            self._owners, self._rr, self._meta, self._staging, self._wake,
-            self._tail_watch, self._due_sends, self.counters.moves,
+            self._owners, self._rr, self._meta, self._wake, self._tail_watch,
+            self._due_sends, self.counters.moves,
             rec["va_arb"], rec["buffer_write"], rec["link_traversal"],
             config.pipeline_depth, config.buffer_depth)
 
@@ -345,18 +358,9 @@ class MeshNetwork:
         cfg = self.config
         base = node.row * cfg.cols
         pid = self._next_packet_id
-        self._next_packet_id = pid + 1
         flits = build_packet(_UNICAST, node, self._nodes[base + cfg.cols - 1],
                              [(node, value)], cfg, pid, to_buffer=True)
-        self._meta[pid] = [-1, -1, False]
-        seq = self._send_seq
-        self._send_seq = seq + 1
-        send = self._pending_sends[seq] = (seq, base + node.col, flits, ready_cycle)
-        if after_packet is None:
-            self._due_sends.setdefault(max(ready_cycle, self.cycle), []).append(send)
-        else:
-            # due once the predecessor's tail has reached this node (_commit)
-            self._tail_watch[after_packet] = send
+        self._add_send(base + node.col, flits, ready_cycle, after_packet)
         return pid
 
     def schedule_injection(self, cycle: int, node: NodeId, flits: list[Flit]) -> None:
@@ -373,31 +377,53 @@ class MeshNetwork:
                 f"packet {pid} is sent to the buffer at {dst}, but the buffer is "
                 f"attached to column {self.config.cols - 1} only"
             )
+        self._add_send(node.index(self.config.cols), flits, cycle, None)
+
+    def _add_send(self, rid: int, flits: list[Flit], ready_cycle: int,
+                  after_packet: int | None) -> None:
+        """Record the send of the packet ``flits`` from router ``rid``: due
+        in the launch bucket of ``ready_cycle`` (or of the clock, if that is
+        later), or, after ``after_packet``, once that predecessor's tail has
+        reached router ``rid`` (``_commit``).  A predecessor has at most one
+        successor: a second one is refused before anything is recorded."""
+        waiting = self._tail_watch.get(after_packet)
+        if waiting is not None:
+            raise ConfigError(
+                f"packet {after_packet} already has a drain-chain successor, "
+                f"packet {waiting[2][0].packet_id}"
+            )
+        pid = flits[0].packet_id
         if pid >= self._next_packet_id:
             self._next_packet_id = pid + 1
-        self._meta[pid] = [-1, -1, False]
+        self._meta[pid] = [-1, -1, False, flits]
         seq = self._send_seq
         self._send_seq = seq + 1
-        send = self._pending_sends[seq] = (seq, node.index(self.config.cols), flits, cycle)
-        self._due_sends.setdefault(max(cycle, self.cycle), []).append(send)
+        send = (seq, rid, flits, ready_cycle)
+        if after_packet is None:
+            self._due_sends.setdefault(max(ready_cycle, self.cycle), []).append(send)
+        else:
+            self._tail_watch[after_packet] = send
 
     # ------------------------------------------------------------- lifecycle
 
     def busy(self) -> bool:
-        return bool(self._queued or self._ni_busy or self._pending_sends
-                    or self._posts or self._holding)
+        # a unit holding a payload is in a deadline bucket, expiring, or
+        # reserved by a packet whose flits are still queued
+        return bool(self._queued or self._ni_busy or self._due_sends or self._tail_watch
+                    or self._posts or self._deadlines or self._expiring)
 
     def jump_to(self, cycle: int) -> None:
         """Advance the clock over a provably idle stretch."""
         if cycle < self.cycle:
             raise SimulationError("cannot jump backwards")
-        if self._queued or self._ni_busy or self._staging:
+        if self._queued or self._ni_busy:
             raise SimulationError("jump requested while the network is busy")
-        if self._holding:
+        if self._deadlines or self._expiring:
             raise SimulationError("jump would skip a held payload's give-up deadline")
         if any(t < cycle for t in self._posts):
             raise SimulationError("jump would skip scheduled payload posts")
-        if any(send[3] < cycle for send in self._pending_sends.values()):
+        if any(send[3] < cycle for send in chain(self._tail_watch.values(),
+                                                 *self._due_sends.values())):
             raise SimulationError("jump would skip scheduled packet sends")
         self.cycle = cycle
 
@@ -411,11 +437,11 @@ class MeshNetwork:
             step()
 
     def assert_drained(self) -> None:
-        if self._queued or self._ni_busy or self._staging:
+        if self._queued or self._ni_busy:
             raise DrainError("network did not drain: flits left behind")
-        if self._pending_sends or self._posts:
+        if self._due_sends or self._tail_watch or self._posts:
             raise DrainError("network did not drain: scheduled work left behind")
-        if self._holding:
+        if self._deadlines or self._expiring:
             raise DrainError("network did not drain: a payload is still pending")
         if self.flits_injected != self.flits_ejected:
             raise DrainError(
@@ -508,7 +534,7 @@ class MeshNetwork:
     # phase 2: commit all granted moves simultaneously, moving each grant's
     # round-robin pointer past it and routing each head at the router it enters
     def _commit(self, moves, t: int):
-        (queues, entries, units, nodes, routes, owners, rr, meta, staging, wake, watch,
+        (queues, entries, units, nodes, routes, owners, rr, meta, wake, watch,
          due, moved, va, writes, links, pipeline, depth) = self._commit_setup
         log = self.event_log
         trace = self.link_trace if self.trace_links else None
@@ -543,9 +569,6 @@ class MeshNetwork:
                 ejected += 1
                 if ft is _HEAD:
                     meta[pid][1] = t      # the head arrival
-                    staging[pid] = [flit]
-                else:
-                    staging[pid].append(flit)
                 if log is not None:
                     self._log(t, nodes[rid], f"eject pid={pid} {ft.name.lower()}")
                 if ft is _TAIL:
@@ -603,8 +626,8 @@ class MeshNetwork:
             bucket.extend(keys)
 
     def _finish_packet(self, pid: int, tail_arrival: int, to_buffer: bool) -> None:
-        flits = self._staging.pop(pid)
-        inject_cycle, head_arrival, timeout_init = self._meta.pop(pid)
+        # the flits built for the packet are the ones that travelled
+        inject_cycle, head_arrival, timeout_init, flits = self._meta.pop(pid)
         head = flits[0]
         payloads = [slot for f in flits for slot in f.payload_slots]
         src, dst = head.src, head.dst
@@ -631,7 +654,6 @@ class MeshNetwork:
             if done is None:
                 continue
             if done == "upload":
-                self._holding -= 1
                 uploads[rid] += 1
                 # the payload is served: its unit leaves the bucket of its
                 # give-up deadline, which _node_phase reads after the
@@ -656,7 +678,6 @@ class MeshNetwork:
             for rid, payload in posts:
                 unit = units[rid]
                 unit.post(payload, t)
-                self._holding += 1
                 deadlines.setdefault(t + unit.timeout, []).append(rid)
                 if self.event_log is not None:
                     self._log(t, unit.node, "post")
@@ -665,9 +686,8 @@ class MeshNetwork:
         if sends:
             if len(sends) > 1:
                 sends.sort()      # in schedule order: by seq, the first field
-            pending, ni, busy = self._pending_sends, self._ni, self._ni_busy
-            for seq, rid, flits, _ in sends:
-                del pending[seq]
+            ni, busy = self._ni, self._ni_busy
+            for _, rid, flits, _ in sends:
                 ni[rid].extend(flits)
                 busy.add(rid)
                 if self.event_log is not None:
@@ -686,7 +706,6 @@ class MeshNetwork:
                 continue
             expiring.discard(rid)
             payload = unit.take_for_self()
-            self._holding -= 1
             pid = self.next_packet_id()
             flits = build_packet(_GATHER, unit.node, payload.dst,
                                  [(payload.origin, payload.value)], self.config, pid,
@@ -694,7 +713,7 @@ class MeshNetwork:
             timeout_init = unit.timeout > 0
             if timeout_init:
                 self.timeout_packets += 1
-            self._meta[pid] = [t, -1, timeout_init]
+            self._meta[pid] = [t, -1, timeout_init, flits]
             self._ni[rid].extend(flits)
             self._ni_busy.add(rid)
             if self.event_log is not None:
@@ -733,13 +752,7 @@ class MeshNetwork:
                 # gather handshake runs only at routers the packet arrives at
                 pid = flit.packet_id
                 self._meta[pid][0] = t    # the inject cycle
-                node, dst = self._nodes[rid], flit.dst
-                if dst.col != node.col:   # XY routing, inline as in _commit
-                    out = _EAST if dst.col > node.col else _WEST
-                elif dst.row != node.row:
-                    out = _SOUTH if dst.row > node.row else _NORTH
-                else:
-                    out = _BUFFER if flit.to_buffer else _LOCAL
+                out = xy_route(self._nodes[rid], flit.dst, cfg.cols, flit.to_buffer)
                 self._routes[rid][pid] = self._entries[key * _N_PORTS + out]
         if injected:
             self._queued += injected

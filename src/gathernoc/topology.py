@@ -39,8 +39,9 @@ class NodeId:
 def xy_route(current: NodeId, dst: NodeId, cols: int, sink_is_buffer: bool = False) -> Port:
     """Dimension-ordered next-port decision: resolve the column first, then
     the row.  At the destination, deliver locally or, for result traffic, out
-    the buffer port (right edge only).  Compares the integer coordinates, not
-    the ``NodeId``s, because the cycle kernel routes every head it moves."""
+    the buffer port (right edge only).  The network routes each head with
+    it once, at injection, and ``network._commit`` repeats the same rule
+    inline at every later hop."""
     col, dst_col = current.col, dst.col
     if dst_col > col:
         return Port.EAST

@@ -21,8 +21,8 @@ def _busy_without(monkeypatch, attr):
     """``busy`` that overlooks one kind of outstanding work."""
     def busy(self):
         return any(getattr(self, name) for name in (
-            "_queued", "_ni_busy", "_pending_sends", "_posts", "_holding")
-            if name != attr)
+            "_queued", "_ni_busy", "_due_sends", "_tail_watch", "_posts", "_deadlines",
+            "_expiring") if name != attr)
 
     monkeypatch.setattr(MeshNetwork, "busy", busy)
 
@@ -84,30 +84,36 @@ class TestExactlyOnce:
 
 
 class TestDrain:
-    def test_stray_staged_flit(self, monkeypatch):
-        finish = MeshNetwork._finish_packet
-
-        def patched(self, pid, *args):
-            flit = self._staging[pid][-1]
-            finish(self, pid, *args)
-            self._staging.setdefault(-1, [flit])   # one flit staged twice
-
-        monkeypatch.setattr(MeshNetwork, "_finish_packet", patched)
+    def test_overlooked_queued_flit(self, monkeypatch):
+        # the run stops once the tail leaves the NI, the packet in its queues
+        _busy_without(monkeypatch, "_queued")
+        net = MeshNetwork(CFG)
+        net.schedule_unicast_result(NodeId(0, 0), 0, 0, None)
+        net.run_until_idle(1_000)
+        assert net.cycle == 2 and not net.delivered
         with pytest.raises(DrainError, match=(
                 r"^network did not drain: flits left behind$")):
-            run_ready_row(CFG, 0, "ru")
+            net.assert_drained()
 
-    def test_overlooked_send(self, monkeypatch):
-        _busy_without(monkeypatch, "_pending_sends")
+    @pytest.mark.parametrize("overlooked", ["_due_sends", "_tail_watch"],
+                             ids=["due", "chained"])
+    def test_overlooked_send(self, monkeypatch, overlooked):
+        # a due send waits for its launch cycle; a chained one for its
+        # predecessor's tail, which (0, 1)'s packet never brings past (0, 0)
+        _busy_without(monkeypatch, overlooked)
         net = MeshNetwork(CFG)
-        net.schedule_unicast_result(NodeId(0, 0), 0, 50, None)
+        if overlooked == "_tail_watch":
+            first = net.schedule_unicast_result(NodeId(0, 1), 1, 0, None)
+            net.schedule_unicast_result(NodeId(0, 0), 0, 0, first)
+        else:
+            net.schedule_unicast_result(NodeId(0, 0), 0, 50, None)
         net.run_until_idle(1_000)
         with pytest.raises(DrainError, match=(
                 r"^network did not drain: scheduled work left behind$")):
             net.assert_drained()
 
     def test_overlooked_pending_payload(self, monkeypatch):
-        _busy_without(monkeypatch, "_holding")
+        _busy_without(monkeypatch, "_deadlines")
         net = MeshNetwork(CFG, timeout_table={(0, 1): 100})
         net.schedule_post(0, NodeId(0, 1), 1)
         net.run_until_idle(1_000)

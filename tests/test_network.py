@@ -215,15 +215,22 @@ def _check_wake_ups(net: MeshNetwork) -> None:
 def _check_give_up_state(net: MeshNetwork) -> None:
     """Each gather unit holding a payload whose give-up deadline is still
     ahead sits once in that deadline's bucket, and no other unit sits in
-    one; the expiring units hold a payload."""
+    one; the expiring units hold a payload.  So the network keeps no count
+    of the units holding one: each such unit is in its deadline's bucket,
+    expiring, or reserved by a packet with flits still queued, and the
+    network is busy while any unit holds a payload."""
     assert all(net._deadlines.values())
     pending = sorted((cycle, rid) for cycle, rids in net._deadlines.items() for rid in rids)
     holding = {rid: unit.posted_at + unit.timeout for rid, unit in enumerate(net.units)
                if unit.pending is not None}
-    assert len(holding) == net._holding
     assert pending == sorted((deadline, rid) for rid, deadline in holding.items()
                              if deadline >= net.cycle)
     assert net._expiring <= set(holding)
+    queued = {flit.packet_id for queue in (*net._queues, *net._ni) for flit in queue}
+    for rid, deadline in holding.items():
+        assert (deadline >= net.cycle or rid in net._expiring
+                or net.units[rid].reserved_by in queued), rid
+    assert net.busy() or not holding
 
 
 class TestWakeUps:
@@ -311,7 +318,7 @@ class TestClockAndScheduling:
         net.schedule_post(0, NodeId(0, 2), 5)
         net.step()
         unit = net.units[2]
-        assert net._holding == 1 and unit.posted_at + unit.timeout == 15
+        assert unit.pending is not None and unit.posted_at + unit.timeout == 15
         with pytest.raises(SimulationError, match="give-up deadline"):
             net.jump_to(100)
         assert net.cycle == 1
@@ -351,6 +358,79 @@ class TestClockAndScheduling:
         with pytest.raises(ConfigError, match="column 2 only"):
             net.schedule_injection(0, NodeId(0, 0), flits)
         assert not net.busy()
+
+    def test_a_second_drain_chain_successor_is_refused_when_scheduled(self):
+        # the second successor would never launch: the network would stay
+        # busy until its cycle limit.  The refused send leaves no trace
+        net = MeshNetwork(MeshConfig(rows=1, cols=4))
+        first = net.schedule_unicast_result(NodeId(0, 0), 0, 0, None)
+        net.schedule_unicast_result(NodeId(0, 1), 1, 0, first)
+        with pytest.raises(ConfigError, match=(
+                r"^packet 0 already has a drain-chain successor, packet 1$")):
+            net.schedule_unicast_result(NodeId(0, 2), 2, 0, first)
+        _drain(net, limit=500)
+        assert [pkt.payloads for pkt in net.delivered] == [[(NodeId(0, 0), 0)],
+                                                          [(NodeId(0, 1), 1)]]
+        assert net.next_packet_id() == 2
+
+    # outstanding work of a 1x4 row that a jump to cycle 100 would skip
+    @staticmethod
+    def _clock_ahead(net):
+        net.jump_to(200)
+
+    @staticmethod
+    def _flit_queued(net):
+        # the head of a packet sent at cycle 0 is in its local queue
+        _send(net, NodeId(0, 0), NodeId(0, 3), net.next_packet_id(),
+              payloads=[(NodeId(0, 0), 1)], to_buffer=True)
+        net.step()
+
+    @staticmethod
+    def _held_payload(net):
+        net.schedule_post(0, NodeId(0, 2), 5)     # give-up deadline 15
+        net.step()
+
+    @staticmethod
+    def _scheduled_post(net):
+        net.schedule_post(50, NodeId(0, 2), 5)
+
+    @staticmethod
+    def _due_send(net):
+        net.schedule_unicast_result(NodeId(0, 0), 0, 50, None)
+
+    @staticmethod
+    def _chained_send(net):
+        # the predecessor is due at 200, after the jump, and its successor,
+        # ready at 50, waits for the predecessor's tail
+        first = net.schedule_unicast_result(NodeId(0, 0), 0, 200, None)
+        net.schedule_unicast_result(NodeId(0, 1), 1, 50, first)
+
+    _REFUSALS = {
+        "_clock_ahead": "cannot jump backwards",
+        "_flit_queued": "jump requested while the network is busy",
+        "_held_payload": "jump would skip a held payload's give-up deadline",
+        "_scheduled_post": "jump would skip scheduled payload posts",
+        "_due_send": "jump would skip scheduled packet sends",
+        "_chained_send": "jump would skip scheduled packet sends",
+    }
+
+    @pytest.mark.parametrize("setup", list(_REFUSALS))
+    def test_jump_over_outstanding_work_is_refused(self, setup):
+        net = MeshNetwork(MeshConfig(rows=1, cols=4))
+        getattr(self, setup)(net)
+        start = net.cycle
+        with pytest.raises(SimulationError, match=f"^{self._REFUSALS[setup]}$"):
+            net.jump_to(100)
+        assert net.cycle == start
+
+    @pytest.mark.parametrize("setup", ["_scheduled_post", "_due_send", "_chained_send"])
+    def test_jump_up_to_the_cycle_of_scheduled_work_is_allowed(self, setup):
+        net = MeshNetwork(MeshConfig(rows=1, cols=4))
+        getattr(self, setup)(net)
+        net.jump_to(50)
+        assert net.cycle == 50
+        _drain(net)
+        assert len(net.delivered) == 1 + (setup == "_chained_send")
 
 
 class TestGatherProtocolOnMesh:
@@ -544,7 +624,7 @@ class TestConstruction:
         assert sum(len(pkt.payloads) for pkt in net.delivered) == 16
         rec = net.counters.recorded
         held = (net._queues, net._entries, net.units, net._nodes, net._routes, net._owners,
-                net._rr, net._meta, net._staging, net._wake, net._tail_watch,
+                net._rr, net._meta, net._wake, net._tail_watch,
                 net._due_sends, net.counters.moves,
                 rec["va_arb"], rec["buffer_write"], rec["link_traversal"])
         bound = net._commit_setup
